@@ -506,6 +506,15 @@ def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> C
     conditions: list[ConditionDiagnostic] = []
 
     supercritical = isinstance(spec, HermiteVariation) and spec.regime == "supercritical"
+    # Kernel contraction norms per order r, shared by both fixed-chaos series.
+    contractions = (
+        {
+            r: np.array([contraction_norm_sq(spec.model, spec.q, r, g).value for g in grid])
+            for r in range(1, spec.q)
+        }
+        if isinstance(spec, HermiteVariation)
+        else {}
+    )
 
     # second-derivative contraction series
     if isinstance(spec, FbmScaled):
@@ -516,15 +525,9 @@ def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> C
             )
         )
     elif isinstance(spec, HermiteVariation):
-        vals = np.array(
-            [
-                sum(
-                    _npr_constant(spec.q, r)
-                    * contraction_norm_sq(spec.model, spec.q, r, g).value
-                    for r in range(1, spec.q)
-                )
-                for g in grid
-            ]
+        vals = sum(
+            (_npr_constant(spec.q, r) * c for r, c in contractions.items()),
+            np.zeros(len(grid)),
         )
         conditions.append(
             _single_sum_condition(
@@ -572,14 +575,7 @@ def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> C
             _not_applicable(_KERNEL_NAME, "not applicable: mixed chaos orders")
         )
     else:
-        per_r = {
-            r: np.sqrt(
-                np.array(
-                    [contraction_norm_sq(spec.model, spec.q, r, g).value for g in grid]
-                )
-            )
-            for r in range(1, spec.q)
-        }
+        per_r = {r: np.sqrt(c) for r, c in contractions.items()}
         fits = {r: _loglog_fit(grid, v)[0] for r, v in per_r.items()}
         vals = np.sum(np.array(list(per_r.values())), axis=0)
         detail = "slowest contraction order r = %d; per-order decay %s" % (

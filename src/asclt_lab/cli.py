@@ -532,8 +532,9 @@ def validate_config(doc) -> tuple[ExperimentConfig | None, list[ConfigError]]:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config file; raises ConfigValidationError."""
+def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse a config file, merge `overrides` into it (object-valued fields
+    field by field) and validate the result; raises ConfigValidationError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -544,6 +545,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigValidationError(
             [ConfigError("<json>", f"line {exc.lineno}, column {exc.colno}: {exc.msg}")]
         ) from exc
+    if isinstance(doc, dict):
+        for key, value in (overrides or {}).items():
+            if isinstance(value, dict) and isinstance(doc.get(key), dict):
+                value = {**doc[key], **value}
+            doc[key] = value
     cfg, errors = validate_config(doc)
     if errors:
         raise ConfigValidationError(errors)
@@ -1220,8 +1226,17 @@ def main(argv=None) -> int:
         list_experiments()
         return 0
 
+    # CLI overrides go through the same validation as the config file.
+    overrides: dict = {}
+    if args.command == "run":
+        if args.seed is not None:
+            overrides["seeds"] = {"master_seed": args.seed}
+        if args.workers is not None:
+            overrides["workers"] = args.workers
+        if args.out is not None:
+            overrides["out_dir"] = args.out
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides)
     except ConfigValidationError as exc:
         for err in exc.errors:
             print(str(err), file=sys.stderr)
@@ -1230,32 +1245,6 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"ok: valid {cfg.experiment} config")
         return 0
-
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.workers is not None:
-        if args.workers < 1:
-            print("config error at 'workers': must be >= 1", file=sys.stderr)
-            return 1
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        base = cfg.canonical()
-        seeds = base.pop("seeds")
-        cfg = ExperimentConfig(
-            experiment=base["experiment"],
-            model=base["model"],
-            n_max=base["n_max"],
-            n_grid=tuple(base["n_grid"]),
-            master_seed=overrides.get("master_seed", seeds["master_seed"]),
-            replicates=seeds["replicates"],
-            t_grid=tuple(base["t_grid"]),
-            tolerances=base["tolerances"],
-            out_dir=overrides.get("out_dir", cfg.out_dir),
-            workers=overrides.get("workers", cfg.workers),
-        )
 
     try:
         return run(cfg)

@@ -33,7 +33,6 @@ __all__ = [
     "table",
     "rho",
     "rho_many",
-    "rho_powers",
     "rho_asymptotic",
     "abs_rho_power_tail",
     "abs_rho_power_sum",
@@ -168,11 +167,6 @@ def rho_many(model: CovarianceModel, lags) -> np.ndarray:
 def rho(model: CovarianceModel, r: int) -> float:
     """Autocovariance at a single integer lag."""
     return float(rho_many(model, np.array([r]))[0])
-
-
-def rho_powers(model: CovarianceModel, q: int, n: int) -> np.ndarray:
-    """rho(r)^q for r = 0..n-1."""
-    return rho_many(model, np.arange(n)) ** q
 
 
 def rho_asymptotic(H: float, r: int) -> float:

@@ -9,11 +9,11 @@ The contraction norm reduces to a quartic lag sum
     S(q, r, n) = sum_{i,j,k,l} rho(k-l)^r rho(i-j)^r rho(k-i)^{q-r} rho(l-j)^{q-r}
                = tr((P Q)^2),  P = Toeplitz(rho^r), Q = Toeplitz(rho^{q-r}),
 
-so ||f_n (x)_r f_n||^2 = S / (E V_n^2)^2. Three exact evaluators are kept:
-an O(n^4) brute force (oracle, n <= 12), the O(n^3) multiplicity-count form
-over lag triples (a, b, c), and the production path via the trace identity
-(dense matmul for small n, zero-padded FFT block columns beyond). A lag-
-truncated variant returns a certified remainder bound.
+so ||f_n (x)_r f_n||^2 = S / (E V_n^2)^2. The production evaluator walks
+the rows of PQ through its Toeplitz displacement structure (Kailath & Sayed,
+SIAM Review 1995): exact in O(n^2) time and O(n) memory, seeded by two
+Toeplitz matrix-vector products. Two oracles check it: an O(n^4) brute force
+(n <= 12) and the O(n^3) dense matmul.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 _BRUTEFORCE_MAX_N = 12
-_COUNTS_MAX_N = 128
-_DENSE_MAX_N = 1 << 11
-_FFT_BLOCK_COLS = 128
 _DENSE_COEFF_BUDGET = 10**6
 
 
@@ -77,17 +74,12 @@ def v2_prefix(model: CovarianceModel, q: int, n: int) -> np.ndarray:
 class ContractionResult:
     value: float              # ||f_n (x)_r f_n||^2
     raw_sum: float            # the quartic lag sum S
-    truncation_bound: float   # certified bound on the neglected part of value
     method: str
-    L: int | None = None
 
 
-def _powers(model, s: int, n: int, L: int | None = None) -> np.ndarray:
-    """rho(m)^s for m = 0..n-1, optionally zeroed beyond lag L."""
-    g = rho_many(model, np.arange(n)) ** s
-    if L is not None and L + 1 < n:
-        g[L + 1:] = 0.0
-    return g
+def _powers(model, s: int, n: int) -> np.ndarray:
+    """rho(m)^s for m = 0..n-1."""
+    return rho_many(model, np.arange(n)) ** s
 
 
 def _contract_sum_bruteforce(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
@@ -106,41 +98,6 @@ def _contract_sum_bruteforce(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
                     continue
                 for j in range(n):
                     total += a * full_r[i - j + off] * b * full_q[l - j + off]
-    return total
-
-
-def _lag_triple_count(n: int, a: int, b: int, c: int) -> int:
-    # Free index i; the tuple is (k, l, i, j) = (i+c, i+c-a, i, i-b).
-    hi = min(n, n - c, n - c + a, n + b)
-    lo = max(1, 1 - c, 1 - c + a, 1 + b)
-    return max(0, hi - lo + 1)
-
-
-def _contract_sum_counts(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
-    lags = np.arange(-(n - 1), n)
-    full_r = np.concatenate([pr[::-1], pr[1:]])
-    full_q = np.concatenate([pqr[::-1], pqr[1:]])
-    off = n - 1
-    b_grid, c_grid = np.meshgrid(lags, lags, indexing="ij")
-    total = 0.0
-    for a in lags:
-        # rho(l-j)^{q-r} = rho(c + b - a)^{q-r}; out-of-window lags vanish.
-        d = c_grid + b_grid - a
-        inside = np.abs(d) <= n - 1
-        hi = np.minimum.reduce(
-            [np.full_like(c_grid, n), n - c_grid, n - c_grid + a, n + b_grid]
-        )
-        lo = np.maximum.reduce(
-            [np.ones_like(c_grid), 1 - c_grid, 1 - c_grid + a, 1 + b_grid]
-        )
-        counts = np.maximum(0, hi - lo + 1)
-        term = (
-            full_r[a + off]
-            * full_r[b_grid + off]
-            * full_q[c_grid + off]
-            * np.where(inside, full_q[np.clip(d, -(n - 1), n - 1) + off], 0.0)
-        )
-        total += float(np.sum(term * counts))
     return total
 
 
@@ -177,110 +134,84 @@ def _toeplitz_columns(g: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return full[idx]
 
 
-def _contract_sum_fft(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
-    spec_p = _toeplitz_spectrum(pr, n)
-    spec_q = _toeplitz_spectrum(pqr, n)
-    same = np.array_equal(pr, pqr)
-    total = 0.0
-    for start in range(0, n, _FFT_BLOCK_COLS):
-        cols = np.arange(start, min(start + _FFT_BLOCK_COLS, n))
-        qcols = _toeplitz_columns(pqr, cols, n)
-        A = _toeplitz_apply(spec_p, qcols, n)          # (PQ)[:, cols]
-        if same:
-            B = A
-        else:
-            pcols = _toeplitz_columns(pr, cols, n)
-            B = _toeplitz_apply(spec_q, pcols, n)      # (QP)[:, cols]
-        total += float(np.sum(A * B))
-    return total
+def _toeplitz_matvec(g: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    return _toeplitz_apply(_toeplitz_spectrum(g, n), x[:, None], n)[:, 0]
 
 
-def _window_abs_sums(model, s: int, n: int, L: int) -> tuple[float, float]:
-    """(sum_{|m|<n} |rho|^s, sum_{L<|m|<n} |rho|^s) on the finite window."""
-    a = np.abs(rho_many(model, np.arange(1, n))) ** s
-    full = 1.0 + 2.0 * float(np.sum(a))
-    tail = 2.0 * float(np.sum(a[L:])) if L < n - 1 else 0.0
-    return full, tail
+def _displacement_rows(p: np.ndarray, q: np.ndarray, n: int):
+    """Rows of M = PQ, each as a view of one length-2n-1 buffer.
+
+    D[n-1+d] holds M[k, k+d], so row k is D[n-1-k : 2n-1-k]. Stepping to
+    row k+1 adds p(k+1) q(j) - p(n-1-k) q(n-j) to every entry (j >= 1)
+    and seeds the entering diagonal with M[k+1, 0] = (P q)[k+1].
+    """
+    D = np.empty(2 * n - 1)
+    D[n - 1:] = _toeplitz_matvec(q, p, n)       # M[0, :] = (Q p)^T
+    col = _toeplitz_matvec(p, q, n)             # M[:, 0] = P q
+    q_up, q_down = q[1:], q[:0:-1]
+    yield D[n - 1:]
+    for k in range(n - 1):
+        lo = n - 2 - k
+        tail = D[lo + 1: lo + n]
+        tail += p[k + 1] * q_up
+        tail -= p[n - 1 - k] * q_down
+        D[lo] = col[k + 1]
+        yield D[lo: lo + n]
 
 
-def _truncation_bound(model, q, r, n, L) -> float:
-    # Union bound over which of the four lag factors exceeds L, Hoelder on
-    # the paired factor, uniform window sums on the rest.
-    A, _ = _window_abs_sums(model, q, n, L)
-    B_r, T_r = _window_abs_sums(model, r, n, L)
-    B_qr, T_qr = _window_abs_sums(model, q - r, n, L)
-    return 2.0 * n * A * (T_r * B_qr + T_qr * B_r)
+def _contract_sum(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
+    """S = tr((PQ)^2) = sum_k <(PQ)[k, :], (QP)[k, :]>, exact in O(n^2)
+    time and O(n) memory from the Toeplitz displacement structure of PQ.
+
+    Row sums use einsum rather than BLAS dot products, so the value does
+    not depend on the BLAS thread count.
+    """
+    if np.array_equal(pr, pqr):
+        # QP = (PQ)^T = PQ when P = Q.
+        return float(sum(np.einsum("i,i->", m, m) for m in _displacement_rows(pr, pr, n)))
+    return float(
+        sum(
+            np.einsum("i,i->", m, w)
+            for m, w in zip(_displacement_rows(pr, pqr, n), _displacement_rows(pqr, pr, n))
+        )
+    )
+
+
+@lru_cache(maxsize=256)
+def _quartic_lag_sum(model: CovarianceModel, a: int, b: int, n: int) -> float:
+    """S for P = Toeplitz(rho^a), Q = Toeplitz(rho^b), a <= b.
+
+    S is symmetric in (a, b), so contraction orders r and q - r, the
+    criteria fits, the boundedness scans and the constant-f'' Malliavin
+    trace all share one evaluation per (model, a, b, n).
+    """
+    pa = _powers(model, a, n)
+    return _contract_sum(pa, pa if a == b else _powers(model, b, n), n)
 
 
 def contraction_norm_sq(
-    model: CovarianceModel,
-    q: int,
-    r: int,
-    n: int,
-    method: str = "auto",
-    L: int | None = None,
-    rel_tol: float = 1e-6,
+    model: CovarianceModel, q: int, r: int, n: int, method: str = "auto"
 ) -> ContractionResult:
-    """||f_n (x)_r f_n||^2 with the requested evaluation strategy.
+    """||f_n (x)_r f_n||^2.
 
-    method: "auto" (exact: dense matmul up to n=2^11, FFT blocks beyond),
-    "bruteforce" (n <= 12), "lagsum" (alias for the exact production path),
-    "lagsum_counts" (the O(n^3) multiplicity-count form, n <= 128),
-    "truncated" (lags capped at L, certified remainder; L doubles from 1
-    until the bound is <= rel_tol * value when L is not given).
+    method: "auto" or its alias "lagsum" (the exact O(n^2) displacement
+    evaluator), or "bruteforce" (the O(n^4) oracle, n <= 12).
     """
     if not 1 <= r <= q - 1:
         raise ValueError(f"r must be in 1..q-1, got r={r}, q={q}")
     if n < 1:
         raise ValueError("n must be >= 1")
     den = hermite_sum_variance(model, q, n) ** 2
-
-    if method == "truncated":
-        return _truncated_contraction(model, q, r, n, L, rel_tol, den)
-
-    pr = _powers(model, r, n)
-    pqr = _powers(model, q - r, n)
     if method == "bruteforce":
         if n > _BRUTEFORCE_MAX_N:
             raise ValueError(f"bruteforce capped at n={_BRUTEFORCE_MAX_N}")
-        S = _contract_sum_bruteforce(pr, pqr, n)
-    elif method == "lagsum_counts":
-        if n > _COUNTS_MAX_N:
-            raise ValueError(f"lagsum_counts capped at n={_COUNTS_MAX_N}")
-        S = _contract_sum_counts(pr, pqr, n)
+        S = _contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
     elif method in ("auto", "lagsum"):
-        if n <= _DENSE_MAX_N:
-            S = _contract_sum_dense(pr, pqr, n)
-            method = "lagsum"
-        else:
-            S = _contract_sum_fft(pr, pqr, n)
-            method = "lagsum"
+        S = _quartic_lag_sum(model, min(r, q - r), max(r, q - r), n)
+        method = "lagsum"
     else:
         raise ValueError(f"unknown method {method!r}")
-    return ContractionResult(S / den, S, 0.0, method, None)
-
-
-def _truncated_contraction(model, q, r, n, L, rel_tol, den):
-    def evaluate(cap: int) -> ContractionResult:
-        pr = _powers(model, r, n, cap)
-        pqr = _powers(model, q - r, n, cap)
-        if n <= _DENSE_MAX_N:
-            S = _contract_sum_dense(pr, pqr, n)
-        else:
-            S = _contract_sum_fft(pr, pqr, n)
-        bound = _truncation_bound(model, q, r, n, cap) / den
-        return ContractionResult(S / den, S, bound, "truncated", cap)
-
-    if L is not None:
-        if not 1 <= L:
-            raise ValueError("truncation lag L must be >= 1")
-        return evaluate(min(L, n - 1))
-    cap = 1
-    while True:
-        res = evaluate(cap)
-        if res.truncation_bound <= rel_tol * abs(res.value) or cap >= n - 1:
-            return res
-        cap *= 2
+    return ContractionResult(S / den, S, method)
 
 
 def pair_lag_sum(model: CovarianceModel, q: int, k: int, l: int) -> float:
@@ -311,7 +242,6 @@ class KernelStats:
     contraction_norms: dict[int, float]
     inner: dict[tuple[int, int], float] | None
     method: str
-    truncation_bound: float
 
 
 def compute_kernel_stats(
@@ -319,22 +249,19 @@ def compute_kernel_stats(
     q: int,
     n: int,
     method: str = "auto",
-    L: int | None = None,
     pair_grid: list[tuple[int, int]] | None = None,
 ) -> KernelStats:
     norms: dict[int, float] = {}
-    worst_bound = 0.0
     used = method
     for r in range(1, q):
-        res = contraction_norm_sq(model, q, r, n, method=method, L=L)
+        res = contraction_norm_sq(model, q, r, n, method=method)
         norms[r] = res.value
-        worst_bound = max(worst_bound, res.truncation_bound)
         used = res.method
     inner = None
     if pair_grid is not None:
         inner = {(k, l): kernel_inner(model, q, k, l) for k, l in pair_grid}
     sigma_n = math.sqrt(hermite_sum_variance(model, q, n) / n)
-    return KernelStats(model, q, n, sigma_n, norms, inner, used, worst_bound)
+    return KernelStats(model, q, n, sigma_n, norms, inner, used)
 
 
 def kernel_stats_to_json(stats: KernelStats) -> str:
@@ -351,7 +278,6 @@ def kernel_stats_to_json(stats: KernelStats) -> str:
                 else [[k, l, v] for (k, l), v in sorted(stats.inner.items())]
             ),
             "method": stats.method,
-            "truncation_bound": stats.truncation_bound,
         },
         sort_keys=True,
     )

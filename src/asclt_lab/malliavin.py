@@ -7,10 +7,13 @@ and ||D^2G_n (x)_1 D^2G_n||^2 is a quartic lag sum weighted by f''(X_k),
     tr((TR)^2) = sum_{k,j} b_k b_j (R D R)_{kj}^2,
     T = D R D, D = diag(b), b_k = f''(X_k), R = Toeplitz(rho),
 
-evaluated exactly with one FFT Toeplitz apply per column block. Lag-truncated
-variants return certified remainder bounds; the fourth-moment inequalities
-are evaluated exactly as printed (fractional exponents included) alongside
-the first-power variants, and violations are reported, not corrected.
+evaluated exactly by dense matmul for small n and by blocked FFT Toeplitz
+applies beyond. When f'' is constant (b = c), the trace is c^4 tr(R^4), the
+kernel quartic lag sum, and goes through the O(n^2) displacement evaluator
+of `kernels`, once per (model, n). Lag-truncated variants return certified
+remainder bounds; the fourth-moment inequalities are evaluated exactly as
+printed (fractional exponents included) alongside the first-power variants,
+and violations are reported, not corrected.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from .covariance import abs_rho_power_sum, rho_many
 from .gaussian_sim import GaussianPath
 from .hermite import _quad_rule, derivative_coeffs, evaluate_expansion, hermite_eval
 from .kernels import (
+    _quartic_lag_sum,
     _toeplitz,
     _toeplitz_apply,
     _toeplitz_columns,
+    _toeplitz_matvec,
     _toeplitz_spectrum,
-    _window_abs_sums,
     hermite_sum_variance,
 )
 from .sequences import (
@@ -151,6 +155,14 @@ def _rho_window(model, n: int, L: int | None) -> np.ndarray:
     return g
 
 
+def _window_abs_sums(model, s: int, n: int, L: int) -> tuple[float, float]:
+    """(sum_{|m|<n} |rho|^s, sum_{L<|m|<n} |rho|^s) on the finite window."""
+    a = np.abs(rho_many(model, np.arange(1, n))) ** s
+    full = 1.0 + 2.0 * float(np.sum(a))
+    tail = 2.0 * float(np.sum(a[L:])) if L < n - 1 else 0.0
+    return full, tail
+
+
 def _check_lag(L: int | None, n: int) -> int | None:
     if L is None:
         return None
@@ -174,7 +186,7 @@ def dg_norm_sq(path: GaussianPath, spec: SequenceSpec, n: int | None = None) -> 
     x = path.values[:n]
     b = _first_derivative_field(spec, x)
     g = rho_many(spec.model, np.arange(n))
-    u = _toeplitz_apply(_toeplitz_spectrum(g, n), b[:, None], n)[:, 0]
+    u = _toeplitz_matvec(g, b, n)
     val = float(b @ u) / _normalizer_sq(spec, n)
     return max(val, 0.0)
 
@@ -196,7 +208,7 @@ def dg_norm_sq_truncated(
     x = path.values[:n]
     b = _first_derivative_field(spec, x)
     g = _rho_window(spec.model, n, lag)
-    u = _toeplitz_apply(_toeplitz_spectrum(g, n), b[:, None], n)[:, 0]
+    u = _toeplitz_matvec(g, b, n)
     den = _normalizer_sq(spec, n)
     _, tail1 = _window_abs_sums(spec.model, 1, n, lag)
     return float(b @ u) / den, tail1 * float(b @ b) / den
@@ -247,10 +259,14 @@ def d2g_contraction_norm_sq(
     _check_path(path, spec)
     n = _resolve_n(path, n)
     lag = _check_lag(L, n)
-    x = path.values[:n]
-    b = _second_derivative_field(spec, x)
-    g = _rho_window(spec.model, n, lag)
     den = _normalizer_sq(spec, n) ** 2
+    const = _second_derivative_constant(spec)
+    if lag is None and const is not None:
+        # b = const: tr((TR)^2) = const^4 tr(R^4), which is >= 0.
+        raw = const**4 * _quartic_lag_sum(spec.model, 1, 1, n) if const else 0.0
+        return raw / den, 0.0
+    b = _second_derivative_field(spec, path.values[:n])
+    g = _rho_window(spec.model, n, lag)
     raw = _weighted_quartic_trace(g, b, n)
     if lag is None or lag >= n - 1:
         return max(raw, 0.0) / den, 0.0
@@ -298,7 +314,7 @@ def dl_inverse_pairing(
     u = _first_derivative_field(spec, x)
     w = evaluate_expansion(np.asarray(spec.expansion.coeffs[1:]), x)
     g = rho_many(spec.model, np.arange(n))
-    rw = _toeplitz_apply(_toeplitz_spectrum(g, n), w[:, None], n)[:, 0]
+    rw = _toeplitz_matvec(g, w, n)
     return float(u @ rw) / _normalizer_sq(spec, n)
 
 

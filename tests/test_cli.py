@@ -324,6 +324,24 @@ def test_run_malliavin_bounds_small(tmp_path):
     assert len(geb_lines) == 22
 
 
+def test_run_overrides_are_validated(tmp_path, capsys):
+    # Overrides go through validate_config: the 1..64 worker cap and the
+    # non-negative seed rule hold as for config files. Each case is
+    # rejected before any experiment (or worker process) starts.
+    good = _write_config(tmp_path, "good.json", _doc("kernels_decay"))
+    out = tmp_path / "never"
+    cases = [
+        (["--workers", "65"], "config error at 'workers': must be <= 64"),
+        (["--workers", "0"], "config error at 'workers': must be >= 1"),
+        (["--seed", "-1"], "config error at 'seeds.master_seed': must be >= 0"),
+        (["--out", ""], "config error at 'out_dir'"),
+    ]
+    for extra, message in cases:
+        assert main(["run", "--config", good, "--out", str(out), *extra]) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_bad_config_exit_one(tmp_path, capsys):
     bad = _write_config(tmp_path, "bad.json", _doc("delta_exactness", n_max=8192))
     assert main(["run", "--config", bad]) == 1

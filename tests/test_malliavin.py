@@ -9,7 +9,7 @@ import pytest
 from asclt_lab.covariance import fgn, iid, rho_many
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
 from asclt_lab.hermite import expand
-from asclt_lab.kernels import contraction_norm_sq
+from asclt_lab.kernels import contraction_norm_sq, hermite_sum_variance
 from asclt_lab.malliavin import (
     MalliavinSample,
     _weighted_quartic_trace,
@@ -112,13 +112,30 @@ def test_pairing_fixed_chaos_is_scaled_gradient():
 
 
 def test_d2g_quadratic_hermite_is_deterministic():
-    # f'' = 2 for q = 2, so the contraction reduces to the kernel quartic sum
+    # f'' = 2 for q = 2, so the contraction reduces to the kernel quartic sum;
+    # n = 1024 lies above the dense trace cutoff.
     model = fgn(0.3)
     spec = HermiteVariation(model, 2)
-    p = sample_ensemble(model, 512, SEED, 1)[0]
-    val, bound = d2g_contraction_norm_sq(p, spec)
-    assert bound == 0.0
-    assert val == pytest.approx(16.0 * contraction_norm_sq(model, 2, 1, 512).value, rel=1e-12)
+    for n in (512, 1024):
+        p = sample_ensemble(model, n, SEED, 1)[0]
+        val, bound = d2g_contraction_norm_sq(p, spec)
+        assert bound == 0.0
+        assert val == pytest.approx(
+            16.0 * contraction_norm_sq(model, 2, 1, n).value, rel=1e-12
+        )
+
+
+def test_d2g_constant_second_derivative_matches_blocked_trace():
+    # The constant-f'' route (kernel displacement evaluator) against the
+    # blocked Toeplitz-FFT weighted trace, above the dense trace cutoff.
+    n = 600
+    for model in (fgn(0.3), fgn(0.75)):
+        spec = HermiteVariation(model, 2)
+        p = sample_ensemble(model, n, SEED, 1)[0]
+        g = rho_many(model, np.arange(n))
+        blocked = _weighted_quartic_trace(g, np.full(n, 2.0), n)
+        want = blocked / hermite_sum_variance(model, 2, n) ** 2
+        assert d2g_contraction_norm_sq(p, spec)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_d2g_vanishes_for_first_chaos():
