@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .covariance import CovarianceModel, abs_rho_power_sum
-from .gaussian_sim import GaussianPath, sample_ensemble
+from .gaussian_sim import GaussianPath, sample_stationary
 from .kernels import contraction_norm_sq
 from .malliavin import _normalizer_sq, _quad_fourth_moment
 from .sequences import (
@@ -54,6 +54,8 @@ __all__ = [
     "delta_ensemble",
     "exact_gaussian_delta_sq",
     "il_series_diagnostic",
+    "il_delta_prefixes",
+    "il_from_prefixes",
     "criteria_diagnostic",
     "criteria_report_to_json",
     "ks_rows_to_csv",
@@ -327,6 +329,45 @@ def _il_row(t: float, n_grid, delta_sq: np.ndarray) -> IlRow:
     )
 
 
+def _il_diagnostic(n_grid, rows) -> IlDiagnostic:
+    """Sup over t and overall verdict; no rows (every replicate failed)
+    is flagged."""
+    sup = np.max(np.array([r.delta_sq for r in rows]), axis=0) if rows else ()
+    verdict = "consistent" if rows and all(r.verdict == "consistent" for r in rows) else "flagged"
+    return IlDiagnostic(tuple(n_grid), tuple(rows), tuple(sup), verdict)
+
+
+def il_delta_prefixes(
+    spec: SequenceSpec, t_grid, n_grid, master_seed: int, replicate_id: int
+) -> np.ndarray:
+    """One Monte-Carlo replicate of the il diagnostic: delta_stat_prefixes on
+    n_grid for every t (zeros at t = 0) from the path of (master_seed,
+    replicate_id) at n_grid[-1]; shape (len(t_grid), len(n_grid))."""
+    path = sample_stationary(spec.model, n_grid[-1], master_seed, replicate_id)
+    g = build_gseries(path, spec)
+    out = np.zeros((len(t_grid), len(n_grid)), dtype=complex)
+    for i, t in enumerate(t_grid):
+        if t != 0.0:
+            out[i] = delta_stat_prefixes(g, t, n_grid)
+    return out
+
+
+def il_from_prefixes(t_grid, n_grid, prefixes) -> IlDiagnostic:
+    """Reduce per-replicate il_delta_prefixes, in replicate order, to the
+    diagnostic: the mean of |delta|^2 per t and n."""
+    n_grid = [int(n) for n in n_grid]
+    if not prefixes:
+        return _il_diagnostic(n_grid, ())
+    rows = []
+    for i, t in enumerate(t_grid):
+        if t == 0.0:
+            rows.append(_il_row(t, n_grid, np.zeros(len(n_grid))))
+            continue
+        sq = np.abs(np.array([p[i] for p in prefixes])) ** 2
+        rows.append(_il_row(t, n_grid, sq.mean(axis=0)))
+    return _il_diagnostic(n_grid, rows)
+
+
 def il_series_diagnostic(
     spec: SequenceSpec,
     t_grid=DEFAULT_T_GRID,
@@ -340,7 +381,8 @@ def il_series_diagnostic(
     and a fitted decay exponent per t. Numerical evidence only.
 
     With replicates == 0 the second moment is exact (jointly Gaussian specs
-    only); otherwise a fresh Monte-Carlo ensemble of the given size is drawn.
+    only); otherwise a fresh Monte-Carlo ensemble of the given size is drawn,
+    one il_delta_prefixes per replicate id 0..replicates-1.
     """
     if n_grid is None:
         n_grid = [n for n in geometric_grid(EXACT_DELTA_MAX_N) if n >= 4]
@@ -351,31 +393,21 @@ def il_series_diagnostic(
         raise ValueError("n_grid entries must be >= 2")
 
     if replicates == 0:
-        rows = tuple(
+        rows = [
             _il_row(
                 t,
                 n_grid,
                 np.array([exact_gaussian_delta_sq(spec, n, t) for n in n_grid]),
             )
             for t in t_grid
-        )
-    else:
-        if master_seed is None:
-            raise ValueError("master_seed required for Monte-Carlo evaluation")
-        paths = sample_ensemble(spec.model, n_grid[-1], master_seed, replicates)
-        series = [build_gseries(p, spec) for p in paths]
-        rows = []
-        for t in t_grid:
-            if t == 0.0:
-                rows.append(_il_row(t, n_grid, np.zeros(len(n_grid))))
-                continue
-            sq = np.abs(np.array([delta_stat_prefixes(g, t, n_grid) for g in series])) ** 2
-            rows.append(_il_row(t, n_grid, sq.mean(axis=0)))
-        rows = tuple(rows)
-
-    sup = np.max(np.array([r.delta_sq for r in rows]), axis=0)
-    verdict = "consistent" if all(r.verdict == "consistent" for r in rows) else "flagged"
-    return IlDiagnostic(tuple(n_grid), rows, tuple(sup), verdict)
+        ]
+        return _il_diagnostic(n_grid, rows)
+    if master_seed is None:
+        raise ValueError("master_seed required for Monte-Carlo evaluation")
+    prefixes = [
+        il_delta_prefixes(spec, t_grid, n_grid, master_seed, rep) for rep in range(replicates)
+    ]
+    return il_from_prefixes(t_grid, n_grid, prefixes)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import datetime
+import functools
 import io
 import json
 import math
@@ -40,6 +41,8 @@ from .asclt import (
     delta_stat,
     exact_gaussian_delta_sq,
     harmonic_weighted_mean,
+    il_delta_prefixes,
+    il_from_prefixes,
     il_series_diagnostic,
     ks_distance,
     ks_rows_to_csv,
@@ -62,6 +65,7 @@ from .sequences import (
     GeneralF,
     HermiteVariation,
     build_gseries,
+    gseries_prefixes,
     regime_for,
     sigma_limit,
     sigma_n_squared,
@@ -558,7 +562,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
 
 # ---------------------------------------------------------------------------
 # Replicate workers. Primitive-tuple arguments keep them picklable; every
-# worker rebuilds its spec locally and returns plain numbers.
+# worker rebuilds its spec locally and returns plain numbers or arrays. The
+# last argument is always the replicate id.
 
 
 def _build_spec(kind: str, H: float, q: int | None, fname: str | None, order: int | None):
@@ -592,15 +597,15 @@ def _ks_prefix_worker(args):
     kind, H, q, fname, order, n_grid, seed, rep = args
     spec = _build_spec(kind, H, q, fname, order)
     path = sample_stationary(spec.model, n_grid[-1], seed, rep)
-    out = []
-    for n in n_grid:
-        g = build_gseries(path, spec, n=n)
-        out.append(ks_distance(log_average_measure(g)))
-    return tuple(out)
+    return tuple(
+        ks_distance(log_average_measure(g)) for g in gseries_prefixes(path, spec, n_grid)
+    )
 
 
-def _ks_guarded(args):
-    return _guard(_ks_prefix_worker, args)
+def _il_worker(args):
+    kind, H, q, fname, order, t_grid, n_grid, seed, rep = args
+    spec = _build_spec(kind, H, q, fname, order)
+    return il_delta_prefixes(spec, t_grid, n_grid, seed, rep)
 
 
 def _delta_worker(args):
@@ -611,27 +616,15 @@ def _delta_worker(args):
     return tuple(delta_stat(g, t) for t in t_grid)
 
 
-def _delta_guarded(args):
-    return _guard(_delta_worker, args)
-
-
 def _path_worker(args):
     H, n, seed, rep = args
     return sample_stationary(fgn(H), n, seed, rep).values
-
-
-def _path_guarded(args):
-    return _guard(_path_worker, args)
 
 
 def _zn_worker(args):
     H, q, n_top, levels, seed, rep = args
     grid = sample_fbm_grid(H, n_top, seed, rep)
     return tuple(zn_dyadic(grid, q, levels))
-
-
-def _zn_guarded(args):
-    return _guard(_zn_worker, args)
 
 
 def _sep_worker(args):
@@ -642,12 +635,10 @@ def _sep_worker(args):
     return harmonic_weighted_mean(np.arctan(g.values))
 
 
-def _sep_guarded(args):
-    return _guard(_sep_worker, args)
-
-
-def _run_replicates(fn, items, workers: int) -> tuple[list, list[str]]:
-    """Map a guarded worker over items; in-order merge, failures collected."""
+def _run_replicates(worker, items, workers: int) -> tuple[list, list[str]]:
+    """Map a worker over items, each call guarded; in-order merge, failures
+    collected."""
+    fn = functools.partial(_guard, worker)
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         raw = [fn(it) for it in items]
@@ -662,6 +653,17 @@ def _run_replicates(fn, items, workers: int) -> tuple[list, list[str]]:
         else:
             failures.append(payload)
     return results, failures
+
+
+def _run_il_mc(cfg: ExperimentConfig, n_grid) -> tuple[IlDiagnostic, list[str]]:
+    """Monte-Carlo il diagnostic, one il_delta_prefixes per replicate in the
+    pool; replicate ids and seed match il_series_diagnostic's ensemble."""
+    items = [
+        (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid), cfg.master_seed + _SEED_IL, rep)
+        for rep in range(cfg.replicates)
+    ]
+    prefixes, failures = _run_replicates(_il_worker, items, cfg.workers)
+    return il_from_prefixes(cfg.t_grid, n_grid, prefixes), [f"il {f}" for f in failures]
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +730,7 @@ def _run_asclt_family(cfg: ExperimentConfig) -> RunArtifacts:
         (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS, rep)
         for rep in range(cfg.replicates)
     ]
-    ks_rows, failures = _run_replicates(_ks_guarded, items, cfg.workers)
+    ks_rows, failures = _run_replicates(_ks_prefix_worker, items, cfg.workers)
     summary: list[str] = []
     report: dict = {"spec": _spec_dict(spec)}
     pieces: list[bool] = []
@@ -750,13 +752,11 @@ def _run_asclt_family(cfg: ExperimentConfig) -> RunArtifacts:
     # grid is trimmed to the cap there while KS keeps the full grid.
     exact_il = isinstance(spec, FbmScaled)
     il_grid = [n for n in cfg.n_grid if not exact_il or n <= EXACT_DELTA_MAX_N]
-    il = il_series_diagnostic(
-        spec,
-        cfg.t_grid,
-        n_grid=il_grid,
-        master_seed=None if exact_il else cfg.master_seed + _SEED_IL,
-        replicates=0 if exact_il else cfg.replicates,
-    )
+    if exact_il:
+        il = il_series_diagnostic(spec, cfg.t_grid, n_grid=il_grid)
+    else:
+        il, fail = _run_il_mc(cfg, il_grid)
+        failures += fail
     report["il"] = _il_to_dict(il)
     # The Monte Carlo decay-slope statistic sits within about one standard
     # error of its threshold at desk scale, so only the deterministic
@@ -834,7 +834,7 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
         (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN, rep)
         for rep in range(cfg.replicates)
     ]
-    zrows, fail = _run_replicates(_zn_guarded, items, cfg.workers)
+    zrows, fail = _run_replicates(_zn_worker, items, cfg.workers)
     failures += fail
     zn_csv = "level_lo,level_hi,median_abs_diff\n"
     cauchy_ok = False
@@ -867,9 +867,9 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
         (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB, rep)
         for rep in range(cfg.replicates)
     ]
-    sup_vals, fail = _run_replicates(_sep_guarded, sup_items, cfg.workers)
+    sup_vals, fail = _run_replicates(_sep_worker, sup_items, cfg.workers)
     failures += fail
-    sub_vals, fail = _run_replicates(_sep_guarded, sub_items, cfg.workers)
+    sub_vals, fail = _run_replicates(_sep_worker, sub_items, cfg.workers)
     failures += fail
     if sup_vals and sub_vals:
         sup_std = float(np.std(np.array(sup_vals), ddof=1))
@@ -886,13 +886,8 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
             f"subcritical {sub_std:.4f} (ratio {sup_std / sub_std:.2f})"
         )
 
-    il = il_series_diagnostic(
-        spec,
-        cfg.t_grid,
-        n_grid=list(cfg.n_grid),
-        master_seed=cfg.master_seed + _SEED_IL,
-        replicates=cfg.replicates,
-    )
+    il, fail = _run_il_mc(cfg, cfg.n_grid)
+    failures += fail
     report["il"] = _il_to_dict(il)
     report["il"]["in_verdict"] = False
     summary.append(f"il summability (mc): {il.verdict} [informational]")
@@ -945,7 +940,7 @@ def _run_delta_exactness(cfg: ExperimentConfig) -> RunArtifacts:
         (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
-    vals, failures = _run_replicates(_delta_guarded, items, cfg.workers)
+    vals, failures = _run_replicates(_delta_worker, items, cfg.workers)
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     rows, drows, worst = [], [], 0.0
@@ -983,7 +978,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig) -> RunArtifacts:
         (H, cfg.n_max, cfg.master_seed + _SEED_PATHS, rep)
         for rep in range(cfg.replicates)
     ]
-    values, failures = _run_replicates(_path_guarded, items, cfg.workers)
+    values, failures = _run_replicates(_path_worker, items, cfg.workers)
     if not values:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     paths = [
@@ -1040,7 +1035,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig) -> RunArtifacts:
         (_GEBELEIN_H, min(cfg.n_max, 2048), cfg.master_seed + _SEED_GEBELEIN, rep)
         for rep in range(cfg.replicates)
     ]
-    geb_values, fail = _run_replicates(_path_guarded, geb_items, cfg.workers)
+    geb_values, fail = _run_replicates(_path_worker, geb_items, cfg.workers)
     failures += fail
     geb_paths = [
         GaussianPath(fgn(_GEBELEIN_H), min(cfg.n_max, 2048), v,

@@ -15,12 +15,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
 from .covariance import CovarianceModel, model_from_json, model_to_json, rho_many
+from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
     "EmbeddingError",
@@ -134,7 +134,7 @@ class FbmGrid:
         return np.diff(self.values[:: self.N // n])
 
 
-@lru_cache(maxsize=128)
+@byte_bounded_cache(CACHE_BYTES)
 def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
     # First row of the size-2(n-1) circulant:
     # rho(0), ..., rho(n-1), rho(n-2), ..., rho(1).
@@ -147,7 +147,6 @@ def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
             f"circulant embedding not nonnegative: min eigenvalue {bad:.3e}"
         )
     lam[lam < 0.0] = 0.0
-    lam.setflags(write=False)
     return lam
 
 
@@ -167,16 +166,14 @@ def _synthesize_circulant(lam: np.ndarray, draws: np.ndarray, n: int) -> np.ndar
     return x.real[:n].copy()
 
 
-@lru_cache(maxsize=32)
+@byte_bounded_cache(CACHE_BYTES)
 def _cholesky_factor(model: CovarianceModel, n: int) -> np.ndarray:
     from scipy.linalg import toeplitz
 
     sigma = toeplitz(rho_many(model, np.arange(n)))
     for jitter in (0.0, 1e-12):
         try:
-            L = np.linalg.cholesky(sigma + jitter * np.eye(n))
-            L.setflags(write=False)
-            return L
+            return np.linalg.cholesky(sigma + jitter * np.eye(n))
         except np.linalg.LinAlgError:
             continue
     raise EmbeddingError(

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import CovarianceModel, model_to_json, rho_many
+from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
     "ContractionResult",
@@ -59,8 +60,10 @@ def hermite_sum_variance(model: CovarianceModel, q: int, n: int) -> float:
     return math.factorial(q) * acc
 
 
+@byte_bounded_cache(CACHE_BYTES)
 def v2_prefix(model: CovarianceModel, q: int, n: int) -> np.ndarray:
-    """E[V_k^2] for k = 1..n in one O(n) pass."""
+    """E[V_k^2] for k = 1..n in one O(n) pass; cached per (model, q, n) and
+    returned read-only, since every replicate shares the same normalizers."""
     if q < 1 or n < 1:
         raise ValueError("q and n must be >= 1")
     p = rho_many(model, np.arange(1, n)) ** q
@@ -80,6 +83,13 @@ class ContractionResult:
 def _powers(model, s: int, n: int) -> np.ndarray:
     """rho(m)^s for m = 0..n-1."""
     return rho_many(model, np.arange(n)) ** s
+
+
+@byte_bounded_cache(CACHE_BYTES)
+def _lag_power_table(model: CovarianceModel, q: int, size: int) -> np.ndarray:
+    """rho(m)^q for m = 0..size-1, shared by every pair_lag_sum whose lags
+    fit; sizes are powers of two so the criteria pair grids need few."""
+    return _powers(model, q, size)
 
 
 def _contract_sum_bruteforce(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
@@ -222,7 +232,8 @@ def pair_lag_sum(model: CovarianceModel, q: int, k: int, l: int) -> float:
         raise ValueError("q must be >= 1")
     lags = np.arange(-(l - 1), k)
     counts = np.minimum(k, l + lags) - np.maximum(1, 1 + lags) + 1
-    return float(np.sum(counts * rho_many(model, lags) ** q))
+    size = 1 << (max(k, l) - 1).bit_length()
+    return float(np.sum(counts * _lag_power_table(model, q, size)[np.abs(lags)]))
 
 
 def kernel_inner(model: CovarianceModel, q: int, k: int, l: int) -> float:

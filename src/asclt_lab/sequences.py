@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,6 +169,7 @@ def _general_f_prefix_var(model, expansion, n):
     return v2
 
 
+@lru_cache(maxsize=256)  # path-independent: once per (model, expansion, n)
 def _general_f_tail_rel(model, expansion, n, v2_n):
     # Orders beyond qmax contribute at most tail_bound * sum (n-|r|)|rho|^(qmax+1)
     # to E[V_n^2] because |rho| <= 1 makes |rho|^q decreasing in q.
@@ -184,9 +186,12 @@ def build_gseries(
 ) -> GSeries:
     """Compute G_1..G_n from a path whose model matches the spec.
 
-    Partial sums and their variance normalizers are cumulative, so the
-    result for n is bit-identical to the length-n prefix of any longer run
-    on the same path.
+    Partial sums and their variance normalizers are cumulative. For FbmScaled
+    and HermiteVariation every step is elementwise, so the result for n is
+    bit-identical to the length-n prefix of any longer run on the same path
+    (see gseries_prefixes). A GeneralF expansion is evaluated by a BLAS
+    matrix-vector product, whose rounding of the last few entries can depend
+    on the length, so its prefixes match only to rounding.
     """
     if not isinstance(path, GaussianPath):
         raise TypeError("build_gseries expects a GaussianPath")
@@ -235,6 +240,23 @@ def build_gseries(
         replicate_id=path.replicate_id,
         sigma_tail_rel=float(tail_rel),
     )
+
+
+def gseries_prefixes(path: GaussianPath, spec: SequenceSpec, n_grid) -> list[GSeries]:
+    """build_gseries(path, spec, n) for every n of an increasing n_grid, bit
+    for bit. FbmScaled and HermiteVariation build once at n_grid[-1] and
+    slice (their sigma_tail_rel is zero at every n). GeneralF builds each n,
+    since its BLAS expansion rounds differently at different lengths; the
+    normalizers of every n still come from the v2_prefix cache.
+    """
+    n_grid = [int(n) for n in n_grid]
+    if isinstance(spec, GeneralF):
+        return [build_gseries(path, spec, n) for n in n_grid]
+    full = build_gseries(path, spec, n_grid[-1])
+    return [
+        replace(full, n=n, values=full.values[:n], sigmas=full.sigmas[:n])
+        for n in n_grid
+    ]
 
 
 def sigma_n_squared(
@@ -417,15 +439,6 @@ def geometric_grid(n: int, ratio: float = 1.25) -> np.ndarray:
             ks.append(k)
         v *= ratio
     return np.array(ks, dtype=np.int64)
-
-
-def gseries_to_csv(series: GSeries, fh) -> None:
-    fh.write("k,G_k,sigma_k\n")
-    for i in range(series.n):
-        fh.write(
-            f"{i + 1},{repr(float(series.values[i]))},"
-            f"{repr(float(series.sigmas[i]))}\n"
-        )
 
 
 def _reject_unknown(obj: dict, allowed: set[str]) -> None:

@@ -2,8 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from asclt_lab import cli
+from asclt_lab.asclt import (
+    il_delta_prefixes,
+    il_from_prefixes,
+    il_series_diagnostic,
+    ks_distance,
+    log_average_measure,
+)
 from asclt_lab.cli import (
     ConfigValidationError,
     list_experiments,
@@ -11,6 +20,10 @@ from asclt_lab.cli import (
     main,
     validate_config,
 )
+from asclt_lab.covariance import fgn
+from asclt_lab.gaussian_sim import sample_stationary
+from asclt_lab.hermite import expand
+from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, build_gseries
 
 SEED = 20240821
 
@@ -346,3 +359,105 @@ def test_run_bad_config_exit_one(tmp_path, capsys):
     bad = _write_config(tmp_path, "bad.json", _doc("delta_exactness", n_max=8192))
     assert main(["run", "--config", bad]) == 1
     assert "n_max" in capsys.readouterr().err
+
+
+def _small_asclt(experiment, model, workers=1, replicates=6):
+    cfg, errors = validate_config(_doc(
+        experiment,
+        model=model,
+        n_max=256,
+        n_grid=[16, 64, 256],
+        seeds={"master_seed": SEED, "replicates": replicates},
+        t_grid=[0.0, 0.5, 1.0],
+        workers=workers,
+    ))
+    assert not errors
+    return cfg
+
+
+def test_ks_worker_matches_per_prefix_builds():
+    n_grid = (16, 257, 1000, 4096)
+    cases = [
+        (("general_f", 0.3, None, "arctan", 9), GeneralF(fgn(0.3), expand(np.arctan, qmax=9))),
+        (("hermite", 0.3, 2, None, None), HermiteVariation(fgn(0.3), 2)),
+        (("hermite", 0.75, 2, None, None), HermiteVariation(fgn(0.75), 2)),
+        (("fbm", 0.5, None, None, None), FbmScaled(0.5)),
+    ]
+    for args, spec in cases:
+        for rep in range(3):
+            path = sample_stationary(spec.model, n_grid[-1], SEED, rep)
+            expect = tuple(
+                ks_distance(log_average_measure(build_gseries(path, spec, n))) for n in n_grid
+            )
+            assert cli._ks_prefix_worker((*args, n_grid, SEED, rep)) == expect
+
+
+@pytest.mark.parametrize("experiment,model,spec", [
+    ("asclt_hermite_sub", {"H": 0.3, "q": 2}, HermiteVariation(fgn(0.3), 2)),
+    ("asclt_general_f", {"H": 0.3, "f": "arctan", "expansion_order": 9},
+     GeneralF(fgn(0.3), expand(np.arctan, qmax=9))),
+])
+def test_pooled_il_matches_serial_diagnostic(experiment, model, spec):
+    expect = il_series_diagnostic(
+        spec, (0.0, 0.5, 1.0), n_grid=[16, 64, 256],
+        master_seed=SEED + cli._SEED_IL, replicates=6,
+    )
+    for workers in (1, 2):
+        il, failures = cli._run_il_mc(_small_asclt(experiment, model, workers), [16, 64, 256])
+        assert failures == []
+        assert il == expect
+
+
+def test_asclt_reports_identical_across_workers(tmp_path):
+    for experiment, model in (
+        ("asclt_hermite_sub", {"H": 0.3, "q": 2}),
+        ("asclt_general_f", {"H": 0.3, "f": "arctan", "expansion_order": 9}),
+    ):
+        doc = _doc(experiment, model=model, n_max=256, n_grid=[16, 64, 256],
+                   seeds={"master_seed": SEED, "replicates": 6}, t_grid=[0.5, 1.0])
+        cfg_path = _write_config(tmp_path, f"{experiment}.json", doc)
+        outs = [tmp_path / f"{experiment}-w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["run", "--config", cfg_path, "--out", str(out),
+                         "--workers", str(w)]) in (0, 2)
+        for name in ("report.json", "ks.csv", "summary.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_il_replicate_failures_are_collected(monkeypatch):
+    cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2})
+
+    def fail_odd(spec, t_grid, n_grid, seed, rep):
+        if rep % 2:
+            raise RuntimeError("boom")
+        return il_delta_prefixes(spec, t_grid, n_grid, seed, rep)
+
+    monkeypatch.setattr(cli, "il_delta_prefixes", fail_odd)
+    art = cli.run_experiment(cfg)
+    assert art.failures == [f"il replicate {r}: RuntimeError: boom" for r in (1, 3, 5)]
+    spec = HermiteVariation(fgn(0.3), 2)
+    survivors = [
+        il_delta_prefixes(spec, cfg.t_grid, cfg.n_grid, SEED + cli._SEED_IL, r) for r in (0, 2, 4)
+    ]
+    expect = cli._il_to_dict(il_from_prefixes(cfg.t_grid, cfg.n_grid, survivors))
+    assert {k: v for k, v in art.report["il"].items() if k != "in_verdict"} == expect
+    assert art.report["ks"]["n_grid"] == [16, 64, 256]
+
+
+def test_all_il_replicates_failing_reports_flagged_without_rows(monkeypatch, tmp_path):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "il_delta_prefixes", boom)
+    cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2})
+    art = cli.run_experiment(cfg)
+    assert art.report["il"]["rows"] == [] and art.report["il"]["sup_delta_sq"] == []
+    assert art.report["il"]["verdict"] == "flagged"
+    assert len(art.failures) == cfg.replicates
+    assert all(f.startswith("il replicate ") for f in art.failures)
+    doc = _doc("asclt_hermite_sub", n_max=256, n_grid=[16, 64, 256],
+               seeds={"master_seed": SEED, "replicates": 6}, t_grid=[1.0])
+    out = tmp_path / "failing"
+    assert main(["run", "--config", _write_config(tmp_path, "f.json", doc),
+                 "--out", str(out)]) == 1
+    assert len(json.loads((out / "report.json").read_text())["failures"]) == 6

@@ -27,6 +27,7 @@ from asclt_lab.kernels import (
     hermite_sum_variance,
     kernel_inner,
     kernel_stats_to_json,
+    pair_lag_sum,
     v2_prefix,
 )
 
@@ -61,6 +62,34 @@ def test_v2_prefix_matches_scalar_calls():
         assert pref[k - 1] == pytest.approx(
             hermite_sum_variance(model, q, k), rel=1e-13
         )
+
+
+def test_v2_prefix_cache_is_read_only():
+    model, q = fgn(0.3), 3
+    first = v2_prefix(model, q, 50)
+    expect = first.copy()
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    with pytest.raises(ValueError):
+        first += 1.0
+    again = v2_prefix(model, q, 50)
+    assert again is first
+    assert np.array_equal(again, expect)
+
+
+def test_pair_lag_sum_matches_explicit_double_sum():
+    # Pairs of different sizes share power-of-two tables, in both orders.
+    pairs = [(1, 1), (1, 7), (7, 1), (3, 5), (5, 3), (8, 8), (9, 4), (4, 13), (13, 13)]
+    for model in (fgn(0.3), fgn(0.8), iid(), TABLE):
+        for q in (1, 2, 3):
+            for k, l in pairs:
+                direct = math.fsum(
+                    rho(model, i - j) ** q for i in range(1, k + 1) for j in range(1, l + 1)
+                )
+                got = pair_lag_sum(model, q, k, l)
+                assert got == pytest.approx(direct, rel=1e-13, abs=1e-15), (model, q, k, l)
+                assert pair_lag_sum(model, q, k, l) == got
 
 
 def test_bruteforce_iid_value():

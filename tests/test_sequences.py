@@ -1,6 +1,5 @@
 """Normalized sequence construction against hand oracles and Monte Carlo."""
 
-import io
 import json
 import math
 
@@ -14,7 +13,12 @@ from asclt_lab.covariance import (
     rho_many,
     table,
 )
-from asclt_lab.gaussian_sim import GaussianPath, sample_ensemble, sample_fbm_grid
+from asclt_lab.gaussian_sim import (
+    GaussianPath,
+    sample_ensemble,
+    sample_fbm_grid,
+    sample_stationary,
+)
 from asclt_lab.hermite import ConstantFunctionError, expand
 from asclt_lab.kernels import v2_prefix
 from asclt_lab.covariance import abs_rho_power_sum
@@ -28,7 +32,7 @@ from asclt_lab.sequences import (
     build_gseries,
     cross_covariance,
     geometric_grid,
-    gseries_to_csv,
+    gseries_prefixes,
     regime_for,
     sigma_limit,
     sigma_n_squared,
@@ -373,20 +377,6 @@ def test_geometric_grid():
         geometric_grid(10, ratio=1.0)
 
 
-def test_csv_export():
-    path = _path(iid(), [0.5, -1.0, 2.0])
-    gs = build_gseries(path, HermiteVariation(iid(), 2))
-    buf = io.StringIO()
-    gseries_to_csv(gs, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "k,G_k,sigma_k"
-    assert len(lines) == 4
-    k, g, s = lines[2].split(",")
-    assert int(k) == 2
-    assert float(g) == gs.values[1]
-    assert float(s) == gs.sigmas[1]
-
-
 def test_spec_json_roundtrip():
     arctan = expand(np.arctan, qmax=9)
     specs = [
@@ -409,3 +399,27 @@ def test_gseries_immutable():
     gs = build_gseries(path, HermiteVariation(iid(), 2))
     with pytest.raises(ValueError):
         gs.values[0] = 7.0
+
+
+def test_gseries_prefixes_match_per_prefix_builds():
+    # Odd sizes included: the slices must match a build at every n, not only
+    # at the powers of two the default grids use.
+    n_grid = [4, 7, 64, 257, 1000, 1023, 4096]
+    specs = [
+        GeneralF(fgn(0.3), expand(np.arctan, qmax=9)),
+        HermiteVariation(fgn(0.3), 2),
+        HermiteVariation(fgn(0.75), 2),
+        HermiteVariation(fgn(0.9), 2),
+        FbmScaled(0.7),
+    ]
+    for spec in specs:
+        for rep in range(3):
+            path = sample_stationary(spec.model, n_grid[-1], SEED, rep)
+            for n, g in zip(n_grid, gseries_prefixes(path, spec, n_grid)):
+                ref = build_gseries(path, spec, n)
+                assert g.n == n and g.spec == spec
+                assert np.array_equal(g.values, ref.values), (spec, rep, n)
+                assert np.array_equal(g.sigmas, ref.sigmas), (spec, rep, n)
+                assert g.sigma_tail_rel == ref.sigma_tail_rel
+                assert (g.master_seed, g.replicate_id) == (SEED, rep)
+                assert not g.values.flags.writeable
