@@ -55,7 +55,9 @@ __all__ = [
     "exact_gaussian_delta_sq",
     "il_series_diagnostic",
     "il_delta_prefixes",
+    "il_exact_row",
     "il_from_prefixes",
+    "il_from_rows",
     "criteria_diagnostic",
     "criteria_report_to_json",
     "ks_rows_to_csv",
@@ -329,9 +331,9 @@ def _il_row(t: float, n_grid, delta_sq: np.ndarray) -> IlRow:
     )
 
 
-def _il_diagnostic(n_grid, rows) -> IlDiagnostic:
-    """Sup over t and overall verdict; no rows (every replicate failed)
-    is flagged."""
+def il_from_rows(n_grid, rows) -> IlDiagnostic:
+    """The diagnostic from its rows, one per t: sup over t and overall
+    verdict; no rows (every replicate failed) is flagged."""
     sup = np.max(np.array([r.delta_sq for r in rows]), axis=0) if rows else ()
     verdict = "consistent" if rows and all(r.verdict == "consistent" for r in rows) else "flagged"
     return IlDiagnostic(tuple(n_grid), tuple(rows), tuple(sup), verdict)
@@ -357,7 +359,7 @@ def il_from_prefixes(t_grid, n_grid, prefixes) -> IlDiagnostic:
     diagnostic: the mean of |delta|^2 per t and n."""
     n_grid = [int(n) for n in n_grid]
     if not prefixes:
-        return _il_diagnostic(n_grid, ())
+        return il_from_rows(n_grid, ())
     rows = []
     for i, t in enumerate(t_grid):
         if t == 0.0:
@@ -365,7 +367,13 @@ def il_from_prefixes(t_grid, n_grid, prefixes) -> IlDiagnostic:
             continue
         sq = np.abs(np.array([p[i] for p in prefixes])) ** 2
         rows.append(_il_row(t, n_grid, sq.mean(axis=0)))
-    return _il_diagnostic(n_grid, rows)
+    return il_from_rows(n_grid, rows)
+
+
+def il_exact_row(spec: SequenceSpec, t: float, n_grid) -> IlRow:
+    """One t of the exact il diagnostic, from exact_gaussian_delta_sq on
+    n_grid (jointly Gaussian specs only)."""
+    return _il_row(t, n_grid, np.array([exact_gaussian_delta_sq(spec, n, t) for n in n_grid]))
 
 
 def il_series_diagnostic(
@@ -393,15 +401,7 @@ def il_series_diagnostic(
         raise ValueError("n_grid entries must be >= 2")
 
     if replicates == 0:
-        rows = [
-            _il_row(
-                t,
-                n_grid,
-                np.array([exact_gaussian_delta_sq(spec, n, t) for n in n_grid]),
-            )
-            for t in t_grid
-        ]
-        return _il_diagnostic(n_grid, rows)
+        return il_from_rows(n_grid, [il_exact_row(spec, t, n_grid) for t in t_grid])
     if master_seed is None:
         raise ValueError("master_seed required for Monte-Carlo evaluation")
     prefixes = [

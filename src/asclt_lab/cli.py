@@ -1,11 +1,13 @@
 """Experiment orchestration: JSON configs, seeded ensembles, report files.
 
-A run is fully determined by its config document. Replicates are the only
-parallel unit: workers receive primitive tuples, rebuild their sequence spec
-locally, and return plain numbers that the parent merges in submission
-order, so report.json is byte-identical whatever the worker count. Wall
-clock facts (timestamps, worker count, output directory) live in a separate
-run_meta.json and never touch the report.
+A run is fully determined by its config document. At workers > 1 a run
+opens one process pool that serves all of its stages: replicates, and the
+deterministic stages that run alongside them. Workers receive primitive
+tuples, rebuild their sequence spec locally, and return plain numbers that
+the parent merges in submission order, so report.json is byte-identical
+whatever the worker count. Wall clock facts (timestamps, worker count,
+output directory) live in a separate run_meta.json and never touch the
+report.
 
 Exit codes: 0 every verdict consistent, 2 at least one flagged, 1 error.
 """
@@ -42,8 +44,9 @@ from .asclt import (
     exact_gaussian_delta_sq,
     harmonic_weighted_mean,
     il_delta_prefixes,
+    il_exact_row,
     il_from_prefixes,
-    il_series_diagnostic,
+    il_from_rows,
     ks_distance,
     ks_rows_to_csv,
     log_average_measure,
@@ -635,35 +638,67 @@ def _sep_worker(args):
     return harmonic_weighted_mean(np.arctan(g.values))
 
 
-def _run_replicates(worker, items, workers: int) -> tuple[list, list[str]]:
-    """Map a worker over items, each call guarded; in-order merge, failures
-    collected."""
+def _criteria_worker(args):
+    """Criteria fits and the contraction * log n scan over kernel_grid (empty
+    unless critical) in one task, so both share one process's quartic
+    lag-sum cache."""
+    kind, H, q, fname, order, n_max, kernel_grid = args
+    spec = _build_spec(kind, H, q, fname, order)
+    crit = criteria_diagnostic(spec, n_max=n_max)
+    vals = [contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n) for n in kernel_grid]
+    return crit, vals
+
+
+def _submit(pool, fn, *args):
+    """A zero-argument callable giving fn(*args): started now in the pool, or
+    run inline when called if there is no pool."""
+    if pool is None:
+        return functools.partial(fn, *args)
+    return pool.submit(fn, *args).result
+
+
+def _start_replicates(worker, items, pool, workers: int):
+    """Queue a guarded worker over items in the run's pool (None: inline).
+    Returns a zero-argument callable giving (results, failures), merged in
+    item order; without a pool the items run when it is called."""
     fn = functools.partial(_guard, worker)
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        raw = [fn(it) for it in items]
-    else:
+    queued = None
+    if pool is not None and len(items) > 1:
         chunk = max(1, math.ceil(len(items) / (8 * workers)))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(fn, items, chunksize=chunk))
-    results, failures = [], []
-    for status, payload in raw:
-        if status == "ok":
-            results.append(payload)
-        else:
-            failures.append(payload)
-    return results, failures
+        queued = pool.map(fn, items, chunksize=chunk)  # submits every chunk now
+
+    def collect() -> tuple[list, list[str]]:
+        results, failures = [], []
+        for status, payload in map(fn, items) if queued is None else queued:
+            (results if status == "ok" else failures).append(payload)
+        return results, failures
+
+    return collect
 
 
-def _run_il_mc(cfg: ExperimentConfig, n_grid) -> tuple[IlDiagnostic, list[str]]:
-    """Monte-Carlo il diagnostic, one il_delta_prefixes per replicate in the
-    pool; replicate ids and seed match il_series_diagnostic's ensemble."""
+def _run_replicates(worker, items, pool, workers: int) -> tuple[list, list[str]]:
+    """Map a guarded worker over items in the run's pool (None: inline) and
+    wait; in-order merge, failures collected. The pool is opened once per
+    run by run_experiment and shared by every stage of the run."""
+    return _start_replicates(worker, items, pool, workers)()
+
+
+def _start_il_mc(cfg: ExperimentConfig, n_grid, pool):
+    """Monte-Carlo il diagnostic, one il_delta_prefixes per replicate;
+    replicate ids and seed match asclt.il_series_diagnostic's ensemble.
+    Returns a zero-argument callable giving (IlDiagnostic, failures)."""
     items = [
         (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid), cfg.master_seed + _SEED_IL, rep)
         for rep in range(cfg.replicates)
     ]
-    prefixes, failures = _run_replicates(_il_worker, items, cfg.workers)
-    return il_from_prefixes(cfg.t_grid, n_grid, prefixes), [f"il {f}" for f in failures]
+    pending = _start_replicates(_il_worker, items, pool, cfg.workers)
+
+    def collect() -> tuple[IlDiagnostic, list[str]]:
+        prefixes, failures = pending()
+        return il_from_prefixes(cfg.t_grid, n_grid, prefixes), [f"il {f}" for f in failures]
+
+    return collect
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +759,32 @@ def _spec_dict(spec) -> dict:
 # Experiment runners.
 
 
-def _run_asclt_family(cfg: ExperimentConfig) -> RunArtifacts:
+def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
     spec = _build_spec(*_spec_args(cfg))
+    # FbmScaled uses the closed-form second moment, which is capped; the il
+    # grid is trimmed to the cap there while KS keeps the full grid.
+    exact_il = isinstance(spec, FbmScaled)
+    il_grid = [n for n in cfg.n_grid if not exact_il or n <= EXACT_DELTA_MAX_N]
+    kernel_grid = []
+    if cfg.experiment == "asclt_hermite_crit":
+        kernel_grid = [n for n in cfg.n_grid if 64 <= n <= _KERNEL_BOUNDED_MAX_N]
+        if not kernel_grid:
+            kernel_grid = [min(cfg.n_grid[-1], _KERNEL_BOUNDED_MAX_N)]
+
+    # The deterministic stages are queued first so that they run alongside
+    # the replicate fan-out; results merge below in the report's fixed order.
+    criteria_pending = _submit(pool, _criteria_worker, (
+        *_spec_args(cfg), min(cfg.n_max, _CRITERIA_N_CAP), tuple(kernel_grid)))
+    if exact_il:
+        # One task per t: the n = 4096 double sums dominate the fbm run.
+        il_rows = [_submit(pool, il_exact_row, spec, t, il_grid) for t in cfg.t_grid]
+    else:
+        il_mc = _start_il_mc(cfg, il_grid, pool)
     items = [
         (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS, rep)
         for rep in range(cfg.replicates)
     ]
-    ks_rows, failures = _run_replicates(_ks_prefix_worker, items, cfg.workers)
+    ks_rows, failures = _run_replicates(_ks_prefix_worker, items, pool, cfg.workers)
     summary: list[str] = []
     report: dict = {"spec": _spec_dict(spec)}
     pieces: list[bool] = []
@@ -748,14 +802,10 @@ def _run_asclt_family(cfg: ExperimentConfig) -> RunArtifacts:
         pieces.append(False)
         summary.append("ks trend: no successful replicates")
 
-    # FbmScaled uses the closed-form second moment, which is capped; the il
-    # grid is trimmed to the cap there while KS keeps the full grid.
-    exact_il = isinstance(spec, FbmScaled)
-    il_grid = [n for n in cfg.n_grid if not exact_il or n <= EXACT_DELTA_MAX_N]
     if exact_il:
-        il = il_series_diagnostic(spec, cfg.t_grid, n_grid=il_grid)
+        il = il_from_rows(il_grid, [row() for row in il_rows])
     else:
-        il, fail = _run_il_mc(cfg, il_grid)
+        il, fail = il_mc()
         failures += fail
     report["il"] = _il_to_dict(il)
     # The Monte Carlo decay-slope statistic sits within about one standard
@@ -771,22 +821,15 @@ def _run_asclt_family(cfg: ExperimentConfig) -> RunArtifacts:
         + ("" if il_in_verdict else " [informational]")
     )
 
-    crit_report = criteria_diagnostic(spec, n_max=min(cfg.n_max, _CRITERIA_N_CAP))
+    crit_report, vals = criteria_pending()
     report["criteria"] = _criteria_to_dict(crit_report)
     pieces.append(crit_report.verdict == "consistent")
     summary.append(f"decay-condition fits: {crit_report.verdict}")
 
-    if cfg.experiment == "asclt_hermite_crit":
-        grid = [n for n in cfg.n_grid if 64 <= n <= _KERNEL_BOUNDED_MAX_N]
-        if not grid:
-            grid = [min(cfg.n_grid[-1], _KERNEL_BOUNDED_MAX_N)]
-        vals = [
-            contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n)
-            for n in grid
-        ]
+    if kernel_grid:
         bounded = bool(max(vals) <= _KERNEL_BOUNDED_RATIO * min(vals))
         report["kernel_log_bounded"] = {
-            "n_grid": grid,
+            "n_grid": kernel_grid,
             "values": [float(v) for v in vals],
             "max_over_min": float(max(vals) / min(vals)),
             "bounded": bounded,
@@ -803,12 +846,32 @@ def _run_asclt_family(cfg: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(report, {"ks.csv": buf.getvalue()}, summary, verdict, failures)
 
 
-def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
+def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
     report: dict = {"spec": _spec_dict(spec)}
     summary: list[str] = []
     failures: list[str] = []
+
+    # Every stage below is queued now and merged in report order.
+    criteria_pending = _submit(pool, _criteria_worker, (
+        *_spec_args(cfg), min(cfg.n_max, _CRITERIA_N_CAP), ()))
+    top = int(math.log2(cfg.n_max))
+    levels = list(range(max(6, top - 6), top + 1, 2))
+    zn_pending = _start_replicates(_zn_worker, [
+        (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN, rep)
+        for rep in range(cfg.replicates)
+    ], pool, cfg.workers)
+    sep_n = min(cfg.n_max, cfg.n_grid[-1])
+    sup_pending = _start_replicates(_sep_worker, [
+        (H, q, sep_n, cfg.master_seed + _SEED_SEP_SUP, rep)
+        for rep in range(cfg.replicates)
+    ], pool, cfg.workers)
+    sub_pending = _start_replicates(_sep_worker, [
+        (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB, rep)
+        for rep in range(cfg.replicates)
+    ], pool, cfg.workers)
+    il_pending = _start_il_mc(cfg, cfg.n_grid, pool)
 
     # Deterministic second-moment convergence of the dyadic-level statistic.
     rel_zn = float(cfg.tolerances.get("rel_zn", 0.02))
@@ -828,13 +891,7 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
     )
 
     # Pathwise Cauchy behaviour across dyadic levels, one fBm grid per seed.
-    top = int(math.log2(cfg.n_max))
-    levels = list(range(max(6, top - 6), top + 1, 2))
-    items = [
-        (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN, rep)
-        for rep in range(cfg.replicates)
-    ]
-    zrows, fail = _run_replicates(_zn_worker, items, cfg.workers)
+    zrows, fail = zn_pending()
     failures += fail
     zn_csv = "level_lo,level_hi,median_abs_diff\n"
     cauchy_ok = False
@@ -858,18 +915,9 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
 
     # Across-seed spread of the log-averaged arctan mean, against the
     # subcritical twin; reported as evidence, not a verdict piece.
-    sep_n = min(cfg.n_max, cfg.n_grid[-1])
-    sup_items = [
-        (H, q, sep_n, cfg.master_seed + _SEED_SEP_SUP, rep)
-        for rep in range(cfg.replicates)
-    ]
-    sub_items = [
-        (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB, rep)
-        for rep in range(cfg.replicates)
-    ]
-    sup_vals, fail = _run_replicates(_sep_worker, sup_items, cfg.workers)
+    sup_vals, fail = sup_pending()
     failures += fail
-    sub_vals, fail = _run_replicates(_sep_worker, sub_items, cfg.workers)
+    sub_vals, fail = sub_pending()
     failures += fail
     if sup_vals and sub_vals:
         sup_std = float(np.std(np.array(sup_vals), ddof=1))
@@ -886,7 +934,7 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
             f"subcritical {sub_std:.4f} (ratio {sup_std / sub_std:.2f})"
         )
 
-    il, fail = _run_il_mc(cfg, cfg.n_grid)
+    il, fail = il_pending()
     failures += fail
     report["il"] = _il_to_dict(il)
     report["il"]["in_verdict"] = False
@@ -895,7 +943,7 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
     # Verdict rests on the deterministic condition fits: the contraction
     # series here has no decaying envelope, so flagged is the expected
     # outcome, and the exit code reports it honestly.
-    crit_report = criteria_diagnostic(spec, n_max=min(cfg.n_max, _CRITERIA_N_CAP))
+    crit_report, _ = criteria_pending()
     report["criteria"] = _criteria_to_dict(crit_report)
     summary.append(f"decay-condition fits: {crit_report.verdict}")
 
@@ -906,7 +954,7 @@ def _run_non_gaussian(cfg: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(report, {"zn_cauchy.csv": zn_csv}, summary, verdict, failures)
 
 
-def _run_kernels_decay(cfg: ExperimentConfig) -> RunArtifacts:
+def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     model = fgn(H)
     rows = []
@@ -933,14 +981,14 @@ def _run_kernels_decay(cfg: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(report, {"contractions.csv": csv}, summary, verdict, [])
 
 
-def _run_delta_exactness(cfg: ExperimentConfig) -> RunArtifacts:
+def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
     spec = FbmScaled(cfg.model["H"])
     z_max = float(cfg.tolerances.get("z_max", 4.0))
     items = [
         (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
-    vals, failures = _run_replicates(_delta_worker, items, cfg.workers)
+    vals, failures = _run_replicates(_delta_worker, items, pool, cfg.workers)
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     rows, drows, worst = [], [], 0.0
@@ -970,7 +1018,7 @@ def _run_delta_exactness(cfg: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(report, {"delta.csv": buf.getvalue()}, summary, verdict, failures)
 
 
-def _run_malliavin_bounds(cfg: ExperimentConfig) -> RunArtifacts:
+def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
     z_max = float(cfg.tolerances.get("z_max", 4.0))
@@ -978,7 +1026,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig) -> RunArtifacts:
         (H, cfg.n_max, cfg.master_seed + _SEED_PATHS, rep)
         for rep in range(cfg.replicates)
     ]
-    values, failures = _run_replicates(_path_worker, items, cfg.workers)
+    values, failures = _run_replicates(_path_worker, items, pool, cfg.workers)
     if not values:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     paths = [
@@ -1035,7 +1083,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig) -> RunArtifacts:
         (_GEBELEIN_H, min(cfg.n_max, 2048), cfg.master_seed + _SEED_GEBELEIN, rep)
         for rep in range(cfg.replicates)
     ]
-    geb_values, fail = _run_replicates(_path_worker, geb_items, cfg.workers)
+    geb_values, fail = _run_replicates(_path_worker, geb_items, pool, cfg.workers)
     failures += fail
     geb_paths = [
         GaussianPath(fgn(_GEBELEIN_H), min(cfg.n_max, 2048), v,
@@ -1072,7 +1120,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig) -> RunArtifacts:
     )
 
 
-def _run_sigma_limits(cfg: ExperimentConfig) -> RunArtifacts:
+def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     model = fgn(H)
     regime = regime_for(model, q)
@@ -1155,7 +1203,13 @@ def render_report(artifacts: RunArtifacts, cfg: ExperimentConfig) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run one experiment. At workers > 1 the run opens one process pool and
+    every stage shares it; at workers == 1 everything runs inline."""
+    runner = _RUNNERS[cfg.experiment]
+    if cfg.workers <= 1:
+        return runner(cfg, None)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        return runner(cfg, pool)
 
 
 def run(cfg: ExperimentConfig, echo=print) -> int:

@@ -1,8 +1,10 @@
 """Exact sampling of stationary Gaussian sequences and fBm on dyadic grids.
 
 Sampling is exact in distribution: stationary paths come from circulant
-embedding of the covariance (eigenvalues by FFT, size 2(n-1)), with a dense
-Cholesky fallback for short paths or failed embeddings. All randomness is
+embedding of the covariance (eigenvalues by FFT, size M = 2(n-1)), with a
+dense Cholesky fallback for short paths or failed embeddings. A path is the
+real inverse FFT (`irfft`) of the half spectrum sqrt(lam_j) xi_j, j = 0..M/2,
+so only M/2 + 1 complex coefficients are built per path. All randomness is
 derived from a counter-based generator keyed by (master_seed, replicate_id),
 and uniform-to-normal conversion is pinned to an explicit polar or inverse
 transform built on the raw 64-bit stream, so identical seed tuples give
@@ -11,15 +13,13 @@ bit-identical paths on any platform and under any call order.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import CovarianceModel, model_from_json, model_to_json, rho_many
+from .covariance import CovarianceModel, rho_many
 from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
@@ -31,16 +31,12 @@ __all__ = [
     "sample_ensemble",
     "sample_fbm_grid",
     "empirical_autocovariance",
-    "dump_path_binary",
-    "load_path_binary",
-    "dump_path_csv",
 ]
 
 # Minimum pairs of uniforms consumed per polar rejection block. The block
 # schedule is a deterministic function of the request sizes, so it is part
 # of the reproducibility contract; do not change without versioning.
 _POLAR_MIN_PAIRS = 256
-_HEADER_PREFIX_BYTES = 32
 _CHOLESKY_MAX_N = 2048
 _EIGEN_CLAMP = -1e-10
 
@@ -151,19 +147,19 @@ def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
 
 
 def _synthesize_circulant(lam: np.ndarray, draws: np.ndarray, n: int) -> np.ndarray:
-    # Hermitian spectral noise: d[0] -> xi_0, d[1] -> xi_{M/2}, then pairs
-    # (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of xi_j for j = 1..M/2-1.
+    # Half of the Hermitian spectral noise: d[0] -> xi_0, d[1] -> xi_{M/2},
+    # then pairs (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of xi_j, j = 1..M/2-1.
+    # irfft supplies the conjugate half xi_{M-j} = conj(xi_j) itself.
     M = lam.size
     half = M // 2
-    xi = np.empty(M, dtype=complex)
+    xi = np.empty(half + 1, dtype=complex)
     xi[0] = draws[0]
     xi[half] = draws[1]
-    re = draws[2::2]
-    im = draws[3::2]
-    xi[1:half] = (re + 1j * im) / math.sqrt(2.0)
-    xi[half + 1:] = np.conj(xi[half - 1:0:-1])
-    x = np.fft.ifft(np.sqrt(lam) * xi) * math.sqrt(M)
-    return x.real[:n].copy()
+    xi[1:half].real = draws[2::2]
+    xi[1:half].imag = draws[3::2]
+    xi[1:half] /= math.sqrt(2.0)
+    x = np.fft.irfft(np.sqrt(lam[: half + 1]) * xi, n=M)
+    return x[:n] * math.sqrt(M)
 
 
 @byte_bounded_cache(CACHE_BYTES)
@@ -272,46 +268,3 @@ def empirical_autocovariance(paths: list[GaussianPath], r: int) -> tuple[float, 
     est = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(per.size)) if per.size > 1 else math.inf
     return est, se
-
-
-def _header_bytes(path: GaussianPath) -> bytes:
-    header = {
-        "model": json.loads(model_to_json(path.model)),
-        "n": path.n,
-        "master_seed": path.master_seed,
-        "replicate_id": path.replicate_id,
-    }
-    return json.dumps(header, sort_keys=True).encode("ascii")
-
-
-def dump_path_binary(path: GaussianPath, fh: io.BufferedIOBase) -> int:
-    """32-byte ASCII length prefix, JSON header, little-endian float64 data."""
-    hb = _header_bytes(path)
-    prefix = str(len(hb)).encode("ascii").ljust(_HEADER_PREFIX_BYTES)
-    payload = path.values.astype("<f8").tobytes()
-    return fh.write(prefix + hb + payload)
-
-
-def load_path_binary(fh: io.BufferedIOBase) -> GaussianPath:
-    prefix = fh.read(_HEADER_PREFIX_BYTES)
-    if len(prefix) != _HEADER_PREFIX_BYTES:
-        raise ValueError("truncated header prefix")
-    hlen = int(prefix.decode("ascii").strip())
-    header = json.loads(fh.read(hlen).decode("ascii"))
-    n = int(header["n"])
-    data = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-    if data.size != n:
-        raise ValueError("truncated payload")
-    return GaussianPath(
-        model=model_from_json(header["model"]),
-        n=n,
-        values=data,
-        master_seed=int(header["master_seed"]),
-        replicate_id=int(header["replicate_id"]),
-    )
-
-
-def dump_path_csv(path: GaussianPath, fh) -> None:
-    """One value per line; intended for small n."""
-    for v in path.values:
-        fh.write(repr(float(v)) + "\n")

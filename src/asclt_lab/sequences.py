@@ -310,6 +310,18 @@ def sigma_limit(model: CovarianceModel, q: int) -> SigmaLimit:
     return SigmaLimit(value=val, remainder_bound=bound, regime="subcritical")
 
 
+@lru_cache(maxsize=4096)  # the diagonals (k, k) recur across every pair
+def _expansion_pair_sum(model, expansion, k: int, l: int) -> float:
+    """sum_q c_q^2 q! sum_{i<=k, j<=l} rho(i-j)^q over the nonzero orders,
+    accumulated in increasing order q."""
+    c = expansion.coeffs
+    total = 0.0
+    for order in range(1, expansion.qmax + 1):
+        if c[order] != 0.0:
+            total += c[order] ** 2 * math.factorial(order) * pair_lag_sum(model, order, k, l)
+    return total
+
+
 def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
     """Exact E[G_k G_l]; equals 1 at k = l for every sigma-normalized spec."""
     k, l = int(k), int(l)
@@ -334,15 +346,9 @@ def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
         )
         return num / den
     if isinstance(spec, GeneralF):
-        c = spec.expansion.coeffs
-        num = v2k = v2l = 0.0
-        for order in range(1, spec.expansion.qmax + 1):
-            if c[order] == 0.0:
-                continue
-            w = c[order] ** 2 * math.factorial(order)
-            num += w * pair_lag_sum(spec.model, order, k, l)
-            v2k += w * pair_lag_sum(spec.model, order, k, k)
-            v2l += w * pair_lag_sum(spec.model, order, l, l)
+        num = _expansion_pair_sum(spec.model, spec.expansion, k, l)
+        v2k = _expansion_pair_sum(spec.model, spec.expansion, k, k)
+        v2l = _expansion_pair_sum(spec.model, spec.expansion, l, l)
         return num / math.sqrt(v2k * v2l)
     raise TypeError(f"unknown sequence spec: {type(spec).__name__}")
 

@@ -1,5 +1,6 @@
 """Config validation, experiment orchestration, and report reproducibility."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -402,16 +403,20 @@ def test_pooled_il_matches_serial_diagnostic(experiment, model, spec):
         spec, (0.0, 0.5, 1.0), n_grid=[16, 64, 256],
         master_seed=SEED + cli._SEED_IL, replicates=6,
     )
-    for workers in (1, 2):
-        il, failures = cli._run_il_mc(_small_asclt(experiment, model, workers), [16, 64, 256])
-        assert failures == []
-        assert il == expect
+    il, failures = cli._start_il_mc(_small_asclt(experiment, model), [16, 64, 256], None)()
+    assert failures == [] and il == expect
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        pending = cli._start_il_mc(_small_asclt(experiment, model, 2), [16, 64, 256], pool)
+        il, failures = pending()
+    assert failures == [] and il == expect
 
 
 def test_asclt_reports_identical_across_workers(tmp_path):
     for experiment, model in (
         ("asclt_hermite_sub", {"H": 0.3, "q": 2}),
         ("asclt_general_f", {"H": 0.3, "f": "arctan", "expansion_order": 9}),
+        ("asclt_hermite_crit", {"H": 0.75, "q": 2}),
+        ("asclt_fbm", {"H": 0.7}),
     ):
         doc = _doc(experiment, model=model, n_max=256, n_grid=[16, 64, 256],
                    seeds={"master_seed": SEED, "replicates": 6}, t_grid=[0.5, 1.0])
@@ -461,3 +466,51 @@ def test_all_il_replicates_failing_reports_flagged_without_rows(monkeypatch, tmp
     assert main(["run", "--config", _write_config(tmp_path, "f.json", doc),
                  "--out", str(out)]) == 1
     assert len(json.loads((out / "report.json").read_text())["failures"]) == 6
+
+
+def _count_pools(monkeypatch) -> list:
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return made
+
+
+def test_one_pool_per_run(monkeypatch):
+    made = _count_pools(monkeypatch)
+    general_f = {"H": 0.3, "f": "arctan", "expansion_order": 9}
+    for workers in (1, 2):
+        made.clear()
+        cli.run_experiment(_small_asclt("asclt_general_f", general_f, workers))
+        assert made == ([2] if workers == 2 else [])
+        made.clear()
+        cfg, errors = validate_config(_doc(
+            "malliavin_bounds", n_max=256, n_grid=[256], t_grid=[1.0],
+            seeds={"master_seed": SEED, "replicates": 100}, workers=workers,
+        ))
+        assert not errors
+        art = cli.run_experiment(cfg)
+        assert art.failures == [] and art.report["replicates"] == 100
+        assert made == ([2] if workers == 2 else [])
+
+
+def test_criteria_error_is_reported_alike_across_workers(monkeypatch, tmp_path, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("criteria boom")
+
+    monkeypatch.setattr(cli, "criteria_diagnostic", boom)
+    doc = _doc("asclt_hermite_sub", model={"H": 0.3, "q": 2}, n_max=256,
+               n_grid=[16, 64, 256], seeds={"master_seed": SEED, "replicates": 6},
+               t_grid=[1.0])
+    cfg_path = _write_config(tmp_path, "c.json", doc)
+    seen = []
+    for w in (1, 2):
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / f"w{w}"),
+                     "--workers", str(w)])
+        seen.append((code, capsys.readouterr().err))
+    assert seen[0] == seen[1] == (1, "error: criteria boom\n")

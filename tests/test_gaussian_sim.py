@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -16,16 +15,16 @@ from asclt_lab.gaussian_sim import (
     _cholesky_factor,
     _embedding_eigenvalues,
     _synthesize_circulant,
-    dump_path_binary,
-    dump_path_csv,
     empirical_autocovariance,
-    load_path_binary,
     sample_ensemble,
     sample_fbm_grid,
     sample_stationary,
 )
 
 SEED = 20240817
+
+# MA(2) with coefficients (1, 0.5, 0.25), normalized to unit variance.
+MA2 = table({0: 1.0, 1: 0.625 / 1.3125, 2: 0.25 / 1.3125})
 
 # Table whose spectral density is negative at theta = 2*pi/3: valid entries,
 # no valid Gaussian process.
@@ -82,6 +81,30 @@ def test_circulant_map_reproduces_toeplitz_covariance_exactly():
         )
         want = toeplitz(rho_many(model, np.arange(n)))
         assert np.allclose(T @ T.T, want, atol=1e-12)
+
+
+def _synthesize_full_spectrum(lam, draws, n):
+    """Oracle: complex ifft of the full Hermitian vector sqrt(lam) xi."""
+    M = lam.size
+    half = M // 2
+    xi = np.empty(M, dtype=complex)
+    xi[0] = draws[0]
+    xi[half] = draws[1]
+    xi[1:half] = (draws[2::2] + 1j * draws[3::2]) / math.sqrt(2.0)
+    xi[half + 1:] = np.conj(xi[half - 1:0:-1])
+    return (np.fft.ifft(np.sqrt(lam) * xi) * math.sqrt(M)).real[:n]
+
+
+@pytest.mark.parametrize("model", [fgn(0.3), fgn(0.75), iid(), MA2],
+                         ids=["fgn0.3", "fgn0.75", "iid", "ma2"])
+def test_half_spectrum_synthesis_matches_full_spectrum_oracle(model):
+    for n in (2, 3, 9, 1025, 3072, 2**16):
+        lam = _embedding_eigenvalues(model, n)
+        draws = NormalStream(SEED, n).normals(lam.size)
+        want = _synthesize_full_spectrum(lam, draws, n)
+        got = _synthesize_circulant(lam, draws, n)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
 
 def test_embedding_eigenvalues_match_explicit_dft():
@@ -189,28 +212,6 @@ def test_single_point_path():
     assert p.values.shape == (1,)
     q = sample_stationary(fgn(0.3), 1, SEED, 0, normal_method="inverse")
     assert np.isfinite(q.values).all()
-
-
-def test_binary_dump_round_trip():
-    p = sample_stationary(fgn(0.6), 33, SEED, 9)
-    buf = io.BytesIO()
-    dump_path_binary(p, buf)
-    buf.seek(0)
-    back = load_path_binary(buf)
-    assert back.model == p.model
-    assert back.n == p.n
-    assert back.master_seed == p.master_seed
-    assert back.replicate_id == p.replicate_id
-    assert np.array_equal(back.values, p.values)
-
-
-def test_csv_dump():
-    p = sample_stationary(iid(), 5, SEED, 0)
-    out = io.StringIO()
-    dump_path_csv(p, out)
-    lines = out.getvalue().strip().splitlines()
-    assert len(lines) == 5
-    assert np.array_equal(np.array([float(s) for s in lines]), p.values)
 
 
 def test_frozen_stream_regression():

@@ -20,7 +20,7 @@ from asclt_lab.gaussian_sim import (
     sample_stationary,
 )
 from asclt_lab.hermite import ConstantFunctionError, expand
-from asclt_lab.kernels import v2_prefix
+from asclt_lab.kernels import pair_lag_sum, v2_prefix
 from asclt_lab.covariance import abs_rho_power_sum
 from asclt_lab.sequences import (
     FbmScaled,
@@ -234,6 +234,23 @@ def test_cross_covariance_against_bruteforce():
     )
     spec = HermiteVariation(model, q)
     assert cross_covariance(spec, k, l) == pytest.approx(num / den, rel=1e-13)
+
+
+def test_general_f_cross_covariance_matches_per_order_loop():
+    """The cached per-order sums keep the explicit loop's summation order."""
+    spec = GeneralF(fgn(0.3), expand(np.arctan, qmax=9))
+    c = spec.expansion.coeffs
+    for k, l in ((1, 1), (2, 9), (9, 2), (5, 5), (17, 64), (300, 1000)):
+        a, b = min(k, l), max(k, l)
+        num = v2a = v2b = 0.0
+        for order in range(1, spec.expansion.qmax + 1):
+            if c[order] == 0.0:
+                continue
+            w = c[order] ** 2 * math.factorial(order)
+            num += w * pair_lag_sum(spec.model, order, a, b)
+            v2a += w * pair_lag_sum(spec.model, order, a, a)
+            v2b += w * pair_lag_sum(spec.model, order, b, b)
+        assert cross_covariance(spec, k, l) == num / math.sqrt(v2a * v2b)
 
 
 def test_fbm_covariance_decay_bound():
