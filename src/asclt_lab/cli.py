@@ -52,7 +52,7 @@ from .asclt import (
     log_average_measure,
 )
 from .covariance import fgn
-from .gaussian_sim import GaussianPath, sample_fbm_grid, sample_stationary
+from .gaussian_sim import sample_fbm_grid, sample_stationary
 from .hermite import expand, resolve_test_function
 from .kernels import contraction_norm_sq
 from .malliavin import (
@@ -60,7 +60,9 @@ from .malliavin import (
     cf_rows_to_csv,
     co1_check,
     co2_check,
+    d2g_depends_on_path,
     gebelein_check,
+    lag_covariances,
     malliavin_sample,
 )
 from .sequences import (
@@ -565,8 +567,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
 
 # ---------------------------------------------------------------------------
 # Replicate workers. Primitive-tuple arguments keep them picklable; every
-# worker rebuilds its spec locally and returns plain numbers or arrays. The
-# last argument is always the replicate id.
+# worker rebuilds its spec locally and returns plain values or small frozen
+# records. The last argument is always the replicate id.
 
 
 def _build_spec(kind: str, H: float, q: int | None, fname: str | None, order: int | None):
@@ -619,9 +621,17 @@ def _delta_worker(args):
     return tuple(delta_stat(g, t) for t in t_grid)
 
 
-def _path_worker(args):
+def _malliavin_worker(args):
+    H, q, n, seed, rep = args
+    spec = HermiteVariation(fgn(H), q)
+    path = sample_stationary(spec.model, n, seed, rep)
+    return malliavin_sample(path, spec, with_d2g=d2g_depends_on_path(spec))
+
+
+def _gebelein_worker(args):
     H, n, seed, rep = args
-    return sample_stationary(fgn(H), n, seed, rep).values
+    path = sample_stationary(fgn(H), n, seed, rep)
+    return lag_covariances(path, np.arctan, range(_GEBELEIN_MAX_LAG + 1))
 
 
 def _zn_worker(args):
@@ -988,6 +998,10 @@ def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
         (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
+    # The closed-form rows are queued first so that they run alongside the
+    # replicate fan-out.
+    exact_pending = [_submit(pool, exact_gaussian_delta_sq, spec, cfg.n_max, t)
+                     for t in cfg.t_grid]
     vals, failures = _run_replicates(_delta_worker, items, pool, cfg.workers)
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
@@ -996,7 +1010,7 @@ def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
         sq = np.abs(np.array([v[i] for v in vals])) ** 2
         mc = float(sq.mean())
         se = float(sq.std(ddof=1) / math.sqrt(len(sq)))
-        exact = exact_gaussian_delta_sq(spec, cfg.n_max, t)
+        exact = exact_pending[i]()
         z = 0.0 if se == 0.0 and mc == exact else (mc - exact) / se
         worst = max(worst, abs(z))
         rows.append({"t": t, "mc": mc, "exact": float(exact), "stderr": se, "z": float(z)})
@@ -1022,22 +1036,24 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
     z_max = float(cfg.tolerances.get("z_max", 4.0))
-    items = [
-        (H, cfg.n_max, cfg.master_seed + _SEED_PATHS, rep)
+    # Both fan-outs are queued up front; each worker reduces its path to
+    # scalars, which merge below in replicate order.
+    pending = _start_replicates(_malliavin_worker, [
+        (H, q, cfg.n_max, cfg.master_seed + _SEED_PATHS, rep) for rep in range(cfg.replicates)
+    ], pool, cfg.workers)
+    geb_pending = _start_replicates(_gebelein_worker, [
+        (_GEBELEIN_H, min(cfg.n_max, 2048), cfg.master_seed + _SEED_GEBELEIN, rep)
         for rep in range(cfg.replicates)
-    ]
-    values, failures = _run_replicates(_path_worker, items, pool, cfg.workers)
-    if not values:
+    ], pool, cfg.workers)
+    records, failures = pending()
+    failures = [f"malliavin {f}" for f in failures]
+    if not records:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
-    paths = [
-        GaussianPath(spec.model, cfg.n_max, v, cfg.master_seed + _SEED_PATHS, rep)
-        for rep, v in enumerate(values)
-    ]
-    report: dict = {"spec": _spec_dict(spec), "n": cfg.n_max, "replicates": len(paths)}
+    report: dict = {"spec": _spec_dict(spec), "n": cfg.n_max, "replicates": len(records)}
     summary: list[str] = []
     pieces: list[bool] = []
 
-    dg = np.array([malliavin_sample(p, spec, with_d2g=False).dg_norm_sq for p in paths])
+    dg = np.array([r.dg_norm_sq for r in records])
     mean = float(dg.mean() / q)
     se = float(dg.std(ddof=1) / q / math.sqrt(len(dg)))
     z = (mean - 1.0) / se
@@ -1045,7 +1061,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     report["dg_norm"] = {"mean_over_q": mean, "stderr": se, "z": float(z)}
     summary.append(f"mean ||DG||^2 / q = {mean:.5f} (z = {z:+.2f})")
 
-    cf_rows = [cf_gap_bound(spec, paths, t) for t in cfg.t_grid]
+    cf_rows = [cf_gap_bound(spec, records, t) for t in cfg.t_grid]
     holds = [r.gap_mc <= r.bound + 4.0 * r.gap_se for r in cf_rows]
     pieces.append(all(holds))
     report["cf_gap"] = [
@@ -1064,7 +1080,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     # Fourth-moment prefactor checks, reported as printed and with the
     # first-power variant; printed-bound violations are findings, not run
     # failures, so they stay out of the verdict.
-    for check in (co1_check(spec, paths), co2_check(spec, paths)):
+    for check in (co1_check(spec, records), co2_check(spec, records)):
         report[check.name] = {
             "mc_mean": float(check.mc_mean),
             "mc_se": float(check.mc_se),
@@ -1079,18 +1095,9 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
             + (" [VIOLATED as printed]" if check.violates_printed else "")
         )
 
-    geb_items = [
-        (_GEBELEIN_H, min(cfg.n_max, 2048), cfg.master_seed + _SEED_GEBELEIN, rep)
-        for rep in range(cfg.replicates)
-    ]
-    geb_values, fail = _run_replicates(_path_worker, geb_items, pool, cfg.workers)
-    failures += fail
-    geb_paths = [
-        GaussianPath(fgn(_GEBELEIN_H), min(cfg.n_max, 2048), v,
-                     cfg.master_seed + _SEED_GEBELEIN, rep)
-        for rep, v in enumerate(geb_values)
-    ]
-    geb = gebelein_check(geb_paths, np.arctan, range(_GEBELEIN_MAX_LAG + 1))
+    geb_records, geb_failures = geb_pending()
+    failures += [f"gebelein {f}" for f in geb_failures]
+    geb = gebelein_check(geb_records, np.arctan, range(_GEBELEIN_MAX_LAG + 1))
     pieces.append(all(row.holds for row in geb))
     report["gebelein"] = {
         "H": _GEBELEIN_H,

@@ -14,6 +14,13 @@ of `kernels`, once per (model, n). Lag-truncated variants return certified
 remainder bounds; the fourth-moment inequalities are evaluated exactly as
 printed (fractional exponents included) alongside the first-power variants,
 and violations are reported, not corrected.
+
+The ensemble checks are map-reduce: `malliavin_sample` reduces one path to
+the scalars the checks need (||DG_n||^2, G_n, and the D^2G contraction
+when f'' depends on the path), computed once each, and `cf_gap_bound`,
+`co1_check` and `co2_check` reduce those records; `lag_covariances` and
+`gebelein_check` do the same for the correlation-bound sweep. The map runs
+where the path is sampled, so only the scalars travel.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import abs_rho_power_sum, rho_many
+from .covariance import CovarianceModel, abs_rho_power_sum, rho_many
 from .gaussian_sim import GaussianPath
 from .hermite import _quad_rule, derivative_coeffs, evaluate_expansion, hermite_eval
 from .kernels import (
@@ -46,6 +53,7 @@ from .sequences import (
 
 __all__ = [
     "MalliavinSample",
+    "LagCovariances",
     "CfGap",
     "MomentBoundCheck",
     "GebeleinRow",
@@ -53,6 +61,8 @@ __all__ = [
     "dg_norm_sq_truncated",
     "d2g_contraction_norm_sq",
     "malliavin_sample",
+    "d2g_depends_on_path",
+    "lag_covariances",
     "dl_inverse_pairing",
     "cf_gap_bound",
     "co1_check",
@@ -72,6 +82,7 @@ class MalliavinSample:
     spec: SequenceSpec
     n: int
     dg_norm_sq: float
+    g_n: float
     d2g_contraction_norm_sq: float | None
     L: int | None
     truncation_bound: float
@@ -241,6 +252,14 @@ def _d2g_truncation_bound(model, n: int, L: int, b: np.ndarray) -> float:
     return b4 * (10.0 * math.sqrt(t2 * s2) * s1**2 + 5.0 * s2 * s1 * t1)
 
 
+def _constant_d2g_norm_sq(spec: SequenceSpec, n: int) -> float:
+    """||D^2G_n (x)_1 D^2G_n||^2 when f'' is a constant c, the same on every
+    path: tr((TR)^2) = c^4 tr(R^4), which is >= 0."""
+    const = _second_derivative_constant(spec)
+    raw = const**4 * _quartic_lag_sum(spec.model, 1, 1, n) if const else 0.0
+    return raw / _normalizer_sq(spec, n) ** 2
+
+
 def d2g_contraction_norm_sq(
     path: GaussianPath,
     spec: SequenceSpec,
@@ -259,12 +278,9 @@ def d2g_contraction_norm_sq(
     _check_path(path, spec)
     n = _resolve_n(path, n)
     lag = _check_lag(L, n)
+    if lag is None and _second_derivative_constant(spec) is not None:
+        return _constant_d2g_norm_sq(spec, n), 0.0
     den = _normalizer_sq(spec, n) ** 2
-    const = _second_derivative_constant(spec)
-    if lag is None and const is not None:
-        # b = const: tr((TR)^2) = const^4 tr(R^4), which is >= 0.
-        raw = const**4 * _quartic_lag_sum(spec.model, 1, 1, n) if const else 0.0
-        return raw / den, 0.0
     b = _second_derivative_field(spec, path.values[:n])
     g = _rho_window(spec.model, n, lag)
     raw = _weighted_quartic_trace(g, b, n)
@@ -273,12 +289,20 @@ def d2g_contraction_norm_sq(
     return raw / den, _d2g_truncation_bound(spec.model, n, lag, b) / den
 
 
+def d2g_depends_on_path(spec: SequenceSpec) -> bool:
+    """Whether ||D^2G_n (x)_1 D^2G_n||^2 varies with the path (f'' not
+    constant); when it does not, the reducers evaluate it once."""
+    return _second_derivative_constant(spec) is None
+
+
 def malliavin_sample(
     path: GaussianPath,
     spec: SequenceSpec,
     L: int | None = None,
     with_d2g: bool = True,
 ) -> MalliavinSample:
+    """||DG_n||^2, the terminal value G_n and, with with_d2g,
+    ||D^2G_n (x)_1 D^2G_n||^2 of one path, each computed once."""
     n = path.n
     dg = dg_norm_sq(path, spec)
     if with_d2g:
@@ -289,6 +313,7 @@ def malliavin_sample(
         spec=spec,
         n=n,
         dg_norm_sq=dg,
+        g_n=float(build_gseries(path, spec).values[-1]),
         d2g_contraction_norm_sq=d2g,
         L=L,
         truncation_bound=bound,
@@ -334,14 +359,15 @@ def _ensemble_stats(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _validate_ensemble(paths, spec) -> int:
-    if not paths:
+def _validate_ensemble(records: list[MalliavinSample], spec: SequenceSpec) -> int:
+    if not records:
         raise ValueError("empty replicate ensemble")
-    n = paths[0].n
-    for p in paths:
-        if p.n != n:
+    n = records[0].n
+    for r in records:
+        if r.n != n:
             raise ValueError("replicates must share a common length")
-        _check_path(p, spec)
+        if r.spec != spec:
+            raise ValueError("sample spec does not match the sequence spec")
     return n
 
 
@@ -357,41 +383,41 @@ class CfGap:
     d2g_mean: float
 
 
-def _d2g_ensemble_mean(paths, spec) -> float:
-    const = _second_derivative_constant(spec)
-    if const is not None:
+def _d2g_values(spec: SequenceSpec, records: list[MalliavinSample], n: int) -> np.ndarray:
+    if not d2g_depends_on_path(spec):
         # f'' does not depend on the path; one evaluation serves them all.
-        return d2g_contraction_norm_sq(paths[0], spec)[0]
-    vals = np.array([d2g_contraction_norm_sq(p, spec)[0] for p in paths])
-    return float(vals.mean())
+        return np.array([_constant_d2g_norm_sq(spec, n)])
+    if any(r.d2g_contraction_norm_sq is None or r.L is not None for r in records):
+        raise ValueError("samples need the untruncated D^2G contraction (with_d2g, L=None)")
+    return np.array([r.d2g_contraction_norm_sq for r in records])
 
 
-def cf_gap_bound(spec: SequenceSpec, paths: list[GaussianPath], t: float) -> CfGap:
+def cf_gap_bound(spec: SequenceSpec, records: list[MalliavinSample], t: float) -> CfGap:
     """Monte-Carlo |E e^{itG_n} - e^{-t^2/2}| against the derivative bound
     (|t|/2) sqrt(10) E[||D^2G (x)_1 D^2G||^2]^{1/4} E[||DG||^4]^{1/4}.
 
     The |t||1 - E[G_n^2]| term vanishes because every sigma-normalized spec
-    has E[G_n^2] = 1 exactly.
+    has E[G_n^2] = 1 exactly. records are `malliavin_sample`s of the replicates.
     """
     if isinstance(spec, HermiteVariation) and spec.regime == "supercritical":
         raise RegimeError("the Gaussian cf bound needs a unit-normalized sequence")
-    if len(paths) < _MIN_CF_REPLICATES:
+    if len(records) < _MIN_CF_REPLICATES:
         raise ValueError(f"need at least {_MIN_CF_REPLICATES} replicates")
-    n = _validate_ensemble(paths, spec)
+    n = _validate_ensemble(records, spec)
 
-    gvals = np.array([build_gseries(p, spec).values[-1] for p in paths])
+    gvals = np.array([r.g_n for r in records])
     phases = np.exp(1j * t * gvals)
     target = math.exp(-t * t / 2.0)
     diff = phases.mean() - target
     gap = abs(diff)
-    m = len(paths)
+    m = len(records)
     se = math.sqrt(
         (phases.real.var(ddof=1) + phases.imag.var(ddof=1)) / m
     )
 
-    dg4 = np.array([dg_norm_sq(p, spec) for p in paths]) ** 2
+    dg4 = np.array([r.dg_norm_sq for r in records]) ** 2
     dg4_mean = float(dg4.mean())
-    d2g_mean = _d2g_ensemble_mean(paths, spec)
+    d2g_mean = float(_d2g_values(spec, records, n).mean())
     bound = 0.5 * abs(t) * math.sqrt(10.0) * d2g_mean**0.25 * dg4_mean**0.25
     return CfGap(
         t=float(t),
@@ -420,14 +446,14 @@ def _flag(mean: float, se: float, bound: float) -> bool:
     return mean > bound + 4.0 * se
 
 
-def co1_check(spec: SequenceSpec, paths: list[GaussianPath]) -> MomentBoundCheck:
+def co1_check(spec: SequenceSpec, records: list[MalliavinSample]) -> MomentBoundCheck:
     """E||DG_n||^4 against (1/sigma_n^4)(E f'(N)^4)^{1/4} (sum |rho|)^2.
 
     The fractional exponent is kept exactly as printed; the first-power
     variant is what a four-factor Hoelder argument yields.
     """
-    n = _validate_ensemble(paths, spec)
-    vals = np.array([dg_norm_sq(p, spec) for p in paths]) ** 2
+    n = _validate_ensemble(records, spec)
+    vals = np.array([r.dg_norm_sq for r in records]) ** 2
     mean, se = _ensemble_stats(vals)
     fourth = _quad_fourth_moment(spec, "first")
     sigma4 = (_normalizer_sq(spec, n) / n) ** 2
@@ -445,18 +471,14 @@ def co1_check(spec: SequenceSpec, paths: list[GaussianPath]) -> MomentBoundCheck
     )
 
 
-def co2_check(spec: SequenceSpec, paths: list[GaussianPath]) -> MomentBoundCheck:
+def co2_check(spec: SequenceSpec, records: list[MalliavinSample]) -> MomentBoundCheck:
     """E||D^2G_n (x)_1 D^2G_n||^2 against the printed 1/n bound.
 
     Printed form: (E f''(N)^4)^{1/4} ||rho||_inf (sum |rho|)^3 / (sigma_n^4 n)
     with ||rho||_inf = 1. The first-power variant is tight for iid at q = 2.
     """
-    n = _validate_ensemble(paths, spec)
-    const = _second_derivative_constant(spec)
-    if const is not None:
-        vals = np.array([d2g_contraction_norm_sq(paths[0], spec)[0]])
-    else:
-        vals = np.array([d2g_contraction_norm_sq(p, spec)[0] for p in paths])
+    n = _validate_ensemble(records, spec)
+    vals = _d2g_values(spec, records, n)
     mean, se = _ensemble_stats(vals)
     fourth = _quad_fourth_moment(spec, "second")
     sigma4 = (_normalizer_sq(spec, n) / n) ** 2
@@ -483,31 +505,58 @@ class GebeleinRow:
     holds: bool
 
 
-def gebelein_check(paths: list[GaussianPath], f, lags) -> list[GebeleinRow]:
-    """|Cov(f(X_i), f(X_{i+r}))| <= |rho(r)| Var f(N), Monte Carlo per lag.
-
-    Per replicate the covariance is averaged over all positions against the
-    exact quadrature mean of f(N), so the estimator is unbiased and the
-    cross-replicate spread gives the standard error.
-    """
-    if not paths:
-        raise ValueError("empty replicate ensemble")
-    model = paths[0].model
-    n = paths[0].n
+def _quad_mean_var(f) -> tuple[float, float]:
+    """E f(N) and Var f(N) by Gauss-Hermite quadrature."""
     nodes, weights = _quad_rule(_QUAD_NODES)
     fn = np.asarray(f(nodes), dtype=float)
     mu = float(np.sum(weights * fn))
-    var = float(np.sum(weights * (fn - mu) ** 2))
+    return mu, float(np.sum(weights * (fn - mu) ** 2))
 
-    lags = [int(r) for r in lags]
+
+def _check_lags(lags, n: int) -> tuple[int, ...]:
+    lags = tuple(int(r) for r in lags)
     if any(r < 0 or r >= n for r in lags):
         raise ValueError("lags must satisfy 0 <= r < n")
-    per_rep = np.empty((len(paths), len(lags)))
-    for i, p in enumerate(paths):
-        centered = np.asarray(f(p.values), dtype=float) - mu
-        for j, r in enumerate(lags):
-            m = n - r
-            per_rep[i, j] = float(centered[:m] @ centered[r:]) / m
+    return lags
+
+
+@dataclass(frozen=True)
+class LagCovariances:
+    """One replicate of the correlation-bound sweep: covs[j] estimates
+    Cov(f(X_i), f(X_{i+lags[j]}))."""
+
+    model: CovarianceModel
+    n: int
+    lags: tuple[int, ...]
+    covs: tuple[float, ...]
+
+
+def lag_covariances(path: GaussianPath, f, lags) -> LagCovariances:
+    """Per lag r, the mean over positions of (f(X_i) - mu)(f(X_{i+r}) - mu),
+    centred at the exact quadrature mean mu = E f(N), so it is unbiased."""
+    n = path.n
+    lags = _check_lags(lags, n)
+    mu, _ = _quad_mean_var(f)
+    centered = np.asarray(f(path.values), dtype=float) - mu
+    covs = tuple(float(centered[: n - r] @ centered[r:]) / (n - r) for r in lags)
+    return LagCovariances(model=path.model, n=n, lags=lags, covs=covs)
+
+
+def gebelein_check(records: list[LagCovariances], f, lags) -> list[GebeleinRow]:
+    """|Cov(f(X_i), f(X_{i+r}))| <= |rho(r)| Var f(N), Monte Carlo per lag.
+
+    records are `lag_covariances` of the replicates at these lags; the
+    cross-replicate spread of the per-replicate estimates gives the
+    standard error.
+    """
+    if not records:
+        raise ValueError("empty replicate ensemble")
+    model, n = records[0].model, records[0].n
+    lags = _check_lags(lags, n)
+    if any(r.model != model or r.n != n or r.lags != lags for r in records):
+        raise ValueError("replicates must share one model, length and lag set")
+    _, var = _quad_mean_var(f)
+    per_rep = np.array([r.covs for r in records])
     rows = []
     rho_vals = np.abs(rho_many(model, np.array(lags)))
     for j, r in enumerate(lags):

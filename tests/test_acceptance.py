@@ -36,7 +36,7 @@ from asclt_lab.kernels import (
     dense_kernel,
     dense_norm_sq,
 )
-from asclt_lab.malliavin import cf_gap_bound, dg_norm_sq, gebelein_check
+from asclt_lab.malliavin import cf_gap_bound, gebelein_check, lag_covariances, malliavin_sample
 from asclt_lab.sequences import (
     FbmScaled,
     HermiteVariation,
@@ -273,15 +273,17 @@ def test_a09c_regime_spread_separation():
 def test_a10_derivative_identities():
     spec = HermiteVariation(fgn(0.3), 2)
     paths = sample_ensemble(fgn(0.3), 1 << 12, _seed(10), 200)
-    vals = np.array([dg_norm_sq(p, spec) / 2 for p in paths])
+    records = [malliavin_sample(p, spec, with_d2g=False) for p in paths]
+    vals = np.array([r.dg_norm_sq / 2 for r in records])
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     z = (vals.mean() - 1.0) / se
     cf_ok = True
     for t in (0.5, 1.0, 2.0):
-        gap = cf_gap_bound(spec, paths, t)
+        gap = cf_gap_bound(spec, records, t)
         cf_ok = cf_ok and gap.gap_mc <= gap.bound + 4.0 * gap.gap_se
     rows = gebelein_check(
-        sample_ensemble(fgn(0.7), 1 << 11, _seed(10) + 1, 200),
+        [lag_covariances(p, np.arctan, range(21))
+         for p in sample_ensemble(fgn(0.7), 1 << 11, _seed(10) + 1, 200)],
         np.arctan,
         range(21),
     )

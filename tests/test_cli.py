@@ -1,13 +1,15 @@
 """Config validation, experiment orchestration, and report reproducibility."""
 
 import concurrent.futures
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from asclt_lab import cli
+from asclt_lab import cli, malliavin
 from asclt_lab.asclt import (
+    exact_gaussian_delta_sq,
     il_delta_prefixes,
     il_from_prefixes,
     il_series_diagnostic,
@@ -24,6 +26,14 @@ from asclt_lab.cli import (
 from asclt_lab.covariance import fgn
 from asclt_lab.gaussian_sim import sample_stationary
 from asclt_lab.hermite import expand
+from asclt_lab.malliavin import (
+    cf_gap_bound,
+    co1_check,
+    co2_check,
+    gebelein_check,
+    lag_covariances,
+    malliavin_sample,
+)
 from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, build_gseries
 
 SEED = 20240821
@@ -185,7 +195,7 @@ def test_run_reports_identical_across_workers(tmp_path):
         n_max=128,
         n_grid=[128],
         seeds={"master_seed": SEED, "replicates": 200},
-        t_grid=[1.0],
+        t_grid=[0.5, 1.0],
     )
     cfg_path = _write_config(tmp_path, "delta.json", doc)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -203,11 +213,15 @@ def test_run_reports_identical_across_workers(tmp_path):
     report = json.loads(r1)
     assert report["verdict"] == "consistent"
     assert report["results"]["max_abs_z"] <= 4.0
+    # The closed-form rows run alongside the replicates and merge in t order.
+    assert [row["exact"] for row in report["results"]["rows"]] == [
+        exact_gaussian_delta_sq(FbmScaled(0.8), 128, t) for t in (0.5, 1.0)
+    ]
     assert "workers" not in report["config"]
     assert report["versions"]["asclt_lab"]
     csv_lines = (out1 / "delta.csv").read_text().splitlines()
     assert csv_lines[0] == "n,t,delta_sq_mc,delta_sq_exact,stderr"
-    assert len(csv_lines) == 2
+    assert len(csv_lines) == 3
 
 
 def test_run_seed_override(tmp_path):
@@ -429,6 +443,90 @@ def test_asclt_reports_identical_across_workers(tmp_path):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _small_malliavin(q=2, workers=1, replicates=100, t_grid=(1.0,)):
+    cfg, errors = validate_config(_doc(
+        "malliavin_bounds", model={"H": 0.3, "q": q}, n_max=256, n_grid=[256],
+        seeds={"master_seed": SEED, "replicates": replicates}, t_grid=list(t_grid),
+        workers=workers,
+    ))
+    assert not errors
+    return cfg
+
+
+def test_malliavin_reports_identical_across_workers(tmp_path):
+    doc = _doc("malliavin_bounds", n_max=256, n_grid=[256], t_grid=[0.5, 1.0],
+               seeds={"master_seed": SEED, "replicates": 100})
+    cfg_path = _write_config(tmp_path, "m.json", doc)
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--workers", str(w)]) == 0
+    for name in ("report.json", "cf_gap.csv", "gebelein.csv", "summary.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_malliavin_replicate_failures_are_collected(monkeypatch):
+    cfg = _small_malliavin(replicates=200, t_grid=(0.5, 1.0))
+
+    def fail_odd(real):
+        def fn(path, *args, **kwargs):
+            if path.replicate_id % 2:
+                raise RuntimeError("boom")
+            return real(path, *args, **kwargs)
+        return fn
+
+    monkeypatch.setattr(cli, "malliavin_sample", fail_odd(malliavin_sample))
+    monkeypatch.setattr(cli, "lag_covariances", fail_odd(lag_covariances))
+    art = cli.run_experiment(cfg)
+    odd = range(1, 200, 2)
+    assert art.failures == (
+        [f"malliavin replicate {r}: RuntimeError: boom" for r in odd]
+        + [f"gebelein replicate {r}: RuntimeError: boom" for r in odd]
+    )
+    assert art.verdict == "flagged"
+    spec = HermiteVariation(fgn(0.3), 2)
+    survivors = [
+        malliavin_sample(sample_stationary(spec.model, 256, SEED + cli._SEED_PATHS, r), spec,
+                         with_d2g=False)
+        for r in range(0, 200, 2)
+    ]
+    geb_survivors = [
+        lag_covariances(sample_stationary(fgn(cli._GEBELEIN_H), 256, SEED + cli._SEED_GEBELEIN, r),
+                        np.arctan, range(cli._GEBELEIN_MAX_LAG + 1))
+        for r in range(0, 200, 2)
+    ]
+    res = art.report
+    assert res["replicates"] == 100
+    assert res["dg_norm"]["mean_over_q"] == float(
+        np.array([r.dg_norm_sq for r in survivors]).mean() / 2)
+    assert res["cf_gap"] == [
+        {"t": g.t, "gap_mc": g.gap_mc, "gap_se": g.gap_se, "bound": g.bound,
+         "holds": g.gap_mc <= g.bound + 4.0 * g.gap_se}
+        for g in (cf_gap_bound(spec, survivors, t) for t in cfg.t_grid)
+    ]
+    for check in (co1_check(spec, survivors), co2_check(spec, survivors)):
+        expect = dataclasses.asdict(check)
+        del expect["name"]
+        assert res[check.name] == expect
+    geb = gebelein_check(geb_survivors, np.arctan, range(cli._GEBELEIN_MAX_LAG + 1))
+    assert res["gebelein"]["rows"] == [dataclasses.asdict(row) for row in geb]
+
+
+def test_d2g_trace_runs_once_per_path(monkeypatch):
+    # q = 3: f'' depends on the path, so each replicate needs its own
+    # weighted quartic trace; the three cf_gap rows and co2 share it.
+    calls = []
+    real = malliavin._weighted_quartic_trace
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(malliavin, "_weighted_quartic_trace", counting)
+    art = cli.run_experiment(_small_malliavin(q=3, t_grid=(0.5, 1.0, 2.0)))
+    assert art.failures == [] and len(art.report["cf_gap"]) == 3
+    assert calls == [256] * 100
+
+
 def test_il_replicate_failures_are_collected(monkeypatch):
     cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2})
 
@@ -489,12 +587,7 @@ def test_one_pool_per_run(monkeypatch):
         cli.run_experiment(_small_asclt("asclt_general_f", general_f, workers))
         assert made == ([2] if workers == 2 else [])
         made.clear()
-        cfg, errors = validate_config(_doc(
-            "malliavin_bounds", n_max=256, n_grid=[256], t_grid=[1.0],
-            seeds={"master_seed": SEED, "replicates": 100}, workers=workers,
-        ))
-        assert not errors
-        art = cli.run_experiment(cfg)
+        art = cli.run_experiment(_small_malliavin(workers=workers))
         assert art.failures == [] and art.report["replicates"] == 100
         assert made == ([2] if workers == 2 else [])
 

@@ -6,27 +6,42 @@ import math
 import numpy as np
 import pytest
 
-from asclt_lab.covariance import fgn, iid, rho_many
+from asclt_lab.covariance import abs_rho_power_sum, fgn, iid, rho_many
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
-from asclt_lab.hermite import expand
+from asclt_lab.hermite import _quad_rule, expand
 from asclt_lab.kernels import contraction_norm_sq, hermite_sum_variance
 from asclt_lab.malliavin import (
+    _QUAD_NODES,
+    CfGap,
+    GebeleinRow,
     MalliavinSample,
+    MomentBoundCheck,
+    _ensemble_stats,
+    _flag,
+    _normalizer_sq,
+    _quad_fourth_moment,
+    _second_derivative_constant,
     _weighted_quartic_trace,
     cf_gap_bound,
     cf_rows_to_csv,
     co1_check,
     co2_check,
     d2g_contraction_norm_sq,
+    d2g_depends_on_path,
     dg_norm_sq,
     dg_norm_sq_truncated,
     dl_inverse_pairing,
     gebelein_check,
+    lag_covariances,
     malliavin_sample,
 )
-from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, RegimeError
+from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, RegimeError, build_gseries
 
 SEED = 20240821
+
+
+def _records(paths, spec):
+    return [malliavin_sample(p, spec, with_d2g=d2g_depends_on_path(spec)) for p in paths]
 
 
 def test_quartic_trace_matches_brute_force():
@@ -188,7 +203,7 @@ def test_co1_printed_exponent_is_violated_for_iid():
     # first-power constant 48/4 = 12 holds comfortably.
     spec = HermiteVariation(iid(), 2)
     paths = sample_ensemble(iid(), 64, SEED, 400)
-    chk = co1_check(spec, paths)
+    chk = co1_check(spec, _records(paths, spec))
     assert chk.bound_as_printed == pytest.approx(48.0**0.25 / 4.0, rel=1e-12)
     assert chk.bound_first_power == pytest.approx(12.0, rel=1e-12)
     assert chk.violates_printed
@@ -200,7 +215,7 @@ def test_co2_first_power_is_tight_for_iid():
     n = 64
     spec = HermiteVariation(iid(), 2)
     paths = sample_ensemble(iid(), n, SEED, 120)
-    chk = co2_check(spec, paths)
+    chk = co2_check(spec, _records(paths, spec))
     assert chk.mc_mean == pytest.approx(4.0 / n, rel=1e-12)
     assert chk.mc_se == 0.0
     assert chk.bound_first_power == pytest.approx(4.0 / n, rel=1e-12)
@@ -225,7 +240,7 @@ def test_cf_gap_within_bound_fgn():
     model = fgn(0.3)
     spec = HermiteVariation(model, 2)
     paths = sample_ensemble(model, 2**12, SEED + 1, 200)
-    res = cf_gap_bound(spec, paths, 1.0)
+    res = cf_gap_bound(spec, _records(paths, spec), 1.0)
     assert res.gap_mc <= res.bound + 4.0 * res.gap_se
     assert res.replicates == 200 and res.n == 2**12
 
@@ -233,7 +248,7 @@ def test_cf_gap_within_bound_fgn():
 def test_cf_gap_zero_frequency():
     spec = HermiteVariation(iid(), 2)
     paths = sample_ensemble(iid(), 64, SEED, 100)
-    res = cf_gap_bound(spec, paths, 0.0)
+    res = cf_gap_bound(spec, _records(paths, spec), 0.0)
     assert res.gap_mc == 0.0
     assert res.bound == 0.0
 
@@ -242,7 +257,7 @@ def test_cf_gap_fbm_bound_is_zero():
     # exact first chaos: both derivative terms vanish, gap is pure MC noise
     spec = FbmScaled(0.7)
     paths = sample_ensemble(fgn(0.7), 128, SEED + 3, 300)
-    res = cf_gap_bound(spec, paths, 0.5)
+    res = cf_gap_bound(spec, _records(paths, spec), 0.5)
     assert res.bound == 0.0
     assert res.gap_mc <= 4.0 * res.gap_se
 
@@ -250,7 +265,8 @@ def test_cf_gap_fbm_bound_is_zero():
 def test_cf_bound_monotone_in_t():
     spec = HermiteVariation(iid(), 2)
     paths = sample_ensemble(iid(), 64, SEED, 100)
-    bounds = [cf_gap_bound(spec, paths, t).bound for t in (0.5, 1.0, 2.0)]
+    records = _records(paths, spec)
+    bounds = [cf_gap_bound(spec, records, t).bound for t in (0.5, 1.0, 2.0)]
     assert bounds[0] < bounds[1] < bounds[2]
 
 
@@ -258,18 +274,39 @@ def test_cf_gap_validation():
     spec = HermiteVariation(iid(), 2)
     paths = sample_ensemble(iid(), 64, SEED, 99)
     with pytest.raises(ValueError):
-        cf_gap_bound(spec, paths, 1.0)
+        cf_gap_bound(spec, _records(paths, spec), 1.0)
     sup = HermiteVariation(fgn(0.9), 2)
-    sup_paths = sample_ensemble(fgn(0.9), 64, SEED, 100)
+    sup_records = _records(sample_ensemble(fgn(0.9), 64, SEED, 100), sup)
     with pytest.raises(RegimeError):
-        cf_gap_bound(sup, sup_paths, 1.0)
+        cf_gap_bound(sup, sup_records, 1.0)
     with pytest.raises(ValueError):
-        cf_gap_bound(spec, sup_paths, 1.0)
+        cf_gap_bound(spec, sup_records, 1.0)
+    with pytest.raises(ValueError):
+        malliavin_sample(paths[0], sup)
+    # Samples of another q are refused, not mixed with this spec's constants.
+    q3 = HermiteVariation(iid(), 3)
+    q3_paths = sample_ensemble(iid(), 64, SEED, 100)
+    q3_records = _records(q3_paths, q3)
+    for reducer in (co1_check, co2_check):
+        with pytest.raises(ValueError, match="spec"):
+            reducer(spec, q3_records)
+    with pytest.raises(ValueError, match="spec"):
+        cf_gap_bound(spec, q3_records, 1.0)
+    with pytest.raises(ValueError, match="spec"):
+        co2_check(q3, _records(q3_paths, spec))
+    # A path-dependent f'' needs the untruncated contraction on every sample.
+    lean = [malliavin_sample(p, q3, with_d2g=False) for p in q3_paths]
+    with pytest.raises(ValueError, match="D\\^2G"):
+        cf_gap_bound(q3, lean, 1.0)
+    truncated = [malliavin_sample(p, q3, L=8) for p in q3_paths]
+    with pytest.raises(ValueError, match="D\\^2G"):
+        co2_check(q3, truncated)
 
 
 def test_gebelein_arctan_holds():
     paths = sample_ensemble(fgn(0.7), 2048, SEED + 4, 200)
-    rows = gebelein_check(paths, np.arctan, range(21))
+    records = [lag_covariances(p, np.arctan, range(21)) for p in paths]
+    rows = gebelein_check(records, np.arctan, range(21))
     assert len(rows) == 21
     assert all(r.holds for r in rows)
     # lag 0 bound is Var f(N) itself and the sample variance sits on it
@@ -279,7 +316,12 @@ def test_gebelein_arctan_holds():
 def test_gebelein_lag_validation():
     paths = sample_ensemble(fgn(0.7), 32, SEED, 10)
     with pytest.raises(ValueError):
-        gebelein_check(paths, np.arctan, [32])
+        lag_covariances(paths[0], np.arctan, [32])
+    records = [lag_covariances(p, np.arctan, [0, 31]) for p in paths]
+    with pytest.raises(ValueError):
+        gebelein_check(records, np.arctan, [32])
+    with pytest.raises(ValueError):
+        gebelein_check(records, np.arctan, [0, 30])
     with pytest.raises(ValueError):
         gebelein_check([], np.arctan, [0])
 
@@ -292,6 +334,7 @@ def test_malliavin_sample_wiring():
     assert isinstance(s, MalliavinSample)
     assert s.n == 128 and s.L == 16
     assert s.dg_norm_sq == dg_norm_sq(p, spec)
+    assert s.g_n == build_gseries(p, spec).values[-1]
     assert s.truncation_bound > 0.0
     lean = malliavin_sample(p, spec, with_d2g=False)
     assert lean.d2g_contraction_norm_sq is None
@@ -300,8 +343,8 @@ def test_malliavin_sample_wiring():
 
 def test_cf_rows_csv():
     spec = HermiteVariation(iid(), 2)
-    paths = sample_ensemble(iid(), 64, SEED, 100)
-    rows = [cf_gap_bound(spec, paths, t) for t in (0.5, 1.0)]
+    records = _records(sample_ensemble(iid(), 64, SEED, 100), spec)
+    rows = [cf_gap_bound(spec, records, t) for t in (0.5, 1.0)]
     buf = io.StringIO()
     cf_rows_to_csv(rows, buf)
     lines = buf.getvalue().splitlines()
@@ -309,3 +352,89 @@ def test_cf_rows_csv():
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "64" and float(first[1]) == 0.5
+
+
+# Oracle: the path-based ensemble checks as they were before the per-path
+# map, each quantity recomputed from the paths themselves.
+def _oracle_d2g_mean(spec, paths):
+    if _second_derivative_constant(spec) is not None:
+        return d2g_contraction_norm_sq(paths[0], spec)[0]
+    return float(np.array([d2g_contraction_norm_sq(p, spec)[0] for p in paths]).mean())
+
+
+def _oracle_cf_gap_bound(spec, paths, t):
+    n = paths[0].n
+    gvals = np.array([build_gseries(p, spec).values[-1] for p in paths])
+    phases = np.exp(1j * t * gvals)
+    gap = abs(phases.mean() - math.exp(-t * t / 2.0))
+    m = len(paths)
+    se = math.sqrt((phases.real.var(ddof=1) + phases.imag.var(ddof=1)) / m)
+    dg4_mean = float((np.array([dg_norm_sq(p, spec) for p in paths]) ** 2).mean())
+    d2g_mean = _oracle_d2g_mean(spec, paths)
+    bound = 0.5 * abs(t) * math.sqrt(10.0) * d2g_mean**0.25 * dg4_mean**0.25
+    return CfGap(float(t), n, m, gap, se, bound, dg4_mean, d2g_mean)
+
+
+def _oracle_moment_check(name, vals, fourth, sigma4, rho_sum, power, n_div):
+    mean, se = _ensemble_stats(vals)
+    printed = fourth**0.25 * rho_sum**power / (sigma4 * n_div)
+    first = fourth * rho_sum**power / (sigma4 * n_div)
+    return MomentBoundCheck(name, mean, se, printed, first,
+                            _flag(mean, se, printed), _flag(mean, se, first))
+
+
+def _oracle_co_checks(spec, paths):
+    n = paths[0].n
+    sigma4 = (_normalizer_sq(spec, n) / n) ** 2
+    rho_sum = abs_rho_power_sum(spec.model, 1).value
+    dg4 = np.array([dg_norm_sq(p, spec) for p in paths]) ** 2
+    if _second_derivative_constant(spec) is not None:
+        d2g = np.array([d2g_contraction_norm_sq(paths[0], spec)[0]])
+    else:
+        d2g = np.array([d2g_contraction_norm_sq(p, spec)[0] for p in paths])
+    co1 = _oracle_moment_check(
+        "co1", dg4, _quad_fourth_moment(spec, "first"), sigma4, rho_sum, 2, 1)
+    co2 = _oracle_moment_check(
+        "co2", d2g, _quad_fourth_moment(spec, "second"), sigma4, rho_sum, 3, n)
+    return co1, co2
+
+
+def _oracle_gebelein(paths, f, lags):
+    n = paths[0].n
+    nodes, weights = _quad_rule(_QUAD_NODES)
+    fn = np.asarray(f(nodes), dtype=float)
+    mu = float(np.sum(weights * fn))
+    var = float(np.sum(weights * (fn - mu) ** 2))
+    per_rep = np.empty((len(paths), len(lags)))
+    for i, p in enumerate(paths):
+        centered = np.asarray(f(p.values), dtype=float) - mu
+        for j, r in enumerate(lags):
+            m = n - r
+            per_rep[i, j] = float(centered[:m] @ centered[r:]) / m
+    rho_vals = np.abs(rho_many(paths[0].model, np.array(lags)))
+    rows = []
+    for j, r in enumerate(lags):
+        mean, se = _ensemble_stats(per_rep[:, j])
+        bound = float(rho_vals[j]) * var
+        rows.append(GebeleinRow(r, mean, se, bound, abs(mean) <= bound + 4.0 * se))
+    return rows
+
+
+@pytest.mark.parametrize("spec,n", [
+    (HermiteVariation(fgn(0.3), 2), 1024),
+    (HermiteVariation(fgn(0.3), 3), 128),     # path-dependent f'', dense trace
+    (FbmScaled(0.3), 256),
+])
+def test_reducers_match_path_based_oracle(spec, n):
+    paths = sample_ensemble(spec.model, n, SEED + 11, 100)
+    records = _records(paths, spec)
+    for t in (0.5, 1.0, 2.0):
+        assert cf_gap_bound(spec, records, t) == _oracle_cf_gap_bound(spec, paths, t)
+    assert (co1_check(spec, records), co2_check(spec, records)) == _oracle_co_checks(spec, paths)
+
+
+def test_gebelein_reducer_matches_path_based_oracle():
+    lags = list(range(21))
+    paths = sample_ensemble(fgn(0.7), 512, SEED + 12, 40)
+    records = [lag_covariances(p, np.arctan, lags) for p in paths]
+    assert gebelein_check(records, np.arctan, lags) == _oracle_gebelein(paths, np.arctan, lags)
