@@ -58,6 +58,8 @@ __all__ = [
     "il_exact_row",
     "il_from_prefixes",
     "il_from_rows",
+    "contraction_keys",
+    "contraction_value",
     "criteria_diagnostic",
     "criteria_report_to_json",
     "ks_rows_to_csv",
@@ -527,26 +529,69 @@ def _npr_constant(q: int, r: int) -> float:
     )
 
 
-def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> CriteriaReport:
+def _criteria_grid(n_max: int):
+    return [g for g in geometric_grid(n_max) if g >= 2]
+
+
+def _lag_sum_key(q: int, r: int, n) -> tuple[int, int, int]:
+    return (min(r, q - r), max(r, q - r), int(n))
+
+
+def contraction_keys(spec: SequenceSpec, n_max: int, scan_ns=()) -> list[tuple[int, int, int]]:
+    """The distinct quartic lag-sum keys (a, b, n), a = min(r, q - r) and
+    b = max(r, q - r), whose contraction norms criteria_diagnostic(spec,
+    n_max) reduces, together with the order-1 key at every n of scan_ns (the
+    critical boundedness scan). Largest n first, since each costs O(n^2).
+    Empty unless spec is a HermiteVariation: no other spec has contractions.
+    """
+    if not isinstance(spec, HermiteVariation):
+        return []
+    q = spec.q
+    keys = {_lag_sum_key(q, r, g) for r in range(1, q) for g in _criteria_grid(n_max)}
+    keys |= {_lag_sum_key(q, 1, n) for n in scan_ns}
+    return sorted(keys, key=lambda key: (-key[2], key))
+
+
+def contraction_value(model: CovarianceModel, key: tuple[int, int, int]) -> float:
+    """||f_n (x)_r f_n||^2 for one lag-sum key (a, b, n) of order q = a + b.
+    It is the same float for r = a and r = b: both orders share the lag sum
+    S and the normalizer E[V_n^2]."""
+    a, b, n = key
+    return contraction_norm_sq(model, a + b, a, n).value
+
+
+def criteria_diagnostic(
+    spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N, contractions=None
+) -> CriteriaReport:
     """Numerical evidence for the four averaging conditions: decay of the
     second-derivative contraction (fourth root inside a log^2 series), the
     cross-covariance double series under a log^3 weight, and their fixed-
     chaos kernel forms. Fits and partial sums on geometric grids; verdicts
     are consistency flags, not proofs.
+
+    This is the reduce step. For a HermiteVariation spec it reads the kernel
+    contraction norms from `contractions`, a mapping from every key of
+    contraction_keys(spec, n_max) to its contraction_value; the CLI computes
+    those values as one pool task per key. Without the mapping they are
+    computed here, inline, by the same function. The cross covariances
+    E[G_k G_l] come from sequences.cross_covariance on the pair grid, each
+    pair once, shared by both envelope conditions.
     """
-    grid = [g for g in geometric_grid(n_max) if g >= 2]
+    grid = _criteria_grid(n_max)
     conditions: list[ConditionDiagnostic] = []
 
     supercritical = isinstance(spec, HermiteVariation) and spec.regime == "supercritical"
     # Kernel contraction norms per order r, shared by both fixed-chaos series.
-    contractions = (
-        {
-            r: np.array([contraction_norm_sq(spec.model, spec.q, r, g).value for g in grid])
+    per_order = {}
+    if isinstance(spec, HermiteVariation):
+        if contractions is None:
+            contractions = {
+                key: contraction_value(spec.model, key) for key in contraction_keys(spec, n_max)
+            }
+        per_order = {
+            r: np.array([contractions[_lag_sum_key(spec.q, r, g)] for g in grid])
             for r in range(1, spec.q)
         }
-        if isinstance(spec, HermiteVariation)
-        else {}
-    )
 
     # second-derivative contraction series
     if isinstance(spec, FbmScaled):
@@ -558,7 +603,7 @@ def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> C
         )
     elif isinstance(spec, HermiteVariation):
         vals = sum(
-            (_npr_constant(spec.q, r) * c for r, c in contractions.items()),
+            (_npr_constant(spec.q, r) * c for r, c in per_order.items()),
             np.zeros(len(grid)),
         )
         conditions.append(
@@ -607,7 +652,7 @@ def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> C
             _not_applicable(_KERNEL_NAME, "not applicable: mixed chaos orders")
         )
     else:
-        per_r = {r: np.sqrt(c) for r, c in contractions.items()}
+        per_r = {r: np.sqrt(c) for r, c in per_order.items()}
         fits = {r: _loglog_fit(grid, v)[0] for r, v in per_r.items()}
         vals = np.sum(np.array(list(per_r.values())), axis=0)
         detail = "slowest contraction order r = %d; per-order decay %s" % (
@@ -629,11 +674,9 @@ def criteria_diagnostic(spec: SequenceSpec, n_max: int = EXACT_DELTA_MAX_N) -> C
         )
     else:
         q = 1 if isinstance(spec, FbmScaled) else spec.q
-        pairs = _pair_grid(grid)
-        covs = np.array([cross_covariance(spec, k, l) for k, l in pairs]) / math.factorial(q)
         conditions.append(
             _envelope_condition(
-                _INNER_NAME, pairs, covs, n_max, 1.0 / math.factorial(q),
+                _INNER_NAME, pairs, covs / math.factorial(q), n_max, 1.0 / math.factorial(q),
                 "cross covariance divided by q!",
             )
         )

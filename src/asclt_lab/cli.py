@@ -2,10 +2,11 @@
 
 A run is fully determined by its config document. At workers > 1 a run
 opens one process pool that serves all of its stages: replicates, and the
-deterministic stages that run alongside them. Workers receive primitive
-tuples, rebuild their sequence spec locally, and return plain numbers that
-the parent merges in submission order, so report.json is byte-identical
-whatever the worker count. Wall clock facts (timestamps, worker count,
+deterministic stages that run alongside them. Replicate workers receive
+primitive tuples and rebuild their sequence spec locally; deterministic
+tasks receive the spec or covariance model itself. All return plain numbers
+or small records that the parent merges in submission order, so
+report.json is byte-identical whatever the worker count. Wall clock facts (timestamps, worker count,
 output directory) live in a separate run_meta.json and never touch the
 report.
 
@@ -37,6 +38,8 @@ from .asclt import (
     DeltaRow,
     IlDiagnostic,
     KsRow,
+    contraction_keys,
+    contraction_value,
     criteria_diagnostic,
     criteria_report_to_json,
     delta_rows_to_csv,
@@ -648,17 +651,6 @@ def _sep_worker(args):
     return harmonic_weighted_mean(np.arctan(g.values))
 
 
-def _criteria_worker(args):
-    """Criteria fits and the contraction * log n scan over kernel_grid (empty
-    unless critical) in one task, so both share one process's quartic
-    lag-sum cache."""
-    kind, H, q, fname, order, n_max, kernel_grid = args
-    spec = _build_spec(kind, H, q, fname, order)
-    crit = criteria_diagnostic(spec, n_max=n_max)
-    vals = [contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n) for n in kernel_grid]
-    return crit, vals
-
-
 def _submit(pool, fn, *args):
     """A zero-argument callable giving fn(*args): started now in the pool, or
     run inline when called if there is no pool."""
@@ -692,6 +684,31 @@ def _run_replicates(worker, items, pool, workers: int) -> tuple[list, list[str]]
     wait; in-order merge, failures collected. The pool is opened once per
     run by run_experiment and shared by every stage of the run."""
     return _start_replicates(worker, items, pool, workers)()
+
+
+def _start_criteria(spec, n_max: int, scan_ns, pool):
+    """Queue the criteria stage at min(n_max, _CRITERIA_N_CAP) in the run's
+    pool (None: inline). A HermiteVariation spec is a map over the distinct
+    quartic lag-sum keys, one contraction_value task each, largest n first;
+    criteria_diagnostic reduces them in the parent, and the contraction *
+    log n scan over scan_ns (empty unless critical) reads the same values.
+    Other specs have no contractions and run as one task. Returns a
+    zero-argument callable giving (CriteriaReport, scan values). A task's
+    error is raised from it as the run's error, not collected as a replicate
+    failure."""
+    n_max = min(n_max, _CRITERIA_N_CAP)
+    keys = contraction_keys(spec, n_max, scan_ns)
+    if not keys:
+        pending = _submit(pool, criteria_diagnostic, spec, n_max)
+        return lambda: (pending(), [])
+    values = [(key, _submit(pool, contraction_value, spec.model, key)) for key in keys]
+
+    def collect():
+        contractions = {key: value() for key, value in values}
+        scan = [contractions[(1, spec.q - 1, n)] * math.log(n) for n in scan_ns]
+        return criteria_diagnostic(spec, n_max, contractions), scan
+
+    return collect
 
 
 def _start_il_mc(cfg: ExperimentConfig, n_grid, pool):
@@ -783,8 +800,7 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
 
     # The deterministic stages are queued first so that they run alongside
     # the replicate fan-out; results merge below in the report's fixed order.
-    criteria_pending = _submit(pool, _criteria_worker, (
-        *_spec_args(cfg), min(cfg.n_max, _CRITERIA_N_CAP), tuple(kernel_grid)))
+    criteria_pending = _start_criteria(spec, cfg.n_max, kernel_grid, pool)
     if exact_il:
         # One task per t: the n = 4096 double sums dominate the fbm run.
         il_rows = [_submit(pool, il_exact_row, spec, t, il_grid) for t in cfg.t_grid]
@@ -864,8 +880,7 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     failures: list[str] = []
 
     # Every stage below is queued now and merged in report order.
-    criteria_pending = _submit(pool, _criteria_worker, (
-        *_spec_args(cfg), min(cfg.n_max, _CRITERIA_N_CAP), ()))
+    criteria_pending = _start_criteria(spec, cfg.n_max, (), pool)
     top = int(math.log2(cfg.n_max))
     levels = list(range(max(6, top - 6), top + 1, 2))
     zn_pending = _start_replicates(_zn_worker, [

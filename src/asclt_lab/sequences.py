@@ -39,6 +39,7 @@ from .hermite import (
     hermite_eval,
 )
 from .kernels import hermite_sum_variance, pair_lag_sum, v2_prefix
+from .memo import CACHE_BYTES, byte_bounded_cache
 
 REGIMES = ("subcritical", "critical", "supercritical")
 
@@ -160,6 +161,7 @@ def _check_normalizers(v2: np.ndarray, scale: np.ndarray) -> None:
         )
 
 
+@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (model, expansion, n)
 def _general_f_prefix_var(model, expansion, n):
     c = expansion.coeffs
     v2 = np.zeros(n)
@@ -322,6 +324,13 @@ def _expansion_pair_sum(model, expansion, k: int, l: int) -> float:
     return total
 
 
+@lru_cache(maxsize=4096)  # the diagonals (k, k) recur across every pair
+def _hermite_diagonal(model, q: int, k: int) -> float:
+    """E[V_k^2] of the order-q Hermite sum, the HermiteVariation counterpart
+    of _expansion_pair_sum(model, expansion, k, k)."""
+    return hermite_sum_variance(model, q, k)
+
+
 def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
     """Exact E[G_k G_l]; equals 1 at k = l for every sigma-normalized spec."""
     k, l = int(k), int(l)
@@ -341,8 +350,7 @@ def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
             )
         num = math.factorial(spec.q) * pair_lag_sum(spec.model, spec.q, k, l)
         den = math.sqrt(
-            hermite_sum_variance(spec.model, spec.q, k)
-            * hermite_sum_variance(spec.model, spec.q, l)
+            _hermite_diagonal(spec.model, spec.q, k) * _hermite_diagonal(spec.model, spec.q, l)
         )
         return num / den
     if isinstance(spec, GeneralF):

@@ -3,12 +3,15 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from asclt_lab import cli, malliavin
+from asclt_lab import asclt, cli, malliavin
 from asclt_lab.asclt import (
+    contraction_keys,
+    criteria_diagnostic,
     exact_gaussian_delta_sq,
     il_delta_prefixes,
     il_from_prefixes,
@@ -26,6 +29,7 @@ from asclt_lab.cli import (
 from asclt_lab.covariance import fgn
 from asclt_lab.gaussian_sim import sample_stationary
 from asclt_lab.hermite import expand
+from asclt_lab.kernels import contraction_norm_sq
 from asclt_lab.malliavin import (
     cf_gap_bound,
     co1_check,
@@ -34,7 +38,13 @@ from asclt_lab.malliavin import (
     lag_covariances,
     malliavin_sample,
 )
-from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, build_gseries
+from asclt_lab.sequences import (
+    FbmScaled,
+    GeneralF,
+    HermiteVariation,
+    build_gseries,
+    geometric_grid,
+)
 
 SEED = 20240821
 
@@ -425,22 +435,85 @@ def test_pooled_il_matches_serial_diagnostic(experiment, model, spec):
     assert failures == [] and il == expect
 
 
+def _assert_same_outputs(out1, out2):
+    """Every file two runs wrote, run_meta.json aside, byte for byte."""
+    names = sorted(p.name for p in out1.iterdir() if p.name != "run_meta.json")
+    assert names == sorted(p.name for p in out2.iterdir() if p.name != "run_meta.json")
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_asclt_reports_identical_across_workers(tmp_path):
-    for experiment, model in (
-        ("asclt_hermite_sub", {"H": 0.3, "q": 2}),
-        ("asclt_general_f", {"H": 0.3, "f": "arctan", "expansion_order": 9}),
-        ("asclt_hermite_crit", {"H": 0.75, "q": 2}),
-        ("asclt_fbm", {"H": 0.7}),
+    small = dict(n_max=256, n_grid=[16, 64, 256], seeds={"master_seed": SEED, "replicates": 6},
+                 t_grid=[0.5, 1.0])
+    for name, experiment, model, overrides in (
+        ("sub", "asclt_hermite_sub", {"H": 0.3, "q": 2}, {}),
+        ("sub_q3", "asclt_hermite_sub", {"H": 0.3, "q": 3}, {}),
+        ("general_f", "asclt_general_f", {"H": 0.3, "f": "arctan", "expansion_order": 9}, {}),
+        ("crit", "asclt_hermite_crit", {"H": 0.75, "q": 2}, {}),
+        ("fbm", "asclt_fbm", {"H": 0.7}, {}),
+        ("non_gaussian", "non_gaussian", {"H": 0.9, "q": 2},
+         {"seeds": {"master_seed": SEED, "replicates": 10}, "t_grid": [1.0]}),
     ):
-        doc = _doc(experiment, model=model, n_max=256, n_grid=[16, 64, 256],
-                   seeds={"master_seed": SEED, "replicates": 6}, t_grid=[0.5, 1.0])
-        cfg_path = _write_config(tmp_path, f"{experiment}.json", doc)
-        outs = [tmp_path / f"{experiment}-w{w}" for w in (1, 2)]
+        doc = _doc(experiment, model=model, **{**small, **overrides})
+        cfg_path = _write_config(tmp_path, f"{name}.json", doc)
+        outs = [tmp_path / f"{name}-w{w}" for w in (1, 2)]
         for w, out in zip((1, 2), outs):
             assert main(["run", "--config", cfg_path, "--out", str(out),
                          "--workers", str(w)]) in (0, 2)
-        for name in ("report.json", "ks.csv", "summary.txt"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        _assert_same_outputs(*outs)
+
+
+_CRITERIA_SPECS = [
+    HermiteVariation(fgn(H), q)
+    for q, Hs in ((2, (0.3, 0.75, 0.9)), (3, (0.3, 5 / 6, 0.9)), (4, (0.3, 7 / 8, 0.95)))
+    for H in Hs
+]
+
+
+def test_pooled_criteria_matches_inline():
+    assert sorted(spec.regime for spec in _CRITERIA_SPECS) == sorted(
+        ["subcritical", "critical", "supercritical"] * 3)
+    scan_ns = (64, 211, 256)
+    expect = {
+        spec: (criteria_diagnostic(spec, 256),
+               [contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n)
+                for n in scan_ns])
+        for spec in _CRITERIA_SPECS
+    }
+    for spec in _CRITERIA_SPECS:
+        assert cli._start_criteria(spec, 256, scan_ns, None)() == expect[spec]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        pending = {spec: cli._start_criteria(spec, 256, scan_ns, pool)
+                   for spec in _CRITERIA_SPECS}
+        for spec, collect in pending.items():
+            assert collect() == expect[spec]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_each_lag_sum_key_is_evaluated_once(monkeypatch, q):
+    # q = 4 has r = 1 and r = 3 on one key; the scan sizes 69 and 211 are
+    # also criteria grid points, 256 is not.
+    calls = []
+
+    def counting(model, q, r, n, method="auto"):
+        calls.append((min(r, q - r), max(r, q - r), n))
+        return contraction_norm_sq(model, q, r, n, method)
+
+    monkeypatch.setattr(asclt, "contraction_norm_sq", counting)
+    H = 1 - 1 / (2 * q)
+    cfg, errors = validate_config(_doc(
+        "asclt_hermite_crit", model={"H": H, "q": q}, n_max=256, n_grid=[16, 69, 211, 256],
+        seeds={"master_seed": SEED, "replicates": 2}, t_grid=[1.0]))
+    assert not errors
+    art = cli.run_experiment(cfg)
+    grid = [int(g) for g in geometric_grid(256) if g >= 2]
+    keys = {(min(r, q - r), max(r, q - r), g) for r in range(1, q) for g in grid}
+    keys |= {(1, q - 1, n) for n in (69, 211, 256)}
+    assert len(keys) == (q // 2) * len(grid) + 1
+    assert sorted(calls) == sorted(keys)
+    assert calls == contraction_keys(HermiteVariation(fgn(H), q), 256, (69, 211, 256))
+    assert art.report["kernel_log_bounded"]["n_grid"] == [69, 211, 256]
 
 
 def _small_malliavin(q=2, workers=1, replicates=100, t_grid=(1.0,)):
@@ -607,3 +680,20 @@ def test_criteria_error_is_reported_alike_across_workers(monkeypatch, tmp_path, 
                      "--workers", str(w)])
         seen.append((code, capsys.readouterr().err))
     assert seen[0] == seen[1] == (1, "error: criteria boom\n")
+
+
+def test_contraction_error_is_reported_alike_across_workers(monkeypatch, tmp_path, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("contraction boom")
+
+    monkeypatch.setattr(asclt, "contraction_norm_sq", boom)
+    doc = _doc("asclt_hermite_crit", model={"H": 0.75, "q": 2}, n_max=256,
+               n_grid=[16, 64, 256], seeds={"master_seed": SEED, "replicates": 6},
+               t_grid=[1.0])
+    cfg_path = _write_config(tmp_path, "c.json", doc)
+    seen = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}"
+        code = main(["run", "--config", cfg_path, "--out", str(out), "--workers", str(w)])
+        seen.append((code, capsys.readouterr().err, (out / "report.json").exists()))
+    assert seen[0] == seen[1] == (1, "error: contraction boom\n", False)

@@ -20,7 +20,9 @@ from asclt_lab.gaussian_sim import (
     sample_stationary,
 )
 from asclt_lab.hermite import ConstantFunctionError, expand
-from asclt_lab.kernels import pair_lag_sum, v2_prefix
+from asclt_lab import sequences
+from asclt_lab.asclt import _pair_grid
+from asclt_lab.kernels import hermite_sum_variance, pair_lag_sum, v2_prefix
 from asclt_lab.covariance import abs_rho_power_sum
 from asclt_lab.sequences import (
     FbmScaled,
@@ -251,6 +253,41 @@ def test_general_f_cross_covariance_matches_per_order_loop():
             v2a += w * pair_lag_sum(spec.model, order, a, a)
             v2b += w * pair_lag_sum(spec.model, order, b, b)
         assert cross_covariance(spec, k, l) == num / math.sqrt(v2a * v2b)
+
+
+def test_hermite_cross_covariance_computes_each_normalizer_once(monkeypatch):
+    """Over the criteria pair grid every E[V_k^2] is computed once, and each
+    value is bit-equal to the formula with two direct normalizer calls."""
+    calls = []
+
+    def counting(model, q, n):
+        calls.append((model, q, n))
+        return hermite_sum_variance(model, q, n)
+
+    monkeypatch.setattr(sequences, "hermite_sum_variance", counting)
+    sequences._hermite_diagonal.cache_clear()
+    model = fgn(0.3)
+    spec = HermiteVariation(model, 2)
+    pairs = _pair_grid([int(g) for g in geometric_grid(1024) if g >= 2])
+    got = [cross_covariance(spec, k, l) for k, l in pairs]
+    distinct = {n for pair in pairs for n in pair}
+    assert sorted(n for _, _, n in calls) == sorted(distinct)
+    for (k, l), value in zip(pairs, got):
+        den = math.sqrt(hermite_sum_variance(model, 2, k) * hermite_sum_variance(model, 2, l))
+        assert value == 2 * pair_lag_sum(model, 2, k, l) / den
+
+
+def test_general_f_prefix_variance_is_cached_read_only():
+    spec = GeneralF(fgn(0.3), expand(np.arctan, qmax=9))
+    c = spec.expansion.coeffs
+    expect = np.zeros(1000)
+    for order in range(1, spec.expansion.qmax + 1):
+        if c[order] != 0.0:
+            expect += c[order] ** 2 * v2_prefix(spec.model, order, 1000)
+    v2 = sequences._general_f_prefix_var(spec.model, spec.expansion, 1000)
+    assert not v2.flags.writeable
+    assert np.array_equal(v2, expect)
+    assert sequences._general_f_prefix_var(spec.model, spec.expansion, 1000) is v2
 
 
 def test_fbm_covariance_decay_bound():
