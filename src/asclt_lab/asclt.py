@@ -7,6 +7,11 @@ Gaussian second moments, and numerical summability diagnostics for the
 averaging criteria. Verdicts are trend evidence, never proofs: a series
 whose partial sums flatten on a finite grid is reported "consistent",
 anything else "flagged".
+
+The standard normal CDF is `_ndtr`, a NumPy transcription of the Cephes
+`ndtr`/`erf`/`erfc` (Moshier, *Methods and Programs for Mathematical
+Functions*, 1989) that `scipy.special.ndtr` also evaluates, so a run needs
+no compiled special-function library.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .covariance import CovarianceModel, abs_rho_power_sum
 from .gaussian_sim import GaussianPath, sample_stationary
@@ -135,12 +139,114 @@ def empirical_target(values, weights=None) -> EmpiricalTarget:
 
 
 def _grouped_cdf(values: np.ndarray, weights: np.ndarray):
-    """Unique jump points with CDF just after and just before each jump."""
-    uniq, counts = np.unique(values, return_counts=True)
-    cum = np.cumsum(weights)
-    hi = cum[np.cumsum(counts) - 1]
+    """Jump points of sorted `values` with the CDF just after and just
+    before each jump; each run of ties is one jump, as in `np.unique`."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    # A run ends where the next one starts; the last run ends at the end.
+    hi = np.cumsum(weights)[np.roll(first, -1)]
     lo = np.concatenate(([0.0], hi[:-1]))
-    return uniq, hi, lo
+    return values[first], hi, lo
+
+
+# Cephes ndtr.c coefficients: erfc = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and
+# R(x)/S(x) for x >= 8; erf = x T(x^2)/U(x^2) for |x| < 1. Q, S and U are
+# monic, their leading 1 omitted (p1evl).
+_NDTR_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_NDTR_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_NDTR_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_NDTR_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_NDTR_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_NDTR_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erfc_tail(z: np.ndarray) -> np.ndarray:
+    """Cephes erfc for z >= 1: exp(-z^2) P/Q below 8 and R/S from 8 on,
+    0 once -z^2 < -MAXLOG. NaN fails every comparison and stays NaN."""
+    minus_sq = -z * z
+    out = np.zeros_like(z)
+    live = ~(minus_sq < -_MAXLOG)
+    zl = z[live]
+    e = np.exp(minus_sq[live])
+    near = zl < 8.0
+    for sel, num, den in ((near, _NDTR_P, _NDTR_Q), (~near, _NDTR_R, _NDTR_S)):
+        if sel.any():
+            zs = zl[sel]
+            y = e[sel]
+            y *= _polevl(zs, num)
+            y /= _p1evl(zs, den)
+            e[sel] = y
+    out[live] = e
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, Cephes `ndtr` branch for branch.
+
+    With x = a/sqrt(2): |x| < 1 goes through erf(x); otherwise erfc(|x|)
+    gives the lower tail and its complement the upper one. NaN maps to NaN
+    and -inf, +inf to 0, 1. Each branch is evaluated only on its own points,
+    in place where the operation order allows it (the same roundings).
+    """
+    x = np.asarray(a, dtype=float) * math.sqrt(0.5)
+    out = np.empty_like(x)
+    mid = (x > -1.0) & (x < 1.0)  # |x| < 1
+    xm = x[mid]
+    zz = xm * xm
+    y = _polevl(zz, _NDTR_T)
+    y *= xm
+    y /= _p1evl(zz, _NDTR_U)
+    y *= 0.5
+    y += 0.5
+    out[mid] = y
+    tail = ~mid
+    if tail.any():
+        xt = x[tail]
+        half = _erfc_tail(np.abs(xt))
+        half *= 0.5
+        upper = xt > 0.0
+        half[upper] = 1.0 - half[upper]
+        out[tail] = half
+    return out
 
 
 def ks_distance(m: LogAveragedMeasure, target="std_normal") -> float:
@@ -156,7 +262,7 @@ def ks_distance(m: LogAveragedMeasure, target="std_normal") -> float:
     if isinstance(target, str):
         if target != "std_normal":
             raise ValueError(f"unknown target {target!r}")
-        phi = ndtr(uniq)
+        phi = _ndtr(uniq)
         return float(np.maximum(np.abs(hi - phi), np.abs(lo - phi)).max())
     if not isinstance(target, EmpiricalTarget):
         raise TypeError("target must be 'std_normal' or an EmpiricalTarget")

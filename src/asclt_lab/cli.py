@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.median loads it on first use)
 import scipy
 
 from . import __version__

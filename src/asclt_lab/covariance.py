@@ -40,6 +40,7 @@ __all__ = [
     "power_tail_summable",
     "model_to_json",
     "model_from_json",
+    "symmetric_toeplitz",
 ]
 
 
@@ -162,6 +163,16 @@ def rho_many(model: CovarianceModel, lags) -> np.ndarray:
     for k, v in model.values:
         out[np.abs(lags) == k] = v
     return out
+
+
+def symmetric_toeplitz(col) -> np.ndarray:
+    """The n x n matrix T[i, j] = col[|i - j|], copied from the windows
+    of one length-(2n - 1) buffer rather than gathered by an index array."""
+    col = np.asarray(col)
+    n = col.size
+    full = np.concatenate([col[:0:-1], col])  # full[n - 1 + d] = col[|d|]
+    # Row i is full[n - 1 - i : 2n - 1 - i], the window starting at n - 1 - i.
+    return np.lib.stride_tricks.sliding_window_view(full, n)[::-1].copy()
 
 
 def rho(model: CovarianceModel, r: int) -> float:

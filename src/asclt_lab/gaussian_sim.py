@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.fft  # noqa: F401  (loaded at import, not on the first path)
+import numpy.random  # noqa: F401  (loaded at import, not on the first path)
 
-from .covariance import CovarianceModel, rho_many
+from .covariance import CovarianceModel, rho_many, symmetric_toeplitz
 from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
@@ -89,6 +90,10 @@ class NormalStream:
         if n == 0:
             return np.empty(0)
         if self.method == "inverse":
+            # Imported on use: no default run draws inverse normals, and
+            # scipy.special is slow to import.
+            from scipy.special import ndtri
+
             return ndtri(self._uniforms(n))
         while self._buffered < n:
             # Acceptance rate is pi/4, i.e. ~1.57 normals per pair.
@@ -164,9 +169,7 @@ def _synthesize_circulant(lam: np.ndarray, draws: np.ndarray, n: int) -> np.ndar
 
 @byte_bounded_cache(CACHE_BYTES)
 def _cholesky_factor(model: CovarianceModel, n: int) -> np.ndarray:
-    from scipy.linalg import toeplitz
-
-    sigma = toeplitz(rho_many(model, np.arange(n)))
+    sigma = symmetric_toeplitz(rho_many(model, np.arange(n)))
     for jitter in (0.0, 1e-12):
         try:
             return np.linalg.cholesky(sigma + jitter * np.eye(n))

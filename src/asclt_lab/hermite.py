@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial  # noqa: F401  (loaded at import, not on the first call)
 
 __all__ = [
     "MAX_ORDER",

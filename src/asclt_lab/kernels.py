@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded at import, not on the first call)
 
-from .covariance import CovarianceModel, model_to_json, rho_many
+from .covariance import CovarianceModel, model_to_json, rho_many, symmetric_toeplitz
 from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
@@ -111,15 +112,9 @@ def _contract_sum_bruteforce(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
     return total
 
 
-def _toeplitz(first_col: np.ndarray) -> np.ndarray:
-    from scipy.linalg import toeplitz
-
-    return toeplitz(first_col)
-
-
 def _contract_sum_dense(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
-    P = _toeplitz(pr)
-    Q = _toeplitz(pqr)
+    P = symmetric_toeplitz(pr)
+    Q = symmetric_toeplitz(pqr)
     M = P @ Q
     return float(np.sum(M * M.T))
 
@@ -226,6 +221,7 @@ def contraction_norm_sq(
 
 def pair_lag_sum(model: CovarianceModel, q: int, k: int, l: int) -> float:
     """sum_{i<=k, j<=l} rho(i-j)^q via lag multiplicities, O(k+l)."""
+    k, l = int(k), int(l)
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if q < 1:
@@ -299,7 +295,7 @@ def kernel_stats_to_json(stats: KernelStats) -> str:
 
 
 def gram_matrix(model: CovarianceModel, dim: int) -> np.ndarray:
-    return _toeplitz(rho_many(model, np.arange(dim)))
+    return symmetric_toeplitz(rho_many(model, np.arange(dim)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceModel, abs_rho_power_sum, rho_many
+from .covariance import CovarianceModel, abs_rho_power_sum, rho_many, symmetric_toeplitz
 from .gaussian_sim import GaussianPath
 from .hermite import _quad_rule, derivative_coeffs, evaluate_expansion, hermite_eval
 from .kernels import (
     _quartic_lag_sum,
-    _toeplitz,
     _toeplitz_apply,
     _toeplitz_columns,
     _toeplitz_matvec,
@@ -228,7 +227,7 @@ def dg_norm_sq_truncated(
 def _weighted_quartic_trace(g: np.ndarray, b: np.ndarray, n: int) -> float:
     # tr((TR)^2) = sum_{k,j} b_k b_j (RDR)_{kj}^2 with T = D R D.
     if n <= _DENSE_TRACE_MAX_N:
-        R = _toeplitz(g)
+        R = symmetric_toeplitz(g)
         M = R @ (b[:, None] * R)
         return float(b @ (M * M) @ b)
     spec = _toeplitz_spectrum(g, n)

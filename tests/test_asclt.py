@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from asclt_lab import asclt
 from asclt_lab.asclt import (
     DeltaRow,
     KsRow,
@@ -109,6 +110,58 @@ def test_ks_between_step_functions():
     )
     target = empirical_target(np.array([0.5]))
     assert ks_distance(m, target) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def test_grouped_cdf_matches_unique_with_ties():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 5, 1000):
+        values = np.sort(np.round(rng.standard_normal(size), 1))
+        weights = rng.random(size)
+        uniq, counts = np.unique(values, return_counts=True)
+        cum = np.cumsum(weights)
+        want_hi = cum[np.cumsum(counts) - 1]
+        got_uniq, got_hi, got_lo = asclt._grouped_cdf(values, weights)
+        assert np.array_equal(got_uniq, uniq)
+        assert np.array_equal(got_hi, want_hi)
+        assert np.array_equal(got_lo, np.concatenate(([0.0], want_hi[:-1])))
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_ndtr_matches_scipy_cephes():
+    # Bit-equal where Cephes takes erf (no exp); elsewhere NumPy's exp may
+    # round differently from libm's by an ulp, which stays within 4 ulp.
+    edge = math.sqrt(2.0 * asclt._MAXLOG)  # -x^2/2 < -MAXLOG below -edge
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        rng.uniform(-40.0, 40.0, 1_000_000),
+        np.linspace(-40.0, 40.0, 80_001),
+        [-edge, np.nextafter(-edge, 0.0), np.nextafter(-edge, -np.inf), edge],
+        [math.sqrt(2.0), -math.sqrt(2.0), np.nextafter(math.sqrt(2.0), 0.0)],
+        [8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0), 5e-324, -5e-324],
+    ])
+    got, want = asclt._ndtr(x), ndtr(x)
+    inner = np.abs(x) < math.sqrt(2.0)
+    assert np.array_equal(got[inner], want[inner])
+    assert _ulps(got[~inner], want[~inner]).max() <= 4.0
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -38.0, -40.0])
+    assert np.array_equal(asclt._ndtr(specials), ndtr(specials), equal_nan=True)
+
+
+def test_ndtr_accuracy_against_mpmath():
+    # Relative error against 40-digit mpmath.ncdf is no worse than
+    # scipy.special.ndtr's own on the same points, up to 4 eps.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(9)
+    for lo, hi in ((-5.0, 5.0), (-20.0, -5.0), (-37.5, -20.0)):
+        x = np.concatenate([np.linspace(lo, hi, 1000, endpoint=False), rng.uniform(lo, hi, 1000)])
+        exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in x])
+        ours = np.max(np.abs(asclt._ndtr(x) - exact) / exact)
+        theirs = np.max(np.abs(ndtr(x) - exact) / exact)
+        assert ours <= theirs + 4 * np.finfo(float).eps, (lo, hi, ours, theirs)
 
 
 def test_harmonic_weighted_mean_manual():

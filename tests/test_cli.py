@@ -4,6 +4,10 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -697,3 +701,43 @@ def test_contraction_error_is_reported_alike_across_workers(monkeypatch, tmp_pat
         code = main(["run", "--config", cfg_path, "--out", str(out), "--workers", str(w)])
         seen.append((code, capsys.readouterr().err, (out / "report.json").exists()))
     assert seen[0] == seen[1] == (1, "error: contraction boom\n", False)
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import asclt_lab.cli as cli
+from asclt_lab.gaussian_sim import NormalStream
+
+heavy = ("scipy.special", "scipy.linalg")
+out = {"import": [m for m in heavy if m in sys.modules]}
+loaded = set(sys.modules)
+codes = [cli.main(["run", "--config", c, "--out", c + ".out", "--workers", "1"])
+         for c in sys.argv[1:]]
+out["runs"] = [m for m in heavy if m in sys.modules]
+out["new_numpy"] = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "numpy")
+out["codes"] = codes
+out["inverse"] = NormalStream(1, 0, "inverse").normals(4).tolist()
+print(json.dumps(out))
+"""
+
+
+def test_runs_import_no_scipy_special_or_linalg(tmp_path):
+    # A fresh interpreter: the test process itself has imported scipy.
+    seeds = {"master_seed": SEED, "replicates": 100}
+    docs = {
+        "f.json": _doc("asclt_general_f", n_max=256, n_grid=[16, 64, 256], t_grid=[1.0],
+                       seeds={"master_seed": SEED, "replicates": 10}),
+        "m.json": _doc("malliavin_bounds", n_max=256, n_grid=[256], t_grid=[0.5], seeds=seeds),
+        "d.json": _doc("delta_exactness", n_max=256, n_grid=[256], t_grid=[1.0], seeds=seeds),
+    }
+    configs = [_write_config(tmp_path, name, doc) for name, doc in docs.items()]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, *configs], env=env,
+                          capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["import"] == [] and out["runs"] == []
+    assert out["new_numpy"] == []
+    assert all(code in (0, 2) for code in out["codes"])
+    assert len(out["inverse"]) == 4 and all(math.isfinite(v) for v in out["inverse"])

@@ -23,6 +23,7 @@ from asclt_lab.covariance import (
     rho_asymptotic,
     rho_many,
     signed_rho_power_sum,
+    symmetric_toeplitz,
     table,
 )
 
@@ -267,3 +268,14 @@ def test_json_round_trip():
         model_from_json('{"kind": "fgn", "H": 0.7, "extra": 1}')
     with pytest.raises(ValueError):
         model_from_json('{"kind": "mystery"}')
+
+
+def test_symmetric_toeplitz_matches_scipy():
+    from scipy.linalg import toeplitz
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 2048):
+        for col in (rho_many(fgn(0.7), np.arange(n)), rng.standard_normal(n)):
+            got = symmetric_toeplitz(col)
+            assert np.array_equal(got, toeplitz(col)), n
+            assert got.flags.c_contiguous and got.flags.writeable

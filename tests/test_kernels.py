@@ -30,6 +30,7 @@ from asclt_lab.kernels import (
     pair_lag_sum,
     v2_prefix,
 )
+from asclt_lab.sequences import geometric_grid
 
 MODELS = [iid(), fgn(0.3), fgn(0.75)]
 # MA(2) autocorrelation, so Toeplitz(rho^s) is positive semidefinite.
@@ -90,6 +91,13 @@ def test_pair_lag_sum_matches_explicit_double_sum():
                 got = pair_lag_sum(model, q, k, l)
                 assert got == pytest.approx(direct, rel=1e-13, abs=1e-15), (model, q, k, l)
                 assert pair_lag_sum(model, q, k, l) == got
+
+
+def test_pair_lag_sum_accepts_grid_integers():
+    grid = geometric_grid(300)
+    assert grid.dtype == np.int64
+    for k, l in ((grid[3], grid[-1]), (grid[-1], grid[-1]), (grid[-2], grid[5])):
+        assert pair_lag_sum(fgn(0.3), 2, k, l) == pair_lag_sum(fgn(0.3), 2, int(k), int(l))
 
 
 def test_bruteforce_iid_value():
