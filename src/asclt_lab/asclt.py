@@ -26,6 +26,7 @@ from .covariance import CovarianceModel, abs_rho_power_sum
 from .gaussian_sim import GaussianPath, sample_stationary
 from .kernels import contraction_norm_sq
 from .malliavin import _normalizer_sq, _quad_fourth_moment
+from .memo import CACHE_BYTES, byte_bounded_cache
 from .sequences import (
     FbmScaled,
     GeneralF,
@@ -289,15 +290,30 @@ def harmonic_weighted_mean(values: np.ndarray) -> float:
 # The log-averaged characteristic-function statistic.
 
 
-def delta_stat(g: GSeries, t: float, target_cf=None) -> complex:
-    """(1/log n) sum_{k<=n} (1/k)(e^{itG_k} - cf(t)), cf defaulting to e^{-t^2/2}."""
+@byte_bounded_cache(CACHE_BYTES)
+def _inverse_k(n: int) -> np.ndarray:
+    """1/k for k = 1..n."""
+    return 1.0 / np.arange(1.0, n + 1.0)
+
+
+def delta_stat(g: GSeries, t: float, target_cf=None):
+    """(1/log n) sum_{k<=n} (1/k)(e^{itG_k} - cf(t)), cf defaulting to e^{-t^2/2}.
+
+    A complex for one series; for a block series (values of shape (B, n))
+    the array of the B rows' values, each bit-identical to its row alone:
+    the exponential and the weighting are elementwise and each row is summed
+    on its own. Dividing a complex by k + 0j is, in NumPy, a multiplication
+    by 1/k, so the weights are one cached row of 1/k."""
     n = g.n
     if n < 2:
         raise ValueError("need n >= 2")
     target = math.exp(-t * t / 2.0) if target_cf is None else complex(target_cf(t))
-    k = np.arange(1.0, n + 1.0)
-    total = np.sum((np.exp(1j * t * g.values) - target) / k)
-    return complex(total / math.log(n))
+    terms = 1j * t * g.values
+    np.exp(terms, out=terms)
+    terms -= target
+    terms *= _inverse_k(n)
+    total = np.sum(terms, axis=-1) / math.log(n)
+    return complex(total) if total.ndim == 0 else total
 
 
 def delta_stat_prefixes(g: GSeries, t: float, n_grid, target_cf=None) -> np.ndarray:

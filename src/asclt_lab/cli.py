@@ -3,7 +3,8 @@
 A run is fully determined by its config document. At workers > 1 a run
 opens one process pool that serves all of its stages: replicates, and the
 deterministic stages that run alongside them. Replicate workers receive
-primitive tuples and rebuild their sequence spec locally; deterministic
+primitive tuples naming a block of replicate ids (about 2^16 sampled points
+per block) and rebuild their sequence spec locally; deterministic
 tasks receive the spec or covariance model itself. All return plain numbers
 or small records that the parent merges in submission order, so
 report.json is byte-identical whatever the worker count. Wall clock facts (timestamps, worker count,
@@ -56,7 +57,7 @@ from .asclt import (
     log_average_measure,
 )
 from .covariance import fgn
-from .gaussian_sim import sample_fbm_grid, sample_stationary
+from .gaussian_sim import block_rows, sample_ensemble, sample_fbm_grid, sample_stationary
 from .hermite import expand, resolve_test_function
 from .kernels import contraction_norm_sq
 from .malliavin import (
@@ -595,11 +596,24 @@ def _spec_args(cfg: ExperimentConfig) -> tuple:
 
 
 def _guard(fn, args):
-    rep = args[-1]
+    """fn over the replicate block (..., first, count) of args, as one
+    (status, payload) per replicate. A block that raises is re-run one
+    replicate at a time, so each failure names its own replicate id, the
+    same whatever the worker count."""
+    *head, first, count = args
     try:
-        return ("ok", fn(args))
+        return [("ok", result) for result in fn(args)]
     except Exception as exc:  # noqa: BLE001 - reported per replicate
-        return ("err", f"replicate {rep}: {type(exc).__name__}: {exc}")
+        if count == 1:
+            return [("err", f"replicate {first}: {type(exc).__name__}: {exc}")]
+    return [row for rep in range(first, first + count) for row in _guard(fn, (*head, rep, 1))]
+
+
+def _each_replicate(worker, args):
+    """A one-replicate worker (args ending in the replicate id) over the
+    block (..., first, count)."""
+    *head, first, count = args
+    return [worker((*head, rep)) for rep in range(first, first + count)]
 
 
 def _ks_prefix_worker(args):
@@ -618,24 +632,25 @@ def _il_worker(args):
 
 
 def _delta_worker(args):
-    kind, H, q, fname, order, n, t_grid, seed, rep = args
+    kind, H, q, fname, order, n, t_grid, seed, first, count = args
     spec = _build_spec(kind, H, q, fname, order)
-    path = sample_stationary(spec.model, n, seed, rep)
-    g = build_gseries(path, spec)
-    return tuple(delta_stat(g, t) for t in t_grid)
+    g = build_gseries(sample_ensemble(spec.model, n, seed, count, first), spec)
+    return list(zip(*(delta_stat(g, t).tolist() for t in t_grid)))
 
 
 def _malliavin_worker(args):
-    H, q, n, seed, rep = args
+    H, q, n, seed, first, count = args
     spec = HermiteVariation(fgn(H), q)
-    path = sample_stationary(spec.model, n, seed, rep)
-    return malliavin_sample(path, spec, with_d2g=d2g_depends_on_path(spec))
+    with_d2g = d2g_depends_on_path(spec)
+    return [malliavin_sample(path, spec, with_d2g=with_d2g)
+            for path in sample_ensemble(spec.model, n, seed, count, first)]
 
 
 def _gebelein_worker(args):
-    H, n, seed, rep = args
-    path = sample_stationary(fgn(H), n, seed, rep)
-    return lag_covariances(path, np.arctan, range(_GEBELEIN_MAX_LAG + 1))
+    H, n, seed, first, count = args
+    lags = range(_GEBELEIN_MAX_LAG + 1)
+    return [lag_covariances(path, np.arctan, lags)
+            for path in sample_ensemble(fgn(H), n, seed, count, first)]
 
 
 def _zn_worker(args):
@@ -660,12 +675,17 @@ def _submit(pool, fn, *args):
     return pool.submit(fn, *args).result
 
 
-def _start_replicates(worker, items, pool, workers: int):
-    """Queue a guarded worker over items in the run's pool (None: inline).
-    Returns a zero-argument callable giving (results, failures), merged in
-    item order; without a pool the items run when it is called."""
+def _start_replicates(worker, head: tuple, replicates: int, n: int, pool, workers: int):
+    """Queue a guarded block worker over replicate ids 0..replicates-1 in
+    the run's pool (None: inline). Each item is the block (*head, first,
+    count) of block_rows(n) ids, n the path length, and the worker returns
+    one result per replicate. Returns a zero-argument callable giving
+    (results, failures), merged in replicate order; without a pool the
+    blocks run when it is called."""
     fn = functools.partial(_guard, worker)
-    items = list(items)
+    step = block_rows(n)
+    items = [(*head, first, min(step, replicates - first))
+             for first in range(0, replicates, step)]
     queued = None
     if pool is not None and len(items) > 1:
         chunk = max(1, math.ceil(len(items) / (8 * workers)))
@@ -673,18 +693,21 @@ def _start_replicates(worker, items, pool, workers: int):
 
     def collect() -> tuple[list, list[str]]:
         results, failures = [], []
-        for status, payload in map(fn, items) if queued is None else queued:
-            (results if status == "ok" else failures).append(payload)
+        for block in map(fn, items) if queued is None else queued:
+            for status, payload in block:
+                (results if status == "ok" else failures).append(payload)
         return results, failures
 
     return collect
 
 
-def _run_replicates(worker, items, pool, workers: int) -> tuple[list, list[str]]:
-    """Map a guarded worker over items in the run's pool (None: inline) and
-    wait; in-order merge, failures collected. The pool is opened once per
-    run by run_experiment and shared by every stage of the run."""
-    return _start_replicates(worker, items, pool, workers)()
+def _run_replicates(worker, head: tuple, replicates: int, n: int, pool,
+                    workers: int) -> tuple[list, list[str]]:
+    """Map a guarded block worker over the replicates in the run's pool
+    (None: inline) and wait; in-order merge, failures collected. The pool is
+    opened once per run by run_experiment and shared by every stage of the
+    run."""
+    return _start_replicates(worker, head, replicates, n, pool, workers)()
 
 
 def _start_criteria(spec, n_max: int, scan_ns, pool):
@@ -716,11 +739,9 @@ def _start_il_mc(cfg: ExperimentConfig, n_grid, pool):
     """Monte-Carlo il diagnostic, one il_delta_prefixes per replicate;
     replicate ids and seed match asclt.il_series_diagnostic's ensemble.
     Returns a zero-argument callable giving (IlDiagnostic, failures)."""
-    items = [
-        (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid), cfg.master_seed + _SEED_IL, rep)
-        for rep in range(cfg.replicates)
-    ]
-    pending = _start_replicates(_il_worker, items, pool, cfg.workers)
+    head = (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid), cfg.master_seed + _SEED_IL)
+    pending = _start_replicates(functools.partial(_each_replicate, _il_worker), head,
+                                cfg.replicates, n_grid[-1], pool, cfg.workers)
 
     def collect() -> tuple[IlDiagnostic, list[str]]:
         prefixes, failures = pending()
@@ -807,11 +828,10 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         il_rows = [_submit(pool, il_exact_row, spec, t, il_grid) for t in cfg.t_grid]
     else:
         il_mc = _start_il_mc(cfg, il_grid, pool)
-    items = [
-        (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS, rep)
-        for rep in range(cfg.replicates)
-    ]
-    ks_rows, failures = _run_replicates(_ks_prefix_worker, items, pool, cfg.workers)
+    ks_rows, failures = _run_replicates(
+        functools.partial(_each_replicate, _ks_prefix_worker),
+        (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS),
+        cfg.replicates, cfg.n_grid[-1], pool, cfg.workers)
     summary: list[str] = []
     report: dict = {"spec": _spec_dict(spec)}
     pieces: list[bool] = []
@@ -884,19 +904,16 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     criteria_pending = _start_criteria(spec, cfg.n_max, (), pool)
     top = int(math.log2(cfg.n_max))
     levels = list(range(max(6, top - 6), top + 1, 2))
-    zn_pending = _start_replicates(_zn_worker, [
-        (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN, rep)
-        for rep in range(cfg.replicates)
-    ], pool, cfg.workers)
+    zn_pending = _start_replicates(
+        functools.partial(_each_replicate, _zn_worker),
+        (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN),
+        cfg.replicates, cfg.n_max, pool, cfg.workers)
     sep_n = min(cfg.n_max, cfg.n_grid[-1])
-    sup_pending = _start_replicates(_sep_worker, [
-        (H, q, sep_n, cfg.master_seed + _SEED_SEP_SUP, rep)
-        for rep in range(cfg.replicates)
-    ], pool, cfg.workers)
-    sub_pending = _start_replicates(_sep_worker, [
-        (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB, rep)
-        for rep in range(cfg.replicates)
-    ], pool, cfg.workers)
+    sep = functools.partial(_each_replicate, _sep_worker)
+    sup_pending = _start_replicates(sep, (H, q, sep_n, cfg.master_seed + _SEED_SEP_SUP),
+                                    cfg.replicates, sep_n, pool, cfg.workers)
+    sub_pending = _start_replicates(sep, (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB),
+                                    cfg.replicates, sep_n, pool, cfg.workers)
     il_pending = _start_il_mc(cfg, cfg.n_grid, pool)
 
     # Deterministic second-moment convergence of the dyadic-level statistic.
@@ -1010,15 +1027,13 @@ def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
 def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
     spec = FbmScaled(cfg.model["H"])
     z_max = float(cfg.tolerances.get("z_max", 4.0))
-    items = [
-        (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed, rep)
-        for rep in range(cfg.replicates)
-    ]
     # The closed-form rows are queued first so that they run alongside the
     # replicate fan-out.
     exact_pending = [_submit(pool, exact_gaussian_delta_sq, spec, cfg.n_max, t)
                      for t in cfg.t_grid]
-    vals, failures = _run_replicates(_delta_worker, items, pool, cfg.workers)
+    vals, failures = _run_replicates(
+        _delta_worker, (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed),
+        cfg.replicates, cfg.n_max, pool, cfg.workers)
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     rows, drows, worst = [], [], 0.0
@@ -1054,13 +1069,13 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     z_max = float(cfg.tolerances.get("z_max", 4.0))
     # Both fan-outs are queued up front; each worker reduces its path to
     # scalars, which merge below in replicate order.
-    pending = _start_replicates(_malliavin_worker, [
-        (H, q, cfg.n_max, cfg.master_seed + _SEED_PATHS, rep) for rep in range(cfg.replicates)
-    ], pool, cfg.workers)
-    geb_pending = _start_replicates(_gebelein_worker, [
-        (_GEBELEIN_H, min(cfg.n_max, 2048), cfg.master_seed + _SEED_GEBELEIN, rep)
-        for rep in range(cfg.replicates)
-    ], pool, cfg.workers)
+    pending = _start_replicates(
+        _malliavin_worker, (H, q, cfg.n_max, cfg.master_seed + _SEED_PATHS),
+        cfg.replicates, cfg.n_max, pool, cfg.workers)
+    geb_n = min(cfg.n_max, 2048)
+    geb_pending = _start_replicates(
+        _gebelein_worker, (_GEBELEIN_H, geb_n, cfg.master_seed + _SEED_GEBELEIN),
+        cfg.replicates, geb_n, pool, cfg.workers)
     records, failures = pending()
     failures = [f"malliavin {f}" for f in failures]
     if not records:

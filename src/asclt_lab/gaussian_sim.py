@@ -9,11 +9,24 @@ derived from a counter-based generator keyed by (master_seed, replicate_id),
 and uniform-to-normal conversion is pinned to an explicit polar or inverse
 transform built on the raw 64-bit stream, so identical seed tuples give
 bit-identical paths on any platform and under any call order.
+
+Replicates are sampled in blocks: `sample_ensemble` draws block_rows(n)
+paths at a time as the rows of one C-contiguous (B, n) array, with one
+row-wise polar transform and one 2-D `irfft` per block, so the per-call
+overhead of NumPy is paid once per block instead of once per path. Every
+row is bit-identical to `sample_stationary` of its replicate id, which is
+the one-row case: each row draws its own Philox words under the pinned
+block schedule, and the elementwise steps and the row transforms round the
+same in a row of a block as in a single path (tests pin these NumPy facts).
+A row whose first polar block falls short continues from its own stream.
+The Cholesky route stays one matrix-vector product per row, because a
+block matrix product would sum in another order and round differently.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +40,12 @@ __all__ = [
     "EmbeddingError",
     "NormalStream",
     "GaussianPath",
+    "PathEnsemble",
     "FbmGrid",
     "sample_stationary",
     "sample_ensemble",
     "sample_fbm_grid",
+    "block_rows",
     "empirical_autocovariance",
 ]
 
@@ -40,6 +55,10 @@ __all__ = [
 _POLAR_MIN_PAIRS = 256
 _CHOLESKY_MAX_N = 2048
 _EIGEN_CLAMP = -1e-10
+# Points per replicate block: B = max(1, 2^16 // M) rows for the embedding
+# size M, with M at least one minimal polar block, so a block's working
+# arrays stay near 2^16 elements however short the paths are.
+_BLOCK_POINTS = 1 << 16
 
 
 class EmbeddingError(RuntimeError):
@@ -73,16 +92,7 @@ class NormalStream:
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def _polar_block(self, pairs: int) -> np.ndarray:
-        v = 2.0 * self._uniforms(2 * pairs) - 1.0
-        v1, v2 = v[0::2], v[1::2]
-        s = v1 * v1 + v2 * v2
-        keep = (s > 0.0) & (s < 1.0)
-        s = s[keep]
-        f = np.sqrt(-2.0 * np.log(s) / s)
-        out = np.empty(2 * s.size)
-        out[0::2] = v1[keep] * f
-        out[1::2] = v2[keep] * f
-        return out
+        return _polar_rows(self._bg.random_raw(2 * pairs)[None, :])[0]
 
     def normals(self, n: int) -> np.ndarray:
         if n < 0:
@@ -96,10 +106,7 @@ class NormalStream:
 
             return ndtri(self._uniforms(n))
         while self._buffered < n:
-            # Acceptance rate is pi/4, i.e. ~1.57 normals per pair.
-            shortfall = n - self._buffered
-            pairs = max(_POLAR_MIN_PAIRS, (7 * shortfall) // 10 + 16)
-            block = self._polar_block(pairs)
+            block = self._polar_block(_polar_pairs(n - self._buffered))
             self._buf.append(block)
             self._buffered += block.size
         flat = np.concatenate(self._buf) if len(self._buf) > 1 else self._buf[0]
@@ -109,6 +116,62 @@ class NormalStream:
         return out.copy()
 
 
+def _polar_pairs(shortfall: int) -> int:
+    # Acceptance rate is pi/4, i.e. ~1.57 normals per pair.
+    return max(_POLAR_MIN_PAIRS, (7 * shortfall) // 10 + 16)
+
+
+def _polar_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marsaglia polar transform of each row of raw Philox words, shape
+    (B, 2 * pairs), which it shifts in place. Returns the accepted normals of
+    all rows, row after row, and each row's count of them.
+
+    A uniform is ((word >> 11) + 0.5) * 2^-53 and v = 2u - 1. The steps run
+    in place in that order, except that the scalings by 2^-53 and by 2 are
+    one multiplication by 2^-52, which is exact; so every value rounds as in
+    the formula, whatever the number of rows."""
+    np.right_shift(raw, np.uint64(11), out=raw)
+    v = raw + 0.5
+    v *= 2.0**-52
+    v -= 1.0
+    pair = v.view(complex)  # (v1, v2) of each pair as one element
+    s = pair.real * pair.real
+    s += pair.imag * pair.imag
+    keep = (s > 0.0) & (s < 1.0)
+    s = s[keep]
+    f = np.log(s)
+    f *= -2.0
+    f /= s
+    np.sqrt(f, out=f)
+    out = pair[keep].view(np.float64)
+    out.reshape(-1, 2)[...] *= f[:, None]
+    return out, 2 * np.count_nonzero(keep, axis=1)
+
+
+def _block_normals(streams: list[NormalStream], count: int) -> np.ndarray:
+    """(len(streams), count) array whose row i is streams[i].normals(count),
+    for fresh streams. Polar rows share one transform of their first blocks;
+    a row that falls short continues from its own stream."""
+    out = np.empty((len(streams), count))
+    if streams[0].method != "polar":
+        for row, stream in zip(out, streams):
+            row[:] = stream.normals(count)
+        return out
+    words = 2 * _polar_pairs(count)
+    raw = [stream._bg.random_raw(words) for stream in streams]
+    flat, accepted = _polar_rows(raw[0][None] if len(raw) == 1 else np.stack(raw))
+    start = 0
+    for row, stream, got in zip(out, streams, accepted.tolist()):
+        block = flat[start:start + got]
+        start += got
+        if got >= count:
+            row[:] = block[:count]
+        else:
+            stream._buf, stream._buffered = [block], got
+            row[:] = stream.normals(count)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPath:
     model: CovarianceModel
@@ -116,6 +179,28 @@ class GaussianPath:
     values: np.ndarray
     master_seed: int
     replicate_id: int
+
+
+@dataclass(frozen=True, eq=False)
+class PathEnsemble(Sequence):
+    """Paths of replicate ids replicate_id, replicate_id + 1, ... as the rows
+    of one C-contiguous array; indexing gives the GaussianPath of a row."""
+
+    model: CovarianceModel
+    n: int
+    values: np.ndarray
+    master_seed: int
+    replicate_id: int
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        j = range(len(self))[i]
+        return GaussianPath(self.model, self.n, self.values[j], self.master_seed,
+                            self.replicate_id + j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,20 +236,23 @@ def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
     return lam
 
 
-def _synthesize_circulant(lam: np.ndarray, draws: np.ndarray, n: int) -> np.ndarray:
-    # Half of the Hermitian spectral noise: d[0] -> xi_0, d[1] -> xi_{M/2},
-    # then pairs (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of xi_j, j = 1..M/2-1.
-    # irfft supplies the conjugate half xi_{M-j} = conj(xi_j) itself.
+def _synthesize_circulant(lam: np.ndarray, draws: np.ndarray, n: int, out=None) -> np.ndarray:
+    # Half of the Hermitian spectral noise of each row: d[0] -> xi_0,
+    # d[1] -> xi_{M/2}, then pairs (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of
+    # xi_j, j = 1..M/2-1. irfft supplies the conjugate half
+    # xi_{M-j} = conj(xi_j) itself. draws is (M,) for one path or (B, M)
+    # for a block, one path per row.
     M = lam.size
     half = M // 2
-    xi = np.empty(half + 1, dtype=complex)
-    xi[0] = draws[0]
-    xi[half] = draws[1]
-    xi[1:half].real = draws[2::2]
-    xi[1:half].imag = draws[3::2]
-    xi[1:half] /= math.sqrt(2.0)
-    x = np.fft.irfft(np.sqrt(lam[: half + 1]) * xi, n=M)
-    return x[:n] * math.sqrt(M)
+    xi = np.empty(draws.shape[:-1] + (half + 1,), dtype=complex)
+    xi[..., 0] = draws[..., 0]
+    xi[..., half] = draws[..., 1]
+    xi[..., 1:half].real = draws[..., 2::2]
+    xi[..., 1:half].imag = draws[..., 3::2]
+    xi[..., 1:half] /= math.sqrt(2.0)
+    xi *= np.sqrt(lam[: half + 1])
+    x = np.fft.irfft(xi, n=M)
+    return np.multiply(x[..., :n], math.sqrt(M), out=out)
 
 
 @byte_bounded_cache(CACHE_BYTES)
@@ -180,6 +268,27 @@ def _cholesky_factor(model: CovarianceModel, n: int) -> np.ndarray:
     )
 
 
+def block_rows(n: int) -> int:
+    """Paths per replicate block at length n: 2^16 // M rows, at least one,
+    for the embedding size M = 2(n-1), or one minimal polar block of raw
+    words when that is longer. 32 at n = 1024, 1 at n = 2^16."""
+    return max(1, _BLOCK_POINTS // max(2 * (n - 1), 2 * _POLAR_MIN_PAIRS))
+
+
+def _route(model: CovarianceModel, n: int, method: str | None):
+    """("single" | "cholesky" | "circulant", the factor or eigenvalues)."""
+    if n == 1:
+        return "single", None
+    if method == "cholesky":
+        return "cholesky", _cholesky_factor(model, n)
+    try:
+        return "circulant", _embedding_eigenvalues(model, n)
+    except EmbeddingError:
+        if method == "circulant" or n > _CHOLESKY_MAX_N:
+            raise
+        return "cholesky", _cholesky_factor(model, n)
+
+
 def sample_stationary(
     model: CovarianceModel,
     n: int,
@@ -193,25 +302,7 @@ def sample_stationary(
     method: None picks circulant embedding with Cholesky fallback (n <= 2048);
     "circulant" or "cholesky" force the route.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    stream = NormalStream(master_seed, replicate_id, normal_method)
-    values = _sample_values(model, n, stream, method)
-    return GaussianPath(model, n, values, int(master_seed), int(replicate_id))
-
-
-def _sample_values(model, n, stream, method):
-    if n == 1:
-        return stream.normals(1)
-    if method == "cholesky":
-        return _cholesky_factor(model, n) @ stream.normals(n)
-    try:
-        lam = _embedding_eigenvalues(model, n)
-    except EmbeddingError:
-        if method == "circulant" or n > _CHOLESKY_MAX_N:
-            raise
-        return _cholesky_factor(model, n) @ stream.normals(n)
-    return _synthesize_circulant(lam, stream.normals(lam.size), n)
+    return sample_ensemble(model, n, master_seed, 1, replicate_id, method, normal_method)[0]
 
 
 def sample_ensemble(
@@ -222,12 +313,42 @@ def sample_ensemble(
     first_replicate: int = 0,
     method: str | None = None,
     normal_method: str = "polar",
-) -> list[GaussianPath]:
-    """Paths for replicate_id = first..first+replicates-1, in order."""
-    return [
-        sample_stationary(model, n, master_seed, r, method, normal_method)
-        for r in range(first_replicate, first_replicate + replicates)
-    ]
+) -> PathEnsemble:
+    """Paths for replicate_id = first..first+replicates-1, in order, as the
+    rows of one (replicates, n) array, sampled block_rows(n) rows at a time.
+    Row i is bit for bit sample_stationary(..., first_replicate + i, ...)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if replicates < 0:
+        raise ValueError("replicates must be >= 0")
+    route, factor = _route(model, n, method)
+    step = block_rows(n)
+    if replicates <= step:  # one block: its own array, nothing to copy into
+        ids = range(first_replicate, first_replicate + replicates)
+        values = _sample_block(route, factor, master_seed, ids, n, normal_method)
+    else:
+        values = np.empty((replicates, n))
+        for lo in range(0, replicates, step):
+            ids = range(first_replicate + lo, first_replicate + min(lo + step, replicates))
+            _sample_block(route, factor, master_seed, ids, n, normal_method,
+                          values[lo:lo + step])
+    return PathEnsemble(model, n, values, int(master_seed), int(first_replicate))
+
+
+def _sample_block(route, factor, master_seed, ids, n, normal_method, out=None):
+    """The (len(ids), n) paths of replicate ids, into out if given."""
+    if not ids:
+        return np.empty((0, n))
+    streams = [NormalStream(master_seed, r, normal_method) for r in ids]
+    if route == "circulant":
+        return _synthesize_circulant(factor, _block_normals(streams, factor.size), n, out)
+    draws = _block_normals(streams, n)
+    if route == "cholesky":
+        draws = np.array([factor @ z for z in draws])
+    if out is None:
+        return draws
+    out[:] = draws
+    return out
 
 
 def sample_fbm_grid(

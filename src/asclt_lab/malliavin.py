@@ -20,7 +20,9 @@ the scalars the checks need (||DG_n||^2, G_n, and the D^2G contraction
 when f'' depends on the path), computed once each, and `cf_gap_bound`,
 `co1_check` and `co2_check` reduce those records; `lag_covariances` and
 `gebelein_check` do the same for the correlation-bound sweep. The map runs
-where the path is sampled, so only the scalars travel.
+where the path is sampled, so only the scalars travel, and its
+path-independent parts, the Toeplitz spectrum of ||DG_n||^2 and N_n^2, are
+cached per (model, n) and (spec, n).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .kernels import (
     _toeplitz_spectrum,
     hermite_sum_variance,
 )
+from .memo import CACHE_BYTES, byte_bounded_cache
 from .sequences import (
     FbmScaled,
     GeneralF,
@@ -102,18 +105,29 @@ def _check_path(path: GaussianPath, spec: SequenceSpec) -> None:
 
 def _normalizer_sq(spec: SequenceSpec, n: int) -> float:
     """N_n^2, the squared divisor applied to the raw partial sum."""
+    return float(_normalizer_sq_cached(spec, n))
+
+
+@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (spec, n)
+def _normalizer_sq_cached(spec: SequenceSpec, n: int) -> np.ndarray:
     if isinstance(spec, FbmScaled):
-        return float(n) ** (2.0 * spec.H)
+        return np.array(float(n) ** (2.0 * spec.H))
     if isinstance(spec, HermiteVariation):
         if spec.regime == "supercritical":
-            return float(n) ** (2.0 * (1.0 - spec.q * (1.0 - spec.model.H)))
-        return hermite_sum_variance(spec.model, spec.q, n)
+            return np.array(float(n) ** (2.0 * (1.0 - spec.q * (1.0 - spec.model.H))))
+        return np.array(hermite_sum_variance(spec.model, spec.q, n))
     c = spec.expansion.coeffs
     total = 0.0
     for order in range(1, spec.expansion.qmax + 1):
         if c[order] != 0.0:
             total += c[order] ** 2 * hermite_sum_variance(spec.model, order, n)
-    return total
+    return np.array(total)
+
+
+@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (model, n)
+def _covariance_spectrum(model: CovarianceModel, n: int) -> np.ndarray:
+    """Size-2n circulant spectrum of Toeplitz(rho(0..n-1)), for ||DG||^2."""
+    return _toeplitz_spectrum(rho_many(model, np.arange(n)), n)
 
 
 def _first_derivative_field(spec: SequenceSpec, x: np.ndarray) -> np.ndarray:
@@ -195,8 +209,7 @@ def dg_norm_sq(path: GaussianPath, spec: SequenceSpec, n: int | None = None) -> 
     n = _resolve_n(path, n)
     x = path.values[:n]
     b = _first_derivative_field(spec, x)
-    g = rho_many(spec.model, np.arange(n))
-    u = _toeplitz_matvec(g, b, n)
+    u = _toeplitz_apply(_covariance_spectrum(spec.model, n), b[:, None], n)[:, 0]
     val = float(b @ u) / _normalizer_sq(spec, n)
     return max(val, 0.0)
 

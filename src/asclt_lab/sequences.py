@@ -29,7 +29,7 @@ from .covariance import (
     rho_many,
     signed_rho_power_sum,
 )
-from .gaussian_sim import FbmGrid, GaussianPath
+from .gaussian_sim import FbmGrid, GaussianPath, PathEnsemble
 from .hermite import (
     ConstantFunctionError,
     HermiteExpansion,
@@ -140,7 +140,8 @@ class GSeries:
     sigmas[k-1] is the exact deterministic normalizer that divides the
     running sum to produce values[k-1]. sigma_tail_rel bounds the relative
     error of the truncated-expansion normalizer (zero except for GeneralF
-    with a nonzero expansion tail).
+    with a nonzero expansion tail). Built from a PathEnsemble, values is
+    (B, n), one series per row, and replicate_id is that of the first row.
     """
 
     spec: SequenceSpec
@@ -171,6 +172,12 @@ def _general_f_prefix_var(model, expansion, n):
     return v2
 
 
+@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (n, H)
+def _k_power(n: int, H: float) -> np.ndarray:
+    """k^H for k = 1..n, the FbmScaled divisors."""
+    return np.arange(1, n + 1, dtype=np.float64) ** H
+
+
 @lru_cache(maxsize=256)  # path-independent: once per (model, expansion, n)
 def _general_f_tail_rel(model, expansion, n, v2_n):
     # Orders beyond qmax contribute at most tail_bound * sum (n-|r|)|rho|^(qmax+1)
@@ -184,19 +191,21 @@ def _general_f_tail_rel(model, expansion, n, v2_n):
 
 
 def build_gseries(
-    path: GaussianPath, spec: SequenceSpec, n: int | None = None
+    path: GaussianPath | PathEnsemble, spec: SequenceSpec, n: int | None = None
 ) -> GSeries:
     """Compute G_1..G_n from a path whose model matches the spec.
 
     Partial sums and their variance normalizers are cumulative. For FbmScaled
     and HermiteVariation every step is elementwise, so the result for n is
     bit-identical to the length-n prefix of any longer run on the same path
-    (see gseries_prefixes). A GeneralF expansion is evaluated by a BLAS
-    matrix-vector product, whose rounding of the last few entries can depend
-    on the length, so its prefixes match only to rounding.
+    (see gseries_prefixes), and a PathEnsemble gives the series of all its
+    rows at once, each row bit-identical to its own path's. A GeneralF
+    expansion is evaluated by a BLAS matrix-vector product, whose rounding
+    of the last few entries can depend on the length, so its prefixes match
+    only to rounding and it is built one path at a time.
     """
-    if not isinstance(path, GaussianPath):
-        raise TypeError("build_gseries expects a GaussianPath")
+    if not isinstance(path, (GaussianPath, PathEnsemble)):
+        raise TypeError("build_gseries expects a GaussianPath or a PathEnsemble")
     if n is None:
         n = path.n
     if n < 1 or n > path.n:
@@ -204,15 +213,16 @@ def build_gseries(
     if path.model != spec.model:
         raise ValueError("path model does not match the sequence spec model")
 
-    x = path.values[:n]
+    x = path.values[..., :n]
     k = np.arange(1, n + 1, dtype=np.float64)
     tail_rel = 0.0
 
     if isinstance(spec, FbmScaled):
-        sig = k**spec.H
-        g = np.cumsum(x) / sig
+        sig = _k_power(n, spec.H)
+        g = np.cumsum(x, axis=-1)
+        g /= sig
     elif isinstance(spec, HermiteVariation):
-        v = np.cumsum(hermite_eval(spec.q, x))
+        v = np.cumsum(hermite_eval(spec.q, x), axis=-1)
         if spec.regime == "supercritical":
             sig = k ** (1.0 - spec.q * (1.0 - spec.model.H))
         else:
@@ -221,6 +231,8 @@ def build_gseries(
             sig = np.sqrt(v2)
         g = v / sig
     elif isinstance(spec, GeneralF):
+        if x.ndim != 1:
+            raise TypeError("GeneralF series are built one path at a time")
         coeffs = np.asarray(spec.expansion.coeffs)
         v = np.cumsum(evaluate_expansion(coeffs, x) - spec.expansion.mean)
         v2 = _general_f_prefix_var(spec.model, spec.expansion, n)
@@ -262,11 +274,21 @@ def gseries_prefixes(path: GaussianPath, spec: SequenceSpec, n_grid) -> list[GSe
 
 
 def sigma_n_squared(
-    model: CovarianceModel, q: int, n: int, regime: str = "subcritical"
+    model: CovarianceModel, q: int, n: int, regime: str | None = None
 ) -> float:
-    """q! sum_{|r|<n} (1 - |r|/n) rho(r)^q, divided by log n when critical."""
-    if regime not in REGIMES:
+    """q! sum_{|r|<n} (1 - |r|/n) rho(r)^q, divided by log n when critical.
+
+    The regime is regime_for(model, q); an explicit regime must agree with
+    it, so a critical model is never read without its 1/log n."""
+    derived = regime_for(model, q)
+    if regime is None:
+        regime = derived
+    elif regime not in REGIMES:
         raise RegimeError(f"unknown regime {regime!r}; use one of {REGIMES}")
+    elif regime != derived:
+        raise RegimeError(
+            f"regime {regime!r} does not match {derived!r} for q={q} and this model"
+        )
     if regime == "supercritical":
         raise RegimeError(
             "supercritical sums use deterministic k-power scaling, "

@@ -41,6 +41,7 @@ from asclt_lab.sequences import (
     FbmScaled,
     HermiteVariation,
     build_gseries,
+    regime_for,
     sigma_limit,
     sigma_n_squared,
     zn_dyadic,
@@ -138,7 +139,8 @@ def test_a04b_critical_variance_band():
     # stated n = 1e6 the gap is 24.5% and this check fails. The monotone
     # half holds.
     model = fgn(0.75)
-    vals = [sigma_n_squared(model, 2, n) for n in (10**4, 10**5, 10**6)]
+    regime = regime_for(model, 2)
+    vals = [sigma_n_squared(model, 2, n, regime) for n in (10**4, 10**5, 10**6)]
     limit = sigma_limit(model, 2).value
     gaps = [abs(v - limit) for v in vals]
     monotone = gaps[0] > gaps[1] > gaps[2]

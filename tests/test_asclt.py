@@ -210,6 +210,29 @@ def test_delta_prefixes_match_direct():
         delta_stat_prefixes(g, 1.0, [1, 16])
 
 
+def test_block_series_and_delta_equal_per_path_bit_for_bit():
+    """A PathEnsemble's series and delta_stat rows equal those of each path
+    built and reduced alone."""
+    for spec, n in ((FbmScaled(0.8), 1024), (FbmScaled(0.3), 2049),
+                    (HermiteVariation(fgn(0.3), 2), 1024)):
+        ens = sample_ensemble(spec.model, n, SEED + 2, 37, 4)
+        block = build_gseries(ens, spec)
+        assert block.values.shape == (37, n) and block.replicate_id == 4
+        for t in (0.5, 1.0, 2.0):
+            for cf in (None, lambda t: 0.5 + 0.25j * t):
+                rows = delta_stat(block, t, cf)
+                assert rows.shape == (37,)
+                for i, path in enumerate(ens):
+                    g = build_gseries(path, spec)
+                    assert np.array_equal(block.values[i], g.values)
+                    assert np.array_equal(block.sigmas, g.sigmas)
+                    one = delta_stat(g, t, cf)
+                    assert isinstance(one, complex) and rows[i] == one, (spec, t, i)
+    with pytest.raises(TypeError):
+        build_gseries(sample_ensemble(fgn(0.3), 64, SEED, 2),
+                      GeneralF(fgn(0.3), expand(np.arctan, qmax=5)))
+
+
 def test_delta_mc_matches_exact_and_triangle():
     spec = FbmScaled(0.8)
     paths = sample_ensemble(fgn(0.8), 2**10, SEED + 1, 5000)

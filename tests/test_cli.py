@@ -669,6 +669,32 @@ def test_one_pool_per_run(monkeypatch):
         assert made == ([2] if workers == 2 else [])
 
 
+def test_block_failure_is_reported_per_replicate_alike_across_workers(monkeypatch, tmp_path):
+    # Replicate 37 sits inside the second 32-row block at n = 1024: that block
+    # raises, is re-run one replicate at a time, and only 37 fails.
+    real = cli.build_gseries
+
+    def fail_37(path, spec, *args):
+        if path.replicate_id <= 37 < path.replicate_id + len(np.atleast_2d(path.values)):
+            raise RuntimeError("boom")
+        return real(path, spec, *args)
+
+    monkeypatch.setattr(cli, "build_gseries", fail_37)
+    doc = _doc("delta_exactness", n_max=1024, n_grid=[1024], t_grid=[0.5, 1.0],
+               seeds={"master_seed": SEED, "replicates": 100})
+    cfg_path = _write_config(tmp_path, "d.json", doc)
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    codes = [main(["run", "--config", cfg_path, "--out", str(out), "--workers", str(w)])
+             for w, out in zip((1, 2), outs)]
+    assert codes == [1, 1]
+    reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    assert reports[0]["failures"] == ["replicate 37: RuntimeError: boom"]
+    _assert_same_outputs(*outs)
+    cfg = load_config(cfg_path)
+    assert cli._run_replicates(cli._delta_worker, (*cli._spec_args(cfg), 1024, (0.5, 1.0), SEED),
+                               100, 1024, None, 1)[1] == ["replicate 37: RuntimeError: boom"]
+
+
 def test_criteria_error_is_reported_alike_across_workers(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("criteria boom")

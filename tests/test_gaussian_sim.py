@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from asclt_lab import gaussian_sim
 from asclt_lab.covariance import fgn, iid, rho_many, table
 from asclt_lab.gaussian_sim import (
     EmbeddingError,
     NormalStream,
+    PathEnsemble,
     _cholesky_factor,
     _embedding_eigenvalues,
+    _route,
     _synthesize_circulant,
+    block_rows,
     empirical_autocovariance,
     sample_ensemble,
     sample_fbm_grid,
@@ -29,6 +33,10 @@ MA2 = table({0: 1.0, 1: 0.625 / 1.3125, 2: 0.25 / 1.3125})
 # Table whose spectral density is negative at theta = 2*pi/3: valid entries,
 # no valid Gaussian process.
 NON_PSD = table({0: 1.0, 1: 0.9, 2: 0.8})
+
+# No valid process either, but Toeplitz(rho) is positive definite up to
+# n = 5, so short paths take the Cholesky fallback.
+FALLBACK = table({0: 1.0, 1: 0.6, 2: 0.05})
 
 
 def test_bit_reproducibility():
@@ -212,6 +220,108 @@ def test_single_point_path():
     assert p.values.shape == (1,)
     q = sample_stationary(fgn(0.3), 1, SEED, 0, normal_method="inverse")
     assert np.isfinite(q.values).all()
+
+
+def test_block_rows_follow_the_embedding_size():
+    assert [block_rows(n) for n in (1024, 2048, 4096, 1 << 16)] == [32, 16, 8, 1]
+    # Short paths are bounded by one minimal polar block of raw words.
+    assert block_rows(1) == block_rows(2) == block_rows(257) == 128
+    assert all(block_rows(n) >= 1 for n in (1, 3, 1 << 20))
+
+
+_BLOCK_CASES = [
+    (fgn(0.3), None, (1, 2, 3, 1024, 2049)),
+    (fgn(0.8), None, (1, 2, 3, 1024, 2049)),
+    (iid(), None, (1, 2, 3, 1024, 2049)),
+    (MA2, None, (2, 3, 1024, 2049)),
+    (MA2, "cholesky", (2, 3, 1024)),
+    (FALLBACK, None, (3, 5)),
+]
+
+
+@pytest.mark.parametrize("model,method,ns", _BLOCK_CASES,
+                         ids=["fgn0.3", "fgn0.8", "iid", "ma2", "ma2-cholesky", "fallback"])
+def test_ensemble_rows_equal_single_paths(monkeypatch, model, method, ns):
+    """Every row of every block, the ragged last one included, is bit for
+    bit the path of its own replicate id."""
+    for n in ns:
+        expect_route = "cholesky" if method == "cholesky" or model is FALLBACK else "circulant"
+        assert _route(model, n, method)[0] == ("single" if n == 1 else expect_route)
+        for rows in (1, 2, 7, 32):
+            monkeypatch.setattr(gaussian_sim, "block_rows", lambda n, rows=rows: rows)
+            ens = sample_ensemble(model, n, SEED, 2 * rows + 3, 11, method)
+            assert isinstance(ens, PathEnsemble) and ens.values.shape == (2 * rows + 3, n)
+            assert ens.values.flags.c_contiguous
+            for i, path in enumerate(ens):
+                assert path.replicate_id == 11 + i
+                want = sample_stationary(model, n, SEED, 11 + i, method)
+                assert np.array_equal(path.values, want.values), (n, rows, i)
+    monkeypatch.undo()
+    ens = sample_ensemble(fgn(0.3), 16, SEED, 5, 2)
+    assert len(ens) == 5 and len(ens[1:3]) == 2 and ens[-1].replicate_id == 6
+    assert len(sample_ensemble(fgn(0.3), 16, SEED, 0)) == 0
+
+
+def test_short_first_polar_block_continues_from_own_stream(monkeypatch):
+    """A row whose first polar block has fewer normals than it needs draws
+    the rest from its own stream, as NormalStream does for one path."""
+    real = gaussian_sim._polar_rows
+    short = []
+
+    def quarter(raw):
+        # Keep the first quarter of each row's accepted normals, row-wise,
+        # so one row and a block of rows see the same first blocks.
+        flat, accepted = real(raw)
+        kept = 2 * (accepted // 8)
+        starts = np.concatenate([[0], np.cumsum(accepted)[:-1]])
+        short.append(raw.shape[0])
+        return np.concatenate([flat[a:a + k] for a, k in zip(starts, kept)]), kept
+
+    plain = sample_stationary(fgn(0.7), 1024, SEED, 3).values
+    monkeypatch.setattr(gaussian_sim, "_polar_rows", quarter)
+    for n in (1024, 2049):
+        ens = sample_ensemble(fgn(0.7), n, SEED, 9, 3)
+        for i, path in enumerate(ens):
+            assert np.array_equal(path.values, sample_stationary(fgn(0.7), n, SEED, 3 + i).values)
+    assert short and max(short) == 9
+    assert not np.array_equal(sample_stationary(fgn(0.7), 1024, SEED, 3).values, plain)
+
+
+@pytest.mark.parametrize("M", [2046, 4094, 8190, 131070])
+def test_numpy_irfft_rows_equal_one_dimensional(M):
+    """The block synthesis rests on this: a 2-D irfft transforms each row
+    exactly as the 1-D irfft transforms it alone."""
+    rng = np.random.default_rng(M)
+    rows = 3 if M > 10_000 else 9
+    xi = rng.normal(size=(rows, M // 2 + 1)) + 1j * rng.normal(size=(rows, M // 2 + 1))
+    block = np.fft.irfft(xi, n=M)
+    for i in range(rows):
+        assert np.array_equal(block[i], np.fft.irfft(xi[i], n=M)), (M, i)
+
+
+def test_numpy_row_sum_and_cumsum_equal_one_dimensional():
+    """Row reductions of a C-contiguous block equal the 1-D ones: pairwise
+    sums of real and complex rows and sequential cumulative sums."""
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 129, 1024, 2049, 4096):
+        x = rng.normal(size=(5, n)) * 10.0 ** rng.integers(-8, 8, size=(5, n))
+        z = x + 1j * rng.normal(size=(5, n))
+        sums, csums, zsums = x.sum(axis=-1), np.cumsum(x, axis=-1), np.sum(z, axis=-1)
+        for i in range(5):
+            assert sums[i] == np.sum(x[i]) and zsums[i] == np.sum(z[i]), n
+            assert np.array_equal(csums[i], np.cumsum(x[i])), n
+
+
+def test_numpy_complex_division_by_real_is_multiplication_by_inverse():
+    """(a + bi) / (k + 0i) is computed as (a + bi) * (1/k), which lets the
+    block reduction weight by one cached row of 1/k."""
+    rng = np.random.default_rng(6)
+    k = np.arange(1.0, 4097.0)
+    z = np.exp(1j * rng.normal(size=4096) * 50.0) - 0.6
+    assert np.array_equal(z / k, z * (1.0 / k))
+    w = z.copy()
+    w *= 1.0 / k
+    assert np.array_equal(z / k, w)
 
 
 def test_frozen_stream_regression():

@@ -9,7 +9,8 @@ import pytest
 from asclt_lab.covariance import abs_rho_power_sum, fgn, iid, rho_many
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
 from asclt_lab.hermite import _quad_rule, expand
-from asclt_lab.kernels import contraction_norm_sq, hermite_sum_variance
+from asclt_lab import malliavin
+from asclt_lab.kernels import _toeplitz_matvec, contraction_norm_sq, hermite_sum_variance
 from asclt_lab.malliavin import (
     _QUAD_NODES,
     CfGap,
@@ -74,6 +75,32 @@ def test_quartic_trace_fft_matches_dense():
     M = R @ (b[:, None] * R)
     dense = float(b @ (M * M) @ b)
     assert _weighted_quartic_trace(g, b, n) == pytest.approx(dense, rel=1e-12)
+
+
+def test_dg_path_independent_work_is_cached(monkeypatch):
+    """Over 50 paths, N_n^2 costs one hermite_sum_variance call per (spec, n)
+    and the Toeplitz spectrum is cached read-only; ||DG||^2 is bit-equal to
+    the uncached evaluation."""
+    calls = []
+
+    def counting(model, q, n):
+        calls.append((model, q, n))
+        return hermite_sum_variance(model, q, n)
+
+    monkeypatch.setattr(malliavin, "hermite_sum_variance", counting)
+    spec, n = HermiteVariation(fgn(0.37), 2), 301
+    paths = sample_ensemble(spec.model, n, SEED + 13, 50)
+    got = [dg_norm_sq(p, spec) for p in paths]
+    assert calls == [(spec.model, 2, n)]
+    for p, value in zip(paths, got):
+        b = 2.0 * p.values
+        u = _toeplitz_matvec(rho_many(spec.model, np.arange(n)), b, n)
+        assert value == max(float(b @ u) / hermite_sum_variance(spec.model, 2, n), 0.0)
+    spectrum = malliavin._covariance_spectrum(spec.model, n)
+    assert not spectrum.flags.writeable
+    assert malliavin._covariance_spectrum(spec.model, n) is spectrum
+    assert _normalizer_sq(spec, n) == hermite_sum_variance(spec.model, 2, n)
+    assert len(calls) == 1
 
 
 def test_fbm_scaled_is_first_chaos():

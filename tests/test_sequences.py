@@ -166,16 +166,32 @@ def test_general_f_model_mismatch_rejected():
         build_gseries(path, GeneralF(fgn(0.3), square))
 
 
+def _cesaro_variance(model, q, n):
+    """Var(V_n)/n without any regime normalization."""
+    return hermite_sum_variance(model, q, n) / n
+
+
 def test_sigma_n_squared_values():
     assert sigma_n_squared(iid(), 2, 17) == pytest.approx(2.0, abs=1e-14)
-    # Critical: divide the same Cesaro sum by log n.
-    sub = sigma_n_squared(fgn(0.75), 2, 1000)
-    crit = sigma_n_squared(fgn(0.75), 2, 1000, "critical")
+    # Critical: divide the same Cesaro sum by log n; the regime is derived.
+    sub = _cesaro_variance(fgn(0.75), 2, 1000)
+    crit = sigma_n_squared(fgn(0.75), 2, 1000)
     assert crit == pytest.approx(sub / math.log(1000.0), rel=1e-14)
+    assert sigma_n_squared(fgn(0.75), 2, 1000, "critical") == crit
+    assert sigma_n_squared(fgn(0.3), 2, 1000) == _cesaro_variance(fgn(0.3), 2, 1000)
     with pytest.raises(ValueError):
         sigma_n_squared(fgn(0.75), 2, 1, "critical")
     with pytest.raises(RegimeError):
         sigma_n_squared(fgn(0.9), 2, 100, "supercritical")
+    with pytest.raises(RegimeError):
+        sigma_n_squared(fgn(0.9), 2, 100)
+    # An explicit regime that disagrees with the model is refused.
+    with pytest.raises(RegimeError):
+        sigma_n_squared(fgn(0.75), 2, 1000, "subcritical")
+    with pytest.raises(RegimeError):
+        sigma_n_squared(fgn(0.3), 2, 1000, "critical")
+    with pytest.raises(RegimeError):
+        sigma_n_squared(fgn(0.3), 2, 1000, "sideways")
 
 
 def test_sigma_n_squared_approaches_limit():
