@@ -64,7 +64,7 @@ __all__ = [
     "il_from_prefixes",
     "il_from_rows",
     "contraction_keys",
-    "contraction_value",
+    "contraction_values",
     "criteria_diagnostic",
     "criteria_report_to_json",
     "ks_rows_to_csv",
@@ -663,23 +663,24 @@ def contraction_keys(spec: SequenceSpec, n_max: int, scan_ns=()) -> list[tuple[i
     """The distinct quartic lag-sum keys (a, b, n), a = min(r, q - r) and
     b = max(r, q - r), whose contraction norms criteria_diagnostic(spec,
     n_max) reduces, together with the order-1 key at every n of scan_ns (the
-    critical boundedness scan). Largest n first, since each costs O(n^2).
-    Empty unless spec is a HermiteVariation: no other spec has contractions.
+    critical boundedness scan). Grouped by (a, b), largest n first in each
+    group: one bordering pass per (a, b) gives S at every n of its group, and
+    reading the largest n first runs that pass once. Empty unless spec is a
+    HermiteVariation: no other spec has contractions.
     """
     if not isinstance(spec, HermiteVariation):
         return []
     q = spec.q
     keys = {_lag_sum_key(q, r, g) for r in range(1, q) for g in _criteria_grid(n_max)}
     keys |= {_lag_sum_key(q, 1, n) for n in scan_ns}
-    return sorted(keys, key=lambda key: (-key[2], key))
+    return sorted(keys, key=lambda key: (key[0], key[1], -key[2]))
 
 
-def contraction_value(model: CovarianceModel, key: tuple[int, int, int]) -> float:
-    """||f_n (x)_r f_n||^2 for one lag-sum key (a, b, n) of order q = a + b.
-    It is the same float for r = a and r = b: both orders share the lag sum
-    S and the normalizer E[V_n^2]."""
-    a, b, n = key
-    return contraction_norm_sq(model, a + b, a, n).value
+def contraction_values(model: CovarianceModel, keys) -> list[float]:
+    """||f_n (x)_r f_n||^2 for each lag-sum key (a, b, n) of order q = a + b,
+    in order. A key gives the same float for r = a and r = b: both orders
+    share the lag sum S and the normalizer E[V_n^2]."""
+    return [contraction_norm_sq(model, a + b, a, n).value for a, b, n in keys]
 
 
 def criteria_diagnostic(
@@ -693,11 +694,11 @@ def criteria_diagnostic(
 
     This is the reduce step. For a HermiteVariation spec it reads the kernel
     contraction norms from `contractions`, a mapping from every key of
-    contraction_keys(spec, n_max) to its contraction_value; the CLI computes
-    those values as one pool task per key. Without the mapping they are
-    computed here, inline, by the same function. The cross covariances
-    E[G_k G_l] come from sequences.cross_covariance on the pair grid, each
-    pair once, shared by both envelope conditions.
+    contraction_keys(spec, n_max) to its contraction_values entry; the CLI
+    computes those values as one pool task per (a, b) group. Without the
+    mapping they are computed here, inline, by the same function. The cross
+    covariances E[G_k G_l] come from sequences.cross_covariance on the pair
+    grid, each pair once, shared by both envelope conditions.
     """
     grid = _criteria_grid(n_max)
     conditions: list[ConditionDiagnostic] = []
@@ -707,9 +708,8 @@ def criteria_diagnostic(
     per_order = {}
     if isinstance(spec, HermiteVariation):
         if contractions is None:
-            contractions = {
-                key: contraction_value(spec.model, key) for key in contraction_keys(spec, n_max)
-            }
+            keys = contraction_keys(spec, n_max)
+            contractions = dict(zip(keys, contraction_values(spec.model, keys)))
         per_order = {
             r: np.array([contractions[_lag_sum_key(spec.q, r, g)] for g in grid])
             for r in range(1, spec.q)

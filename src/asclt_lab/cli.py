@@ -22,6 +22,7 @@ import contextlib
 import datetime
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -41,7 +42,7 @@ from .asclt import (
     IlDiagnostic,
     KsRow,
     contraction_keys,
-    contraction_value,
+    contraction_values,
     criteria_diagnostic,
     criteria_report_to_json,
     delta_rows_to_csv,
@@ -712,23 +713,27 @@ def _run_replicates(worker, head: tuple, replicates: int, n: int, pool,
 
 def _start_criteria(spec, n_max: int, scan_ns, pool):
     """Queue the criteria stage at min(n_max, _CRITERIA_N_CAP) in the run's
-    pool (None: inline). A HermiteVariation spec is a map over the distinct
-    quartic lag-sum keys, one contraction_value task each, largest n first;
-    criteria_diagnostic reduces them in the parent, and the contraction *
-    log n scan over scan_ns (empty unless critical) reads the same values.
-    Other specs have no contractions and run as one task. Returns a
-    zero-argument callable giving (CriteriaReport, scan values). A task's
-    error is raised from it as the run's error, not collected as a replicate
-    failure."""
+    pool (None: inline). A HermiteVariation spec is a map over the (a, b)
+    groups of its quartic lag-sum keys, one contraction_values task each:
+    the task runs one bordering pass to the group's largest n and reads
+    every key of the group from it. criteria_diagnostic reduces the values
+    in the parent, and the contraction * log n scan over scan_ns (empty
+    unless critical) reads the same values. Other specs have no
+    contractions and run as one task. Returns a zero-argument callable
+    giving (CriteriaReport, scan values). A task's error is raised from it
+    as the run's error, not collected as a replicate failure."""
     n_max = min(n_max, _CRITERIA_N_CAP)
     keys = contraction_keys(spec, n_max, scan_ns)
     if not keys:
         pending = _submit(pool, criteria_diagnostic, spec, n_max)
         return lambda: (pending(), [])
-    values = [(key, _submit(pool, contraction_value, spec.model, key)) for key in keys]
+    groups = [tuple(group) for _, group in itertools.groupby(keys, key=lambda key: key[:2])]
+    values = [(group, _submit(pool, contraction_values, spec.model, group)) for group in groups]
 
     def collect():
-        contractions = {key: value() for key, value in values}
+        contractions = {}
+        for group, pending in values:
+            contractions.update(zip(group, pending()))
         scan = [contractions[(1, spec.q - 1, n)] * math.log(n) for n in scan_ns]
         return criteria_diagnostic(spec, n_max, contractions), scan
 
@@ -1004,7 +1009,8 @@ def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
     csv = "n,r,contraction_norm_sq\n"
     slopes = {}
     for r in range(1, q):
-        vals = [contraction_norm_sq(model, q, r, n).value for n in cfg.n_grid]
+        # Largest n first: its lag-sum pass then serves the whole grid.
+        vals = [contraction_norm_sq(model, q, r, n).value for n in cfg.n_grid[::-1]][::-1]
         slope = float(np.polyfit(np.log(cfg.n_grid), np.log(vals), 1)[0])
         slopes[r] = slope
         rows.append({

@@ -9,37 +9,53 @@ The contraction norm reduces to a quartic lag sum
     S(q, r, n) = sum_{i,j,k,l} rho(k-l)^r rho(i-j)^r rho(k-i)^{q-r} rho(l-j)^{q-r}
                = tr((P Q)^2),  P = Toeplitz(rho^r), Q = Toeplitz(rho^{q-r}),
 
-so ||f_n (x)_r f_n||^2 = S / (E V_n^2)^2. The production evaluator walks
-the rows of PQ through its Toeplitz displacement structure (Kailath & Sayed,
-SIAM Review 1995): exact in O(n^2) time and O(n) memory, seeded by two
-Toeplitz matrix-vector products. Two oracles check it: an O(n^4) brute force
-(n <= 12) and the O(n^3) dense matmul.
+so ||f_n (x)_r f_n||^2 = S / (E V_n^2)^2. The production evaluator gives
+S(n) at every n = 1..N in one O(N^2)-time pass that borders the leading
+Toeplitz blocks, the nesting of the Levinson and Trench recursions. With
+p(m) = rho(m)^r and q(m) = rho(m)^{q-r}:
+
+    P_{n+1} = [[P_n, b], [b^T, p(0)]],  b = (p(n), ..., p(1)),
+    Q_{n+1} = [[Q_n, c], [c^T, q(0)]],  c = (q(n), ..., q(1)),
+    S(n+1) = S(n) + 2 u.w + (c.b)^2 + 2 (w + p(0) c).(u + q(0) b)
+                  + (c.b + p(0) q(0))^2,    u = P_n c,  w = Q_n b.
+
+Read backwards, u(n-1-j) = sum_{m<=n} p(|m-1-j|) q(m): u gains one
+rank-one term per step, and w likewise with p and q swapped. When P = Q,
+w = u and every increment is a sum of squares. The pass holds the reversed
+u of a block of consecutive steps as the rows of one array, builds them
+with a cumulative sum of Toeplitz windows, and reduces each row with
+einsum rather than a BLAS dot, so its bits do not depend on the BLAS thread
+count. Block sizes depend only on the step where a block starts, so S(n)
+is bit-identical whatever the length of the pass that produced it, and one
+pass per (model, r, q - r), held in a small cache, answers every n up to
+its length. The increments are summed with Neumaier's compensation, since
+a plain running sum of thousands of like-sized terms drifts. Two oracles
+check it: an O(n^4) brute force (n <= 12) and the O(n^3) dense matmul. Bad
+arguments raise ValueError before any pass runs, and a pass that raises
+caches nothing, so every call that needs it raises alike.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not on the first call)
 
-from .covariance import CovarianceModel, model_to_json, rho_many, symmetric_toeplitz
+from .covariance import CovarianceModel, rho_many, symmetric_toeplitz
 from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
     "ContractionResult",
     "DenseKernel",
-    "KernelStats",
     "hermite_sum_variance",
     "v2_prefix",
     "contraction_norm_sq",
     "kernel_inner",
-    "compute_kernel_stats",
-    "kernel_stats_to_json",
     "dense_kernel",
     "diagonal_kernel",
     "dense_contract",
@@ -50,6 +66,12 @@ __all__ = [
 
 _BRUTEFORCE_MAX_N = 12
 _DENSE_COEFF_BUDGET = 10**6
+# A bordering block has at most _PASS_BLOCK_ROWS rows and about
+# _PASS_BLOCK_ELEMS entries (512 KiB), so its arrays stay in cache.
+_PASS_BLOCK_ROWS = 64
+_PASS_BLOCK_ELEMS = 1 << 16
+# Lag-sum passes kept, one per (model, a, b); each holds N floats.
+_PASSES_HELD = 32
 
 
 def hermite_sum_variance(model: CovarianceModel, q: int, n: int) -> float:
@@ -143,55 +165,130 @@ def _toeplitz_matvec(g: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return _toeplitz_apply(_toeplitz_spectrum(g, n), x[:, None], n)[:, 0]
 
 
-def _displacement_rows(p: np.ndarray, q: np.ndarray, n: int):
-    """Rows of M = PQ, each as a view of one length-2n-1 buffer.
+def _pass_blocks(n: int) -> list[tuple[int, int]]:
+    """The steps 1..n-1 of a bordering pass as row blocks [k0, k1). A block's
+    size depends on k0 alone, so a pass to n walks the first blocks of a
+    pass to any N > n, and the last block may run past n."""
+    blocks, k0 = [], 1
+    while k0 < n:
+        k1 = k0 + min(_PASS_BLOCK_ROWS, max(1, _PASS_BLOCK_ELEMS // k0))
+        blocks.append((k0, k1))
+        k0 = k1
+    return blocks
 
-    D[n-1+d] holds M[k, k+d], so row k is D[n-1-k : 2n-1-k]. Stepping to
-    row k+1 adds p(k+1) q(j) - p(n-1-k) q(n-j) to every entry (j >= 1)
-    and seeds the entering diagonal with M[k+1, 0] = (P q)[k+1].
+
+def _pass_table_size(n: int) -> int:
+    """Lags 0..size-1 that a pass to n reads."""
+    blocks = _pass_blocks(n)
+    return (blocks[-1][1] if blocks else 1) + 1
+
+
+def _windows(x: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
+    """rows x width view of the contiguous array x; row i is the window of
+    x starting at start + i * step."""
+    return np.ndarray((rows, width), x.dtype, x, start * x.itemsize,
+                      (step * x.itemsize, x.itemsize))
+
+
+@lru_cache(maxsize=_PASS_BLOCK_ROWS)
+def _strictly_lower(rows: int) -> np.ndarray:
+    mask = np.tri(rows, rows, -1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _bordering_pass(p: np.ndarray, q: np.ndarray | None, n: int) -> np.ndarray:
+    """S(k) = tr((P_k Q_k)^2) for k = 1..n, where P_k and Q_k are the
+    leading k x k blocks of Toeplitz(p) and Toeplitz(q); q None means q = p.
+    p and q hold lags 0.._pass_table_size(n) - 1.
+
+    Row k - k0 of a block holds the reversed u of step k: the row carried
+    from the block before plus the running sum of p(|m-1-j|) q(m) over the
+    block's m <= k, zeroed at j >= k (w likewise, with p and q swapped). The
+    carried row also needs its entries j in [k0, k1), which no earlier block
+    reached; they are sum_{m<k0} p(j+1-m) q(m).
     """
-    D = np.empty(2 * n - 1)
-    D[n - 1:] = _toeplitz_matvec(q, p, n)       # M[0, :] = (Q p)^T
-    col = _toeplitz_matvec(p, q, n)             # M[:, 0] = P q
-    q_up, q_down = q[1:], q[:0:-1]
-    yield D[n - 1:]
-    for k in range(n - 1):
-        lo = n - 2 - k
-        tail = D[lo + 1: lo + n]
-        tail += p[k + 1] * q_up
-        tail -= p[n - 1 - k] * q_down
-        D[lo] = col[k + 1]
-        yield D[lo: lo + n]
+    size = p.size
+    sides = [(p, p)] if q is None else [(p, q), (q, p)]
+    q = p if q is None else q
+    blocks = _pass_blocks(n)
+    room = max(((k1 - k0 + 1) * k1 for k0, k1 in blocks), default=0)
+    state = [
+        (f, g, np.concatenate([f[:0:-1], f]), g[::-1].copy(), g[0] * f[1:],
+         np.empty(room), np.empty(room), np.zeros(size))
+        for f, g in sides
+    ]
+    dots = np.zeros((2, size))  # per step: u.w and (u + q(0) b).(w + p(0) c)
+    for k0, k1 in blocks:
+        rows = k1 - k0
+        lower = _strictly_lower(rows)
+        us, xs = [], []
+        for f, g, full, g_rev, border, ubuf, xbuf, carry in state:
+            U = ubuf[: (rows + 1) * k1].reshape(rows + 1, k1)
+            U[0, :k0] = carry[:k0]
+            np.einsum("ij,j->i", _windows(f, 2, rows, k0 - 1, 1),
+                      g_rev[size - k0: size - 1], out=U[0, k0:])
+            # full[size - 1 + d] = f(|d|), so row k starts at size - k.
+            np.multiply(_windows(full, size - k0, rows, k1, -1), g[k0:k1, None], out=U[1:])
+            for i in range(rows):
+                np.add(U[i], U[i + 1], out=U[i + 1])
+            carry[:k1] = U[rows]
+            U = U[1:]
+            U[:, k0:] *= lower
+            X = np.add(U, border[:k1], out=xbuf[: rows * k1].reshape(rows, k1))
+            X[:, k0:] *= lower
+            us.append(U)
+            xs.append(X)
+        np.einsum("ij,ij->i", us[0], us[-1], out=dots[0, k0:k1])
+        np.einsum("ij,ij->i", xs[0], xs[-1], out=dots[1, k0:k1])
+    cb = np.zeros(n)
+    np.cumsum(p[1:n] * q[1:n], out=cb[1:])
+    inc = 2.0 * dots[0, :n] + cb * cb + 2.0 * dots[1, :n] + (cb + p[0] * q[0]) ** 2
+    return _running_sum(inc)
 
 
-def _contract_sum(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
-    """S = tr((PQ)^2) = sum_k <(PQ)[k, :], (QP)[k, :]>, exact in O(n^2)
-    time and O(n) memory from the Toeplitz displacement structure of PQ.
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of x with Neumaier's compensation. The increments of S
+    are alike in size, and a plain running sum of 2^14 of them drifts by
+    about 3e-13 relative (fgn H = 0.3); compensated, the error stays near
+    one rounding."""
+    out = np.empty_like(x)
+    total = carry = 0.0
+    for i, v in enumerate(x.tolist()):
+        t = total + v
+        if abs(total) >= abs(v):
+            carry += (total - t) + v
+        else:
+            carry += (v - t) + total
+        total = t
+        out[i] = total + carry
+    return out
 
-    Row sums use einsum rather than BLAS dot products, so the value does
-    not depend on the BLAS thread count.
+
+_PASSES: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _lag_sum_prefix(model: CovarianceModel, a: int, b: int, n: int) -> np.ndarray:
+    """S(1..n) for P = Toeplitz(rho^a), Q = Toeplitz(rho^b), a <= b, read-only.
+
+    S is symmetric in (a, b), so contraction orders r and q - r, the criteria
+    fits, the boundedness scans and the constant-f'' Malliavin trace all read
+    one pass per (model, a, b). The longest pass run so far is kept, and a
+    new one runs only when it does not reach n; callers that need several n
+    ask for the largest first. A pass that raises leaves the cache as it was.
     """
-    if np.array_equal(pr, pqr):
-        # QP = (PQ)^T = PQ when P = Q.
-        return float(sum(np.einsum("i,i->", m, m) for m in _displacement_rows(pr, pr, n)))
-    return float(
-        sum(
-            np.einsum("i,i->", m, w)
-            for m, w in zip(_displacement_rows(pr, pqr, n), _displacement_rows(pqr, pr, n))
-        )
-    )
-
-
-@lru_cache(maxsize=256)
-def _quartic_lag_sum(model: CovarianceModel, a: int, b: int, n: int) -> float:
-    """S for P = Toeplitz(rho^a), Q = Toeplitz(rho^b), a <= b.
-
-    S is symmetric in (a, b), so contraction orders r and q - r, the
-    criteria fits, the boundedness scans and the constant-f'' Malliavin
-    trace all share one evaluation per (model, a, b, n).
-    """
-    pa = _powers(model, a, n)
-    return _contract_sum(pa, pa if a == b else _powers(model, b, n), n)
+    key = (model, a, b)
+    held = _PASSES.get(key)
+    if held is None or held.size < n:
+        size = _pass_table_size(n)
+        pa = _powers(model, a, size)
+        held = _bordering_pass(pa, None if a == b else _powers(model, b, size), n)
+        held.setflags(write=False)
+        _PASSES[key] = held
+    _PASSES.move_to_end(key)
+    while len(_PASSES) > _PASSES_HELD:
+        _PASSES.popitem(last=False)
+    return held[:n]
 
 
 def contraction_norm_sq(
@@ -199,8 +296,8 @@ def contraction_norm_sq(
 ) -> ContractionResult:
     """||f_n (x)_r f_n||^2.
 
-    method: "auto" or its alias "lagsum" (the exact O(n^2) displacement
-    evaluator), or "bruteforce" (the O(n^4) oracle, n <= 12).
+    method: "auto" or its alias "lagsum" (the bordering pass, exact in
+    O(n^2)), or "bruteforce" (the O(n^4) oracle, n <= 12).
     """
     if not 1 <= r <= q - 1:
         raise ValueError(f"r must be in 1..q-1, got r={r}, q={q}")
@@ -212,7 +309,7 @@ def contraction_norm_sq(
             raise ValueError(f"bruteforce capped at n={_BRUTEFORCE_MAX_N}")
         S = _contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
     elif method in ("auto", "lagsum"):
-        S = _quartic_lag_sum(model, min(r, q - r), max(r, q - r), n)
+        S = float(_lag_sum_prefix(model, min(r, q - r), max(r, q - r), n)[n - 1])
         method = "lagsum"
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -238,56 +335,6 @@ def kernel_inner(model: CovarianceModel, q: int, k: int, l: int) -> float:
         hermite_sum_variance(model, q, k) * hermite_sum_variance(model, q, l)
     )
     return pair_lag_sum(model, q, k, l) / den
-
-
-@dataclass(frozen=True)
-class KernelStats:
-    model: CovarianceModel
-    q: int
-    n: int
-    sigma_n: float
-    contraction_norms: dict[int, float]
-    inner: dict[tuple[int, int], float] | None
-    method: str
-
-
-def compute_kernel_stats(
-    model: CovarianceModel,
-    q: int,
-    n: int,
-    method: str = "auto",
-    pair_grid: list[tuple[int, int]] | None = None,
-) -> KernelStats:
-    norms: dict[int, float] = {}
-    used = method
-    for r in range(1, q):
-        res = contraction_norm_sq(model, q, r, n, method=method)
-        norms[r] = res.value
-        used = res.method
-    inner = None
-    if pair_grid is not None:
-        inner = {(k, l): kernel_inner(model, q, k, l) for k, l in pair_grid}
-    sigma_n = math.sqrt(hermite_sum_variance(model, q, n) / n)
-    return KernelStats(model, q, n, sigma_n, norms, inner, used)
-
-
-def kernel_stats_to_json(stats: KernelStats) -> str:
-    return json.dumps(
-        {
-            "model": json.loads(model_to_json(stats.model)),
-            "q": stats.q,
-            "n": stats.n,
-            "sigma_n": stats.sigma_n,
-            "contraction_norms": {str(r): v for r, v in stats.contraction_norms.items()},
-            "inner": (
-                None
-                if stats.inner is None
-                else [[k, l, v] for (k, l), v in sorted(stats.inner.items())]
-            ),
-            "method": stats.method,
-        },
-        sort_keys=True,
-    )
 
 
 # ---------------------------------------------------------------------------

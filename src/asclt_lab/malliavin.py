@@ -9,8 +9,8 @@ and ||D^2G_n (x)_1 D^2G_n||^2 is a quartic lag sum weighted by f''(X_k),
 
 evaluated exactly by dense matmul for small n and by blocked FFT Toeplitz
 applies beyond. When f'' is constant (b = c), the trace is c^4 tr(R^4), the
-kernel quartic lag sum, and goes through the O(n^2) displacement evaluator
-of `kernels`, once per (model, n). Lag-truncated variants return certified
+kernel quartic lag sum, read at n from the bordering pass of `kernels`,
+which runs once per model. Lag-truncated variants return certified
 remainder bounds; the fourth-moment inequalities are evaluated exactly as
 printed (fractional exponents included) alongside the first-power variants,
 and violations are reported, not corrected.
@@ -36,7 +36,7 @@ from .covariance import CovarianceModel, abs_rho_power_sum, rho_many, symmetric_
 from .gaussian_sim import GaussianPath
 from .hermite import _quad_rule, derivative_coeffs, evaluate_expansion, hermite_eval
 from .kernels import (
-    _quartic_lag_sum,
+    _lag_sum_prefix,
     _toeplitz_apply,
     _toeplitz_columns,
     _toeplitz_matvec,
@@ -268,7 +268,7 @@ def _constant_d2g_norm_sq(spec: SequenceSpec, n: int) -> float:
     """||D^2G_n (x)_1 D^2G_n||^2 when f'' is a constant c, the same on every
     path: tr((TR)^2) = c^4 tr(R^4), which is >= 0."""
     const = _second_derivative_constant(spec)
-    raw = const**4 * _quartic_lag_sum(spec.model, 1, 1, n) if const else 0.0
+    raw = const**4 * float(_lag_sum_prefix(spec.model, 1, 1, n)[n - 1]) if const else 0.0
     return raw / _normalizer_sq(spec, n) ** 2
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asclt_lab import asclt, cli, malliavin
+from asclt_lab import asclt, cli, kernels, malliavin
 from asclt_lab.asclt import (
     contraction_keys,
     criteria_diagnostic,
@@ -455,6 +455,8 @@ def test_asclt_reports_identical_across_workers(tmp_path):
         ("sub_q3", "asclt_hermite_sub", {"H": 0.3, "q": 3}, {}),
         ("general_f", "asclt_general_f", {"H": 0.3, "f": "arctan", "expansion_order": 9}, {}),
         ("crit", "asclt_hermite_crit", {"H": 0.75, "q": 2}, {}),
+        # Two lag-sum groups, (1, 3) and (2, 2), so two criteria tasks.
+        ("crit_q4", "asclt_hermite_crit", {"H": 7 / 8, "q": 4}, {}),
         ("fbm", "asclt_fbm", {"H": 0.7}, {}),
         ("non_gaussian", "non_gaussian", {"H": 0.9, "q": 2},
          {"seeds": {"master_seed": SEED, "replicates": 10}, "t_grid": [1.0]}),
@@ -496,15 +498,22 @@ def test_pooled_criteria_matches_inline():
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_each_lag_sum_key_is_evaluated_once(monkeypatch, q):
-    # q = 4 has r = 1 and r = 3 on one key; the scan sizes 69 and 211 are
-    # also criteria grid points, 256 is not.
-    calls = []
+    # q = 4 has r = 1 and r = 3 on one key and a second (a, b) group, (2, 2);
+    # the scan sizes 69 and 211 are also criteria grid points, 256 is not.
+    calls, passes = [], []
+    real_pass = kernels._bordering_pass
 
     def counting(model, q, r, n, method="auto"):
         calls.append((min(r, q - r), max(r, q - r), n))
         return contraction_norm_sq(model, q, r, n, method)
 
+    def counting_pass(p, q, n):
+        passes.append(n)
+        return real_pass(p, q, n)
+
     monkeypatch.setattr(asclt, "contraction_norm_sq", counting)
+    monkeypatch.setattr(kernels, "_bordering_pass", counting_pass)
+    monkeypatch.setattr(kernels, "_PASSES", type(kernels._PASSES)())
     H = 1 - 1 / (2 * q)
     cfg, errors = validate_config(_doc(
         "asclt_hermite_crit", model={"H": H, "q": q}, n_max=256, n_grid=[16, 69, 211, 256],
@@ -517,6 +526,9 @@ def test_each_lag_sum_key_is_evaluated_once(monkeypatch, q):
     assert len(keys) == (q // 2) * len(grid) + 1
     assert sorted(calls) == sorted(keys)
     assert calls == contraction_keys(HermiteVariation(fgn(H), q), 256, (69, 211, 256))
+    # One pass per (a, b) group, to the group's largest n.
+    groups = sorted({key[:2] for key in keys})
+    assert passes == [max(n for *ab, n in keys if tuple(ab) == group) for group in groups]
     assert art.report["kernel_log_bounded"]["n_grid"] == [69, 211, 256]
 
 

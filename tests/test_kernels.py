@@ -1,22 +1,29 @@
-"""Kernel algebra: the displacement evaluator against brute-force and dense
+"""Kernel algebra: the bordering lag-sum pass against brute-force and dense
 oracles, plus the dense Gram-metric kernel identities."""
 
 from __future__ import annotations
 
-import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asclt_lab import kernels
 from asclt_lab.covariance import fgn, iid, rho, rho_many, table
 from asclt_lab.kernels import (
-    _contract_sum,
+    _bordering_pass,
+    _contract_sum_bruteforce,
     _contract_sum_dense,
+    _lag_sum_prefix,
+    _pass_table_size,
     _powers,
-    compute_kernel_stats,
+    _running_sum,
     contraction_norm_sq,
     dense_contract,
     dense_inner,
@@ -26,7 +33,6 @@ from asclt_lab.kernels import (
     gram_matrix,
     hermite_sum_variance,
     kernel_inner,
-    kernel_stats_to_json,
     pair_lag_sum,
     v2_prefix,
 )
@@ -35,8 +41,8 @@ from asclt_lab.sequences import geometric_grid
 MODELS = [iid(), fgn(0.3), fgn(0.75)]
 # MA(2) autocorrelation, so Toeplitz(rho^s) is positive semidefinite.
 TABLE = table({0: 1.0, 1: 0.5, 2: 0.2})
-# Fixed before the oracle tests were written: the displacement evaluator
-# must match the dense matmul to this relative accuracy.
+# Fixed before the oracle tests were written: the lag-sum evaluator must
+# match the dense matmul to this relative accuracy.
 DENSE_REL_TOL = 1e-12
 
 
@@ -145,20 +151,112 @@ def _ma_tables(draw):
     return table({0: 1.0, **lags})
 
 
+def _one_pass(model, a, b, n):
+    """S(1..n) from a fresh bordering pass, bypassing the pass cache."""
+    size = _pass_table_size(n)
+    pa = _powers(model, a, size)
+    return _bordering_pass(pa, None if a == b else _powers(model, b, size), n)
+
+
+@pytest.mark.parametrize("model", [fgn(0.3), fgn(0.75), fgn(0.9), iid(), TABLE],
+                         ids=lambda m: f"{m.kind}-{m.H}")
+def test_one_pass_matches_bruteforce_at_every_n(model):
+    for q in (2, 3, 4):
+        for r in range(1, q):
+            S = _one_pass(model, r, q - r, 12)
+            for n in range(1, 13):
+                want = _contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
+                assert S[n - 1] == pytest.approx(want, rel=1e-12), (q, r, n)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     model=_ma_tables(),
     qr=st.integers(2, 4).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q - 1))),
     n=st.integers(1, 256),
 )
-def test_displacement_matches_dense_on_random_tables(model, qr, n):
+def test_bordering_pass_matches_dense_on_random_tables(model, qr, n):
+    # Every prefix of one pass, each against its own dense matmul.
     q, r = qr
-    pr, pqr = _powers(model, r, n), _powers(model, q - r, n)
-    dense = _contract_sum_dense(pr, pqr, n)
-    assert _contract_sum(pr, pqr, n) == pytest.approx(dense, rel=DENSE_REL_TOL)
-    assert contraction_norm_sq(model, q, r, n).raw_sum == pytest.approx(
-        dense, rel=DENSE_REL_TOL
-    )
+    S = _one_pass(model, r, q - r, n)
+    for k in range(1, n + 1):
+        dense = _contract_sum_dense(_powers(model, r, k), _powers(model, q - r, k), k)
+        assert S[k - 1] == pytest.approx(dense, rel=DENSE_REL_TOL), k
+    assert contraction_norm_sq(model, q, r, n).raw_sum == S[n - 1]
+
+
+@pytest.mark.parametrize("model, a, b", [(fgn(0.75), 1, 1), (fgn(0.3), 1, 3)])
+def test_pass_prefixes_do_not_depend_on_pass_length(model, a, b):
+    # A value read from a longer pass equals a pass to its own n, so cached
+    # reads cannot depend on which other keys a run needs.
+    long = _one_pass(model, a, b, 3072)
+    for n in (1, 2, 3, 7, 64, 257, 1000):
+        assert np.array_equal(long[:n], _one_pass(model, a, b, n)), n
+
+
+def test_lag_sum_prefix_runs_one_pass_for_smaller_n(monkeypatch):
+    runs = []
+
+    def counting(p, q, n):
+        runs.append(n)
+        return _bordering_pass(p, q, n)
+
+    monkeypatch.setattr(kernels, "_bordering_pass", counting)
+    monkeypatch.setattr(kernels, "_PASSES", type(kernels._PASSES)())
+    model = fgn(0.6)
+    first = _lag_sum_prefix(model, 1, 2, 200)
+    assert not first.flags.writeable
+    values = [contraction_norm_sq(model, 3, r, n).raw_sum for n in (200, 150, 3) for r in (1, 2)]
+    assert runs == [200]
+    assert values == [first[199]] * 2 + [first[149]] * 2 + [first[2]] * 2
+    contraction_norm_sq(model, 3, 1, 201)
+    assert runs == [200, 201]
+
+
+def test_failed_pass_caches_nothing(monkeypatch):
+    def boom(p, q, n):
+        raise RuntimeError("pass boom")
+
+    monkeypatch.setattr(kernels, "_PASSES", type(kernels._PASSES)())
+    model = fgn(0.6)
+    held = _lag_sum_prefix(model, 1, 1, 50)
+    monkeypatch.setattr(kernels, "_bordering_pass", boom)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="pass boom"):
+            contraction_norm_sq(model, 2, 1, 51)
+    assert list(kernels._PASSES) == [(model, 1, 1)]
+    assert np.array_equal(kernels._PASSES[(model, 1, 1)], held)
+
+
+def test_running_sum_stays_within_one_rounding_of_fsum():
+    # Increments alike in size, as the lag-sum increments are; a plain
+    # cumulative sum drifts by several ulp here.
+    x = np.random.default_rng(5).uniform(0.9, 1.1, 1 << 14)
+    prefixes = _running_sum(x)
+    for n in (10, 100, 1000, 4096, 10000, 1 << 14):
+        assert prefixes[n - 1] == pytest.approx(math.fsum(x[:n].tolist()), rel=2.3e-16), n
+
+
+_BLAS_THREADS_SCRIPT = """
+from hashlib import sha256
+from asclt_lab.covariance import fgn
+from asclt_lab.kernels import _lag_sum_prefix, contraction_norm_sq
+print(contraction_norm_sq(fgn(0.75), 2, 1, 2048).raw_sum.hex(),
+      sha256(_lag_sum_prefix(fgn(0.3), 1, 2, 2048).tobytes()).hexdigest())
+"""
+
+
+def test_lag_sum_bits_do_not_depend_on_blas_threads():
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_contraction_symmetry_in_r():
@@ -180,6 +278,7 @@ def test_method_guards():
 
 
 def test_kernel_inner_diagonal_is_inverse_factorial():
+    # q! <f_n, f_n> = 1 in every regime.
     for model in MODELS:
         for q in (2, 3):
             for n in (1, 5, 64):
@@ -213,22 +312,6 @@ def test_subcritical_contraction_norm_decays():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert slope < 0.0
-
-
-def test_stats_normalization_and_json():
-    stats = compute_kernel_stats(
-        fgn(0.75), 2, 64, pair_grid=[(4, 16), (16, 64)]
-    )
-    assert stats.sigma_n > 0
-    assert set(stats.contraction_norms) == {1}
-    # q! <f_n, f_n> = 1.
-    assert 2.0 * kernel_inner(fgn(0.75), 2, 64, 64) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    obj = json.loads(kernel_stats_to_json(stats))
-    assert obj["q"] == 2 and obj["n"] == 64
-    assert obj["method"] == "lagsum"
-    assert len(obj["inner"]) == 2
 
 
 # --- dense kernels -----------------------------------------------------------

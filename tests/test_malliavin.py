@@ -168,7 +168,7 @@ def test_d2g_quadratic_hermite_is_deterministic():
 
 
 def test_d2g_constant_second_derivative_matches_blocked_trace():
-    # The constant-f'' route (kernel displacement evaluator) against the
+    # The constant-f'' route (kernel bordering lag-sum pass) against the
     # blocked Toeplitz-FFT weighted trace, above the dense trace cutoff.
     n = 600
     for model in (fgn(0.3), fgn(0.75)):
