@@ -135,31 +135,82 @@ def test_validate_field_types_and_ranges():
     assert "model.H" in _errors_by_field(_doc("asclt_fbm", model={"H": 1.0}))
 
 
-def test_validate_regime_gates():
-    assert "model.H" in _errors_by_field(
-        _doc("asclt_hermite_sub", model={"H": 0.8, "q": 2})
-    )
-    assert "model.H" in _errors_by_field(_doc("non_gaussian", model={"H": 0.3, "q": 2}))
-    assert "model.H" in _errors_by_field(
-        _doc("asclt_general_f", model={"H": 0.6, "f": "arctan", "expansion_order": 9})
-    )
-    assert "model.f" in _errors_by_field(
-        _doc("asclt_general_f", model={"H": 0.3, "f": "mystery", "expansion_order": 9})
-    )
-    assert "model.H" in _errors_by_field(
-        _doc("sigma_limits", model={"H": 0.9, "q": 2})
-    )
+_ASCLT = ("asclt_fbm", "asclt_hermite_sub", "asclt_hermite_crit", "asclt_general_f")
+_EXPERIMENT_NAMES = (*_ASCLT, "non_gaussian", "kernels_decay", "delta_exactness",
+                     "malliavin_bounds", "sigma_limits")
+# The model fields each experiment accepts.
+_MODEL_FIELDS = {
+    "asclt_fbm": {"H"},
+    "delta_exactness": {"H"},
+    "asclt_general_f": {"H", "f", "expansion_order"},
+    **{e: {"H", "q"} for e in ("asclt_hermite_sub", "asclt_hermite_crit", "non_gaussian",
+                               "kernels_decay", "malliavin_bounds", "sigma_limits")},
+}
+_FOREIGN_MODEL_VALUES = {"H": 0.3, "q": 2, "f": "arctan", "expansion_order": 9}
+_MIN_REPLICATES = {**{e: 2 for e in _ASCLT}, "non_gaussian": 10, "delta_exactness": 100,
+                   "malliavin_bounds": 100, "kernels_decay": 0, "sigma_limits": 0}
+_NEEDS_T_GRID = (*_ASCLT, "delta_exactness", "malliavin_bounds")
 
 
-def test_validate_experiment_coherence():
-    assert "n_max" in _errors_by_field(_doc("delta_exactness", n_max=8192))
-    assert "seeds.replicates" in _errors_by_field(
-        _doc("delta_exactness", seeds={"master_seed": 1, "replicates": 50})
-    )
-    assert "n_max" in _errors_by_field(_doc("non_gaussian", n_max=1000))
-    assert "n_grid" in _errors_by_field(
-        _doc("asclt_fbm", n_grid=[8192, 16384], n_max=16384)
-    )
+def _seeds(replicates):
+    return {"seeds": {"master_seed": SEED, "replicates": replicates}}
+
+
+# (experiment, overrides of its defaults, the exact set of error fields);
+# an empty set means the config validates.
+_RULES = [
+    # Model fields: each experiment refuses the fields it does not read.
+    *[(e, {"model": {key: _FOREIGN_MODEL_VALUES[key]}}, {f"model.{key}"})
+      for e in _EXPERIMENT_NAMES for key in sorted(set(_FOREIGN_MODEL_VALUES) - _MODEL_FIELDS[e])],
+    ("asclt_general_f", {"model": {"f": "mystery"}}, {"model.f"}),
+    # Regime gates.
+    ("asclt_hermite_crit", {"model": {"H": 0.7, "q": 2}}, {"model.H"}),
+    ("asclt_hermite_crit", {"model": {"H": 5 / 6, "q": 3}}, set()),
+    ("asclt_hermite_sub", {"model": {"H": 0.8, "q": 2}}, {"model.H"}),
+    ("asclt_hermite_sub", {"model": {"H": 0.75, "q": 2}}, {"model.H"}),
+    ("malliavin_bounds", {"model": {"H": 0.8, "q": 2}}, {"model.H"}),
+    ("non_gaussian", {"model": {"H": 0.3, "q": 2}}, {"model.H"}),
+    ("non_gaussian", {"model": {"H": 0.75, "q": 2}}, {"model.H"}),
+    ("sigma_limits", {"model": {"H": 0.9, "q": 2}}, {"model.H"}),
+    ("sigma_limits", {"model": {"H": 0.3, "q": 2}}, set()),
+    ("asclt_general_f", {"model": {"H": 0.6}}, {"model.H"}),
+    ("asclt_general_f", {"model": {"H": 0.5}}, set()),
+    ("asclt_fbm", {"model": {"H": 0.9}}, set()),
+    ("delta_exactness", {"model": {"H": 0.3}}, set()),
+    ("kernels_decay", {"model": {"H": 0.9, "q": 2}}, set()),
+    # Minimum replicates.
+    *[(e, _seeds(m - 1), {"seeds.replicates"}) for e, m in _MIN_REPLICATES.items() if m],
+    *[(e, _seeds(m), set()) for e, m in _MIN_REPLICATES.items()],
+    # A non-empty t_grid where the experiment has frequencies to read.
+    *[(e, {"t_grid": []}, {"t_grid"} if e in _NEEDS_T_GRID else set())
+      for e in _EXPERIMENT_NAMES],
+    # Grid rules: at least two sizes, the first one usable by il, and no
+    # size past n_max for the asclt family.
+    *[(e, {"n_grid": [256]}, {"n_grid"}) for e in _ASCLT],
+    *[(e, {"n_grid": [2, 256]}, {"n_grid[0]"}) for e in (*_ASCLT, "non_gaussian")],
+    *[(e, {"n_grid": [4, 256]}, set()) for e in (*_ASCLT, "non_gaussian")],
+    *[(e, {"n_grid": [256, 1024], "n_max": 512}, {"n_grid"}) for e in _ASCLT],
+    *[(e, {"n_grid": [256, 1024], "n_max": 512}, set())
+      for e in ("non_gaussian", "kernels_decay", "delta_exactness", "malliavin_bounds",
+                "sigma_limits")],
+    ("asclt_fbm", {"n_grid": [8192, 16384], "n_max": 16384}, {"n_grid"}),
+    ("asclt_fbm", {"n_grid": [4096, 8192], "n_max": 8192}, {"n_grid"}),
+    ("asclt_fbm", {"n_grid": [2048, 4096, 8192], "n_max": 8192}, set()),
+    ("non_gaussian", {"n_max": 1000}, {"n_max"}),
+    ("non_gaussian", {"n_max": 1024}, set()),
+    ("delta_exactness", {"n_max": 8192}, {"n_max"}),
+    ("delta_exactness", {"n_max": 4096}, set()),
+    ("delta_exactness", {"n_max": 8192, **_seeds(50)}, {"n_max", "seeds.replicates"}),
+    # The experiment rules run only on fields that are well-formed.
+    ("asclt_hermite_sub", {"model": {"H": 0.8, "q": 2}, "n_grid": [256]}, {"model.H"}),
+]
+
+
+@pytest.mark.parametrize("experiment,overrides,fields", _RULES)
+def test_validation_rule_table(experiment, overrides, fields):
+    cfg, errors = validate_config(_doc(experiment, **overrides))
+    assert {e.field for e in errors} == fields
+    assert (cfg is None) == bool(fields)
 
 
 def test_defaults_fill_in():
