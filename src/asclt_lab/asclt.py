@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceModel, abs_rho_power_sum
-from .gaussian_sim import GaussianPath, sample_stationary
+from .gaussian_sim import sample_stationary
 from .kernels import contraction_norm_sq
 from .malliavin import _normalizer_sq, _quad_fourth_moment
 from .memo import CACHE_BYTES, byte_bounded_cache
@@ -40,8 +40,6 @@ from .sequences import (
 
 __all__ = [
     "LogAveragedMeasure",
-    "EmpiricalTarget",
-    "DeltaEstimate",
     "IlRow",
     "IlDiagnostic",
     "ConditionDiagnostic",
@@ -50,13 +48,10 @@ __all__ = [
     "DeltaRow",
     "DEFAULT_T_GRID",
     "log_average_measure",
-    "empirical_target",
     "ks_distance",
     "harmonic_weighted_mean",
     "delta_stat",
     "delta_stat_prefixes",
-    "delta_triangle_bound",
-    "delta_ensemble",
     "exact_gaussian_delta_sq",
     "il_series_diagnostic",
     "il_delta_prefixes",
@@ -97,10 +92,6 @@ class LogAveragedMeasure:
     normalization: str
     n: int
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
 
 def log_average_measure(g: GSeries, normalization: str = "harmonic") -> LogAveragedMeasure:
     if normalization not in ("harmonic", "log_n"):
@@ -116,27 +107,6 @@ def log_average_measure(g: GSeries, normalization: str = "harmonic") -> LogAvera
     values.flags.writeable = False
     weights.flags.writeable = False
     return LogAveragedMeasure(values, weights, normalization, n)
-
-
-@dataclass(frozen=True)
-class EmpiricalTarget:
-    """Step-function target CDF given by a weighted sample."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-
-def empirical_target(values, weights=None) -> EmpiricalTarget:
-    values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.full(values.size, 1.0 / values.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != values.shape:
-            raise ValueError("weights must match values")
-        weights = weights / weights.sum()
-    order = np.argsort(values, kind="stable")
-    return EmpiricalTarget(values[order], weights[order])
 
 
 def _grouped_cdf(values: np.ndarray, weights: np.ndarray):
@@ -250,33 +220,18 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def ks_distance(m: LogAveragedMeasure, target="std_normal") -> float:
-    """Exact sup-distance between the measure's CDF and the target CDF.
+def ks_distance(m: LogAveragedMeasure) -> float:
+    """Exact sup-distance between the measure's CDF and the N(0, 1) CDF.
 
     The weighted empirical CDF is a step function, so the sup is attained
     at a jump point, approached from the left or the right; both one-sided
-    values are compared at every jump of either CDF.
+    values are compared at every jump.
     """
     if m.normalization != "harmonic":
         raise ValueError("Kolmogorov distance needs a probability measure; use harmonic")
     uniq, hi, lo = _grouped_cdf(m.values, m.weights)
-    if isinstance(target, str):
-        if target != "std_normal":
-            raise ValueError(f"unknown target {target!r}")
-        phi = _ndtr(uniq)
-        return float(np.maximum(np.abs(hi - phi), np.abs(lo - phi)).max())
-    if not isinstance(target, EmpiricalTarget):
-        raise TypeError("target must be 'std_normal' or an EmpiricalTarget")
-    t_uniq, t_hi, _ = _grouped_cdf(target.values, target.weights)
-    points = np.union1d(uniq, t_uniq)
-    # right-continuous CDF values at jump points, then left limits
-    f_hi = np.concatenate(([0.0], hi))[np.searchsorted(uniq, points, side="right")]
-    g_hi = np.concatenate(([0.0], t_hi))[np.searchsorted(t_uniq, points, side="right")]
-    f_lo = np.concatenate(([0.0], hi))[np.searchsorted(uniq, points, side="left")]
-    g_lo = np.concatenate(([0.0], t_hi))[np.searchsorted(t_uniq, points, side="left")]
-    return float(
-        max(np.abs(f_hi - g_hi).max(), np.abs(f_lo - g_lo).max())
-    )
+    phi = _ndtr(uniq)
+    return float(np.maximum(np.abs(hi - phi), np.abs(lo - phi)).max())
 
 
 def harmonic_weighted_mean(values: np.ndarray) -> float:
@@ -296,8 +251,8 @@ def _inverse_k(n: int) -> np.ndarray:
     return 1.0 / np.arange(1.0, n + 1.0)
 
 
-def delta_stat(g: GSeries, t: float, target_cf=None):
-    """(1/log n) sum_{k<=n} (1/k)(e^{itG_k} - cf(t)), cf defaulting to e^{-t^2/2}.
+def delta_stat(g: GSeries, t: float):
+    """(1/log n) sum_{k<=n} (1/k)(e^{itG_k} - e^{-t^2/2}).
 
     A complex for one series; for a block series (values of shape (B, n))
     the array of the B rows' values, each bit-identical to its row alone:
@@ -307,69 +262,25 @@ def delta_stat(g: GSeries, t: float, target_cf=None):
     n = g.n
     if n < 2:
         raise ValueError("need n >= 2")
-    target = math.exp(-t * t / 2.0) if target_cf is None else complex(target_cf(t))
     terms = 1j * t * g.values
     np.exp(terms, out=terms)
-    terms -= target
+    terms -= math.exp(-t * t / 2.0)
     terms *= _inverse_k(n)
     total = np.sum(terms, axis=-1) / math.log(n)
     return complex(total) if total.ndim == 0 else total
 
 
-def delta_stat_prefixes(g: GSeries, t: float, n_grid, target_cf=None) -> np.ndarray:
+def delta_stat_prefixes(g: GSeries, t: float, n_grid) -> np.ndarray:
     """delta_stat of every prefix in n_grid, one cumulative pass."""
     n_grid = [int(n) for n in n_grid]
     if any(n < 2 or n > g.n for n in n_grid):
         raise ValueError("prefix sizes must lie in 2..n")
-    target = None
     k = np.arange(1.0, g.n + 1.0)
     cum_phase = np.cumsum(np.exp(1j * t * g.values) / k)
     cum_w = np.cumsum(1.0 / k)
     idx = np.array(n_grid) - 1
-    if target_cf is None:
-        target = math.exp(-t * t / 2.0)
-    else:
-        target = complex(target_cf(t))
+    target = math.exp(-t * t / 2.0)
     return (cum_phase[idx] - target * cum_w[idx]) / np.log(np.array(n_grid, dtype=float))
-
-
-def delta_triangle_bound(n: int) -> float:
-    """|e^{itG} - cf| <= 2 termwise, so |delta| <= (1/log n) sum 2/k."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return 2.0 * float(np.sum(1.0 / np.arange(1.0, n + 1.0))) / math.log(n)
-
-
-@dataclass(frozen=True)
-class DeltaEstimate:
-    t: float
-    n: int
-    per_replicate: np.ndarray
-    mean_sq: float
-    stderr: float
-    target: str
-    triangle_bound: float
-
-
-def delta_ensemble(series: list[GSeries], t: float, target_cf=None, target_name: str = "std_normal") -> DeltaEstimate:
-    if not series:
-        raise ValueError("empty series ensemble")
-    n = series[0].n
-    if any(g.n != n for g in series):
-        raise ValueError("series must share a common length")
-    per = np.array([delta_stat(g, t, target_cf) for g in series])
-    sq = np.abs(per) ** 2
-    stderr = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0
-    per.flags.writeable = False
-    return DeltaEstimate(
-        t=float(t),
-        n=n,
-        per_replicate=per,
-        mean_sq=float(sq.mean()),
-        stderr=stderr,
-        target=target_name,
-        triangle_bound=delta_triangle_bound(n),
-    )
 
 
 def exact_gaussian_delta_sq(spec: SequenceSpec, n: int, t: float) -> float:
@@ -500,21 +411,12 @@ def il_exact_row(spec: SequenceSpec, t: float, n_grid) -> IlRow:
     return _il_row(t, n_grid, np.array([exact_gaussian_delta_sq(spec, n, t) for n in n_grid]))
 
 
-def il_series_diagnostic(
-    spec: SequenceSpec,
-    t_grid=DEFAULT_T_GRID,
-    n_grid=None,
-    *,
-    master_seed: int | None = None,
-    replicates: int = 0,
-) -> IlDiagnostic:
+def il_series_diagnostic(spec: SequenceSpec, t_grid=DEFAULT_T_GRID, n_grid=None) -> IlDiagnostic:
     """Trend diagnostic for the averaged-summability criterion: the summand
     E|delta_n(t)|^2 / (n log n) on a geometric n-grid, its grid partial sums,
-    and a fitted decay exponent per t. Numerical evidence only.
-
-    With replicates == 0 the second moment is exact (jointly Gaussian specs
-    only); otherwise a fresh Monte-Carlo ensemble of the given size is drawn,
-    one il_delta_prefixes per replicate id 0..replicates-1.
+    and a fitted decay exponent per t, from the exact second moment (jointly
+    Gaussian specs only). Numerical evidence only; the Monte-Carlo
+    counterpart is il_from_prefixes over il_delta_prefixes replicates.
     """
     if n_grid is None:
         n_grid = [n for n in geometric_grid(EXACT_DELTA_MAX_N) if n >= 4]
@@ -523,15 +425,7 @@ def il_series_diagnostic(
         raise ValueError("n_grid must be strictly increasing")
     if n_grid[0] < 2:
         raise ValueError("n_grid entries must be >= 2")
-
-    if replicates == 0:
-        return il_from_rows(n_grid, [il_exact_row(spec, t, n_grid) for t in t_grid])
-    if master_seed is None:
-        raise ValueError("master_seed required for Monte-Carlo evaluation")
-    prefixes = [
-        il_delta_prefixes(spec, t_grid, n_grid, master_seed, rep) for rep in range(replicates)
-    ]
-    return il_from_prefixes(t_grid, n_grid, prefixes)
+    return il_from_rows(n_grid, [il_exact_row(spec, t, n_grid) for t in t_grid])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from .asclt import (
     log_average_measure,
 )
 from .covariance import fgn
-from .gaussian_sim import block_rows, sample_ensemble, sample_fbm_grid, sample_stationary
+from .gaussian_sim import MAX_N, block_rows, sample_ensemble, sample_fbm_grid, sample_stationary
 from .hermite import expand, resolve_test_function
 from .kernels import contraction_norm_sq
 from .malliavin import (
@@ -93,6 +94,8 @@ SCHEMA_VERSION = 1
 _CRITERIA_N_CAP = 1 << 12
 # Dense il grids below this point are dominated by small-n transients.
 _MIN_IL_N = 4
+# Largest seeds.replicates: a replicate stage queues all of its blocks up front.
+_MAX_REPLICATES = 1 << 20
 # Derived seed offsets, one disjoint stream per diagnostic within a run.
 _SEED_KS = 0
 _SEED_IL = 1
@@ -166,115 +169,55 @@ class RunArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# Experiment registry. Tuple order is the stable `list` order.
+# Experiment registry records. The entries, in the stable `list` order,
+# follow the runners at the end of the module.
 
-_GRID_DEFAULT = [256, 1024, 4096, 16384, 65536]
 
-_EXPERIMENTS: dict[str, dict] = {
-    "asclt_fbm": {
-        "description": "log-averaged CLT check for scaled fractional Brownian values",
-        "defaults": {
-            "model": {"H": 0.5},
-            "n_max": 4096,
-            "n_grid": [256, 1024, 4096],
-            "seeds": {"master_seed": 20240821, "replicates": 100},
-            "t_grid": [0.5, 1.0, 2.0],
-            "tolerances": {"ks_final_max": 0.35},
-        },
-    },
-    "asclt_hermite_sub": {
-        "description": "log-averaged CLT check for subcritical Hermite variations",
-        "defaults": {
-            "model": {"H": 0.3, "q": 2},
-            "n_max": 65536,
-            "n_grid": _GRID_DEFAULT,
-            "seeds": {"master_seed": 20240821, "replicates": 120},
-            "t_grid": [0.5, 1.0],
-            "tolerances": {"ks_final_max": 0.35},
-        },
-    },
-    "asclt_hermite_crit": {
-        "description": "log-averaged CLT check at the critical Hurst boundary",
-        "defaults": {
-            "model": {"H": 0.75, "q": 2},
-            "n_max": 65536,
-            "n_grid": _GRID_DEFAULT,
-            "seeds": {"master_seed": 20240821, "replicates": 120},
-            "t_grid": [1.0],
-            "tolerances": {"ks_final_max": 0.40},
-        },
-    },
-    "asclt_general_f": {
-        "description": "log-averaged CLT check for a nonlinear functional of fGn",
-        "defaults": {
-            "model": {"H": 0.3, "f": "arctan", "expansion_order": 9},
-            "n_max": 65536,
-            "n_grid": _GRID_DEFAULT,
-            "seeds": {"master_seed": 20240821, "replicates": 120},
-            "t_grid": [0.5, 1.0],
-            "tolerances": {"ks_final_max": 0.35},
-        },
-    },
-    "non_gaussian": {
-        "description": "supercritical contrast where the limit stays random",
-        "defaults": {
-            "model": {"H": 0.9, "q": 2},
-            "n_max": 16384,
-            "n_grid": _GRID_DEFAULT,
-            "seeds": {"master_seed": 20240821, "replicates": 50},
-            "t_grid": [1.0],
-            "tolerances": {"rel_zn": 0.02},
-        },
-    },
-    "kernels_decay": {
-        "description": "contraction-norm decay fits across grid sizes",
-        "defaults": {
-            "model": {"H": 0.3, "q": 2},
-            "n_max": 16384,
-            "n_grid": [64, 256, 1024, 4096, 16384],
-            "seeds": {"master_seed": 20240821, "replicates": 0},
-            "t_grid": [],
-            "tolerances": {},
-        },
-    },
-    "delta_exactness": {
-        "description": "Monte Carlo vs closed-form averaged characteristic-function gap",
-        "defaults": {
-            "model": {"H": 0.8},
-            "n_max": 1024,
-            "n_grid": [1024],
-            "seeds": {"master_seed": 20240821, "replicates": 5000},
-            "t_grid": [0.5, 1.0, 2.0],
-            "tolerances": {"z_max": 4.0},
-        },
-    },
-    "malliavin_bounds": {
-        "description": "derivative-norm, characteristic-function, and correlation-bound checks",
-        "defaults": {
-            "model": {"H": 0.3, "q": 2},
-            "n_max": 4096,
-            "n_grid": [4096],
-            "seeds": {"master_seed": 20240821, "replicates": 200},
-            "t_grid": [0.5, 1.0, 2.0],
-            "tolerances": {"z_max": 4.0},
-        },
-    },
-    "sigma_limits": {
-        "description": "variance normalizer convergence to its certified limit",
-        "defaults": {
-            "model": {"H": 0.75, "q": 2},
-            "n_max": 1000000,
-            "n_grid": [10000, 100000, 1000000],
-            "seeds": {"master_seed": 20240821, "replicates": 0},
-            "t_grid": [],
-            "tolerances": {"rel_sigma": 0.10},
-        },
-    },
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its defaults, runner and validation rules. The keys
+    of defaults["model"] and defaults["tolerances"] are the fields a config
+    may set there; the other rules apply once every field is well-formed."""
 
-_TOLERANCE_KEYS = {"ks_final_max", "z_max", "rel_sigma", "rel_zn"}
-# Experiments whose KS/il loops need a multi-point grid of usable sizes.
-_ASCLT_FAMILY = ("asclt_fbm", "asclt_hermite_sub", "asclt_hermite_crit", "asclt_general_f")
+    description: str
+    defaults: dict
+    runner: Callable[[ExperimentConfig, object], RunArtifacts]
+    spec: str = "hermite"  # the _build_spec kind of the model
+    gate: Callable[[float, int | None], str | None] | None = None  # (H, q) -> why refused
+    min_replicates: int = 0
+    needs_t_grid: bool = False
+    min_sizes: int = 1  # entries of n_grid
+    min_first_n: int = 2  # smallest n_grid[0]
+    grid_within_n_max: bool = False
+    exact_sizes: int = 0  # entries of n_grid <= EXACT_DELTA_MAX_N
+    n_max_power_of_two: bool = False
+    n_max_cap: int | None = None
+
+
+# Regime gates: an experiment only makes sense on its side of the boundary
+# H = 1 - 1/(2q).
+
+
+def _critical_gate(H: float, q: int) -> str | None:
+    exact = (2 * q - 1) / (2 * q)
+    if H != exact:
+        return f"critical run needs H = 1 - 1/(2q) = {exact!r} exactly, got {H!r}"
+    return None
+
+
+def _regime_gate(*regimes: str):
+    def gate(H: float, q: int) -> str | None:
+        if regime_for(fgn(H), q) in regimes:
+            return None
+        return (f"needs the {' or '.join(regimes)} regime "
+                f"(boundary H = 1 - 1/(2q) = {1 - 1 / (2 * q)} for q={q})")
+    return gate
+
+
+def _summable_gate(H: float, q: None) -> str | None:
+    if H > 0.5:
+        return "general functionals need an absolutely summable covariance (H <= 1/2)"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +261,7 @@ def _check_float(doc, key, field, errors, low=None, high=None, open_ends=False):
 
 
 def _merged_defaults(experiment: str, doc: dict) -> dict:
-    base = _EXPERIMENTS[experiment]["defaults"]
+    base = _EXPERIMENTS[experiment].defaults
     merged = {
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment,
@@ -339,22 +282,11 @@ def _merged_defaults(experiment: str, doc: dict) -> dict:
     return merged
 
 
-def _validate_model(experiment: str, model: dict, errors: list[ConfigError]):
+def _validate_model(entry: Experiment, model: dict, errors: list[ConfigError]):
     if not isinstance(model, dict):
         errors.append(ConfigError("model", f"expected an object, got {_type_name(model)}"))
         return
-    allowed = {"H"}
-    if experiment in (
-        "asclt_hermite_sub",
-        "asclt_hermite_crit",
-        "non_gaussian",
-        "kernels_decay",
-        "malliavin_bounds",
-        "sigma_limits",
-    ):
-        allowed = {"H", "q"}
-    elif experiment == "asclt_general_f":
-        allowed = {"H", "f", "expansion_order"}
+    allowed = entry.defaults["model"]
     for key in model:
         if key not in allowed:
             errors.append(ConfigError(f"model.{key}", "unknown field"))
@@ -362,7 +294,7 @@ def _validate_model(experiment: str, model: dict, errors: list[ConfigError]):
     q = None
     if "q" in allowed:
         q = _check_int(model, "q", "model.q", errors, minimum=2, maximum=10)
-    if experiment == "asclt_general_f":
+    if "f" in allowed:
         fname = model.get("f")
         if not isinstance(fname, str):
             errors.append(ConfigError("model.f", "expected a function name string"))
@@ -371,37 +303,42 @@ def _validate_model(experiment: str, model: dict, errors: list[ConfigError]):
                 resolve_test_function(fname)
             except ValueError as exc:
                 errors.append(ConfigError("model.f", str(exc)))
+    if "expansion_order" in allowed:
         _check_int(model, "expansion_order", "model.expansion_order", errors,
                    minimum=1, maximum=40)
-    if H is None or ("q" in allowed and q is None):
+    if entry.gate is None or H is None or ("q" in allowed and q is None):
         return
-    # Regime gates: each experiment only makes sense on its own side of the
-    # boundary H = 1 - 1/(2q).
-    if experiment == "asclt_hermite_crit":
-        exact = (2 * q - 1) / (2 * q)
-        if H != exact:
-            errors.append(ConfigError(
-                "model.H", f"critical run needs H = 1 - 1/(2q) = {exact!r} exactly, got {H!r}"
-            ))
-    elif experiment in ("asclt_hermite_sub", "malliavin_bounds"):
-        if regime_for(fgn(H), q) != "subcritical":
-            errors.append(ConfigError(
-                "model.H", f"needs the subcritical regime: H < {1 - 1 / (2 * q)} for q={q}"
-            ))
-    elif experiment == "non_gaussian":
-        if regime_for(fgn(H), q) != "supercritical":
-            errors.append(ConfigError(
-                "model.H", f"needs the supercritical regime: H > {1 - 1 / (2 * q)} for q={q}"
-            ))
-    elif experiment == "sigma_limits":
-        if regime_for(fgn(H), q) == "supercritical":
-            errors.append(ConfigError(
-                "model.H", "no limiting variance in the supercritical regime"
-            ))
-    elif experiment == "asclt_general_f" and H > 0.5:
+    reason = entry.gate(H, q)
+    if reason:
+        errors.append(ConfigError("model.H", reason))
+
+
+def _rule_errors(entry: Experiment, n_max: int, n_grid: list[int], replicates: int,
+                 t_grid: list[float]) -> list[ConfigError]:
+    """The experiment's rules that relate well-formed fields."""
+    errors = []
+    if len(n_grid) < entry.min_sizes:
+        errors.append(ConfigError("n_grid", f"trend needs at least {entry.min_sizes} sizes"))
+    elif n_grid[0] < entry.min_first_n:
+        errors.append(ConfigError("n_grid[0]", f"must be >= {entry.min_first_n}"))
+    elif sum(n <= EXACT_DELTA_MAX_N for n in n_grid) < entry.exact_sizes:
         errors.append(ConfigError(
-            "model.H", "general functionals need an absolutely summable covariance (H <= 1/2)"
+            "n_grid",
+            f"needs at least {entry.exact_sizes} sizes <= {EXACT_DELTA_MAX_N} "
+            "for the closed-form summability reference",
         ))
+    if entry.grid_within_n_max and n_grid[-1] > n_max:
+        errors.append(ConfigError("n_grid", f"entries must not exceed n_max = {n_max}"))
+    if entry.n_max_power_of_two and n_max & (n_max - 1):
+        errors.append(ConfigError("n_max", "must be a power of two (dyadic levels)"))
+    if entry.n_max_cap is not None and n_max > entry.n_max_cap:
+        errors.append(ConfigError("n_max", f"closed-form reference is capped at {entry.n_max_cap}"))
+    if replicates < entry.min_replicates:
+        errors.append(ConfigError(
+            "seeds.replicates", f"needs at least {entry.min_replicates} replicates"))
+    if entry.needs_t_grid and not t_grid:
+        errors.append(ConfigError("t_grid", "needs at least one frequency"))
+    return errors
 
 
 def validate_config(doc) -> tuple[ExperimentConfig | None, list[ConfigError]]:
@@ -431,10 +368,11 @@ def validate_config(doc) -> tuple[ExperimentConfig | None, list[ConfigError]]:
         if key not in known:
             errors.append(ConfigError(key, "unknown field"))
 
+    entry = _EXPERIMENTS[experiment]
     merged = _merged_defaults(experiment, doc)
-    _validate_model(experiment, merged["model"], errors)
+    _validate_model(entry, merged["model"], errors)
 
-    n_max = _check_int(merged, "n_max", "n_max", errors, minimum=2)
+    n_max = _check_int(merged, "n_max", "n_max", errors, minimum=2, maximum=MAX_N)
     workers = _check_int(merged, "workers", "workers", errors, minimum=1, maximum=64)
     if not isinstance(merged["out_dir"], str) or not merged["out_dir"]:
         errors.append(ConfigError("out_dir", "expected a non-empty path string"))
@@ -448,7 +386,8 @@ def validate_config(doc) -> tuple[ExperimentConfig | None, list[ConfigError]]:
             if key not in ("master_seed", "replicates"):
                 errors.append(ConfigError(f"seeds.{key}", "unknown field"))
         master_seed = _check_int(seeds, "master_seed", "seeds.master_seed", errors, minimum=0)
-        replicates = _check_int(seeds, "replicates", "seeds.replicates", errors, minimum=0)
+        replicates = _check_int(seeds, "replicates", "seeds.replicates", errors, minimum=0,
+                                maximum=_MAX_REPLICATES)
 
     n_grid: list[int] = []
     raw_grid = merged["n_grid"]
@@ -457,8 +396,8 @@ def validate_config(doc) -> tuple[ExperimentConfig | None, list[ConfigError]]:
     else:
         ok = True
         for i, v in enumerate(raw_grid):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-                errors.append(ConfigError(f"n_grid[{i}]", "expected an integer >= 2"))
+            if not isinstance(v, int) or isinstance(v, bool) or not 2 <= v <= MAX_N:
+                errors.append(ConfigError(f"n_grid[{i}]", f"expected an integer in 2..{MAX_N}"))
                 ok = False
         if ok:
             n_grid = list(raw_grid)
@@ -481,52 +420,14 @@ def validate_config(doc) -> tuple[ExperimentConfig | None, list[ConfigError]]:
         tolerances = {}
     else:
         for key in tolerances:
-            if key not in _TOLERANCE_KEYS:
+            if key not in entry.defaults["tolerances"]:
                 errors.append(ConfigError(f"tolerances.{key}", "unknown field"))
             else:
                 _check_float(tolerances, key, f"tolerances.{key}", errors, low=0.0, open_ends=True)
 
-    # Per-experiment coherence, once field-level errors are out of the way.
+    # The experiment's own rules, once field-level errors are out of the way.
     if not errors:
-        if experiment in _ASCLT_FAMILY:
-            if len(n_grid) < 2:
-                errors.append(ConfigError("n_grid", "trend needs at least two sizes"))
-            elif n_grid[0] < _MIN_IL_N:
-                errors.append(ConfigError("n_grid[0]", f"must be >= {_MIN_IL_N}"))
-            elif experiment == "asclt_fbm" and sum(
-                n <= EXACT_DELTA_MAX_N for n in n_grid
-            ) < 2:
-                errors.append(ConfigError(
-                    "n_grid",
-                    f"needs at least two sizes <= {EXACT_DELTA_MAX_N} "
-                    "for the closed-form summability reference",
-                ))
-            if replicates < 2:
-                errors.append(ConfigError("seeds.replicates", "needs at least 2 replicates"))
-            if not t_grid:
-                errors.append(ConfigError("t_grid", "needs at least one frequency"))
-        if experiment == "non_gaussian":
-            if n_max & (n_max - 1):
-                errors.append(ConfigError("n_max", "must be a power of two (dyadic levels)"))
-            if replicates < 10:
-                errors.append(ConfigError("seeds.replicates", "needs at least 10 replicates"))
-            if n_grid[0] < _MIN_IL_N:
-                errors.append(ConfigError("n_grid[0]", f"must be >= {_MIN_IL_N}"))
-        if experiment == "delta_exactness":
-            if n_max > 4096:
-                errors.append(ConfigError("n_max", "closed-form reference is capped at 4096"))
-            if replicates < 100:
-                errors.append(ConfigError("seeds.replicates", "needs at least 100 replicates"))
-            if not t_grid:
-                errors.append(ConfigError("t_grid", "needs at least one frequency"))
-        if experiment == "malliavin_bounds":
-            if replicates < 100:
-                errors.append(ConfigError("seeds.replicates", "needs at least 100 replicates"))
-            if not t_grid:
-                errors.append(ConfigError("t_grid", "needs at least one frequency"))
-        if experiment in _ASCLT_FAMILY or experiment == "non_gaussian":
-            if n_grid and n_grid[-1] > n_max and experiment != "non_gaussian":
-                errors.append(ConfigError("n_grid", f"entries must not exceed n_max = {n_max}"))
+        errors = _rule_errors(entry, n_max, n_grid, replicates, t_grid)
 
     if errors:
         return None, errors
@@ -588,12 +489,10 @@ def _build_spec(kind: str, H: float, q: int | None, fname: str | None, order: in
 
 
 def _spec_args(cfg: ExperimentConfig) -> tuple:
+    """_build_spec's arguments for the experiment's spec kind and model."""
     m = cfg.model
-    if cfg.experiment in ("asclt_fbm", "delta_exactness"):
-        return ("fbm", m["H"], None, None, None)
-    if cfg.experiment == "asclt_general_f":
-        return ("general_f", m["H"], None, m["f"], m["expansion_order"])
-    return ("hermite", m["H"], m["q"], None, None)
+    return (_EXPERIMENTS[cfg.experiment].spec, m["H"], m.get("q"), m.get("f"),
+            m.get("expansion_order"))
 
 
 def _guard(fn, args):
@@ -702,15 +601,6 @@ def _start_replicates(worker, head: tuple, replicates: int, n: int, pool, worker
     return collect
 
 
-def _run_replicates(worker, head: tuple, replicates: int, n: int, pool,
-                    workers: int) -> tuple[list, list[str]]:
-    """Map a guarded block worker over the replicates in the run's pool
-    (None: inline) and wait; in-order merge, failures collected. The pool is
-    opened once per run by run_experiment and shared by every stage of the
-    run."""
-    return _start_replicates(worker, head, replicates, n, pool, workers)()
-
-
 def _start_criteria(spec, n_max: int, scan_ns, pool):
     """Queue the criteria stage at min(n_max, _CRITERIA_N_CAP) in the run's
     pool (None: inline). A HermiteVariation spec is a map over the (a, b)
@@ -741,8 +631,8 @@ def _start_criteria(spec, n_max: int, scan_ns, pool):
 
 
 def _start_il_mc(cfg: ExperimentConfig, n_grid, pool):
-    """Monte-Carlo il diagnostic, one il_delta_prefixes per replicate;
-    replicate ids and seed match asclt.il_series_diagnostic's ensemble.
+    """The Monte-Carlo il diagnostic: one il_delta_prefixes per replicate id
+    0..replicates-1 at seed offset _SEED_IL, reduced by il_from_prefixes.
     Returns a zero-argument callable giving (IlDiagnostic, failures)."""
     head = (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid), cfg.master_seed + _SEED_IL)
     pending = _start_replicates(functools.partial(_each_replicate, _il_worker), head,
@@ -785,7 +675,7 @@ def _ks_trend(cfg: ExperimentConfig, ks_matrix: np.ndarray) -> tuple[dict, bool,
     """Median trend over the grid; the verdict compares first to last and
     checks the final level, which tolerates mid-grid median ties."""
     medians = np.median(ks_matrix, axis=0)
-    final_max = float(cfg.tolerances.get("ks_final_max", 0.35))
+    final_max = float(cfg.tolerances["ks_final_max"])
     decreasing_overall = bool(medians[-1] < medians[0])
     within_final = bool(medians[-1] <= final_max)
     rows = [
@@ -833,10 +723,10 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         il_rows = [_submit(pool, il_exact_row, spec, t, il_grid) for t in cfg.t_grid]
     else:
         il_mc = _start_il_mc(cfg, il_grid, pool)
-    ks_rows, failures = _run_replicates(
+    ks_rows, failures = _start_replicates(
         functools.partial(_each_replicate, _ks_prefix_worker),
         (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS),
-        cfg.replicates, cfg.n_grid[-1], pool, cfg.workers)
+        cfg.replicates, cfg.n_grid[-1], pool, cfg.workers)()
     summary: list[str] = []
     report: dict = {"spec": _spec_dict(spec)}
     pieces: list[bool] = []
@@ -922,7 +812,7 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     il_pending = _start_il_mc(cfg, cfg.n_grid, pool)
 
     # Deterministic second-moment convergence of the dyadic-level statistic.
-    rel_zn = float(cfg.tolerances.get("rel_zn", 0.02))
+    rel_zn = float(cfg.tolerances["rel_zn"])
     limit = zn_limit_second_moment(q, H)
     exact = zn_second_moment(q, H, cfg.n_max)
     moment_ok = abs(exact / limit - 1.0) <= rel_zn
@@ -1032,14 +922,14 @@ def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
 
 def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
     spec = FbmScaled(cfg.model["H"])
-    z_max = float(cfg.tolerances.get("z_max", 4.0))
+    z_max = float(cfg.tolerances["z_max"])
     # The closed-form rows are queued first so that they run alongside the
     # replicate fan-out.
     exact_pending = [_submit(pool, exact_gaussian_delta_sq, spec, cfg.n_max, t)
                      for t in cfg.t_grid]
-    vals, failures = _run_replicates(
+    vals, failures = _start_replicates(
         _delta_worker, (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed),
-        cfg.replicates, cfg.n_max, pool, cfg.workers)
+        cfg.replicates, cfg.n_max, pool, cfg.workers)()
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     rows, drows, worst = [], [], 0.0
@@ -1072,7 +962,7 @@ def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
 def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
-    z_max = float(cfg.tolerances.get("z_max", 4.0))
+    z_max = float(cfg.tolerances["z_max"])
     # Both fan-outs are queued up front; each worker reduces its path to
     # scalars, which merge below in replicate order.
     pending = _start_replicates(
@@ -1168,7 +1058,7 @@ def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     model = fgn(H)
     regime = regime_for(model, q)
-    rel = float(cfg.tolerances.get("rel_sigma", 0.10))
+    rel = float(cfg.tolerances["rel_sigma"])
     lim = sigma_limit(model, q)
     vals = [sigma_n_squared(model, q, n, regime) for n in cfg.n_grid]
     gaps = [abs(v - lim.value) for v in vals]
@@ -1202,16 +1092,123 @@ def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
     return RunArtifacts(report, {"sigma.csv": csv}, summary, verdict, [])
 
 
-_RUNNERS = {
-    "asclt_fbm": _run_asclt_family,
-    "asclt_hermite_sub": _run_asclt_family,
-    "asclt_hermite_crit": _run_asclt_family,
-    "asclt_general_f": _run_asclt_family,
-    "non_gaussian": _run_non_gaussian,
-    "kernels_decay": _run_kernels_decay,
-    "delta_exactness": _run_delta_exactness,
-    "malliavin_bounds": _run_malliavin_bounds,
-    "sigma_limits": _run_sigma_limits,
+_GRID_DEFAULT = [256, 1024, 4096, 16384, 65536]
+# The asclt family: KS and il trends over a multi-point grid of usable sizes.
+_TREND = dict(min_replicates=2, needs_t_grid=True, min_sizes=2, min_first_n=_MIN_IL_N,
+              grid_within_n_max=True)
+
+_EXPERIMENTS: dict[str, Experiment] = {
+    "asclt_fbm": Experiment(
+        "log-averaged CLT check for scaled fractional Brownian values",
+        {
+            "model": {"H": 0.5},
+            "n_max": 4096,
+            "n_grid": [256, 1024, 4096],
+            "seeds": {"master_seed": 20240821, "replicates": 100},
+            "t_grid": [0.5, 1.0, 2.0],
+            "tolerances": {"ks_final_max": 0.35},
+        },
+        _run_asclt_family, spec="fbm", exact_sizes=2, **_TREND,
+    ),
+    "asclt_hermite_sub": Experiment(
+        "log-averaged CLT check for subcritical Hermite variations",
+        {
+            "model": {"H": 0.3, "q": 2},
+            "n_max": 65536,
+            "n_grid": _GRID_DEFAULT,
+            "seeds": {"master_seed": 20240821, "replicates": 120},
+            "t_grid": [0.5, 1.0],
+            "tolerances": {"ks_final_max": 0.35},
+        },
+        _run_asclt_family, gate=_regime_gate("subcritical"), **_TREND,
+    ),
+    "asclt_hermite_crit": Experiment(
+        "log-averaged CLT check at the critical Hurst boundary",
+        {
+            "model": {"H": 0.75, "q": 2},
+            "n_max": 65536,
+            "n_grid": _GRID_DEFAULT,
+            "seeds": {"master_seed": 20240821, "replicates": 120},
+            "t_grid": [1.0],
+            "tolerances": {"ks_final_max": 0.40},
+        },
+        _run_asclt_family, gate=_critical_gate, **_TREND,
+    ),
+    "asclt_general_f": Experiment(
+        "log-averaged CLT check for a nonlinear functional of fGn",
+        {
+            "model": {"H": 0.3, "f": "arctan", "expansion_order": 9},
+            "n_max": 65536,
+            "n_grid": _GRID_DEFAULT,
+            "seeds": {"master_seed": 20240821, "replicates": 120},
+            "t_grid": [0.5, 1.0],
+            "tolerances": {"ks_final_max": 0.35},
+        },
+        _run_asclt_family, spec="general_f", gate=_summable_gate, **_TREND,
+    ),
+    "non_gaussian": Experiment(
+        "supercritical contrast where the limit stays random",
+        {
+            "model": {"H": 0.9, "q": 2},
+            "n_max": 16384,
+            "n_grid": _GRID_DEFAULT,
+            "seeds": {"master_seed": 20240821, "replicates": 50},
+            "t_grid": [1.0],
+            "tolerances": {"rel_zn": 0.02},
+        },
+        _run_non_gaussian, gate=_regime_gate("supercritical"), min_replicates=10,
+        min_first_n=_MIN_IL_N, n_max_power_of_two=True,
+    ),
+    "kernels_decay": Experiment(
+        "contraction-norm decay fits across grid sizes",
+        {
+            "model": {"H": 0.3, "q": 2},
+            "n_max": 16384,
+            "n_grid": [64, 256, 1024, 4096, 16384],
+            "seeds": {"master_seed": 20240821, "replicates": 0},
+            "t_grid": [],
+            "tolerances": {},
+        },
+        _run_kernels_decay,
+    ),
+    "delta_exactness": Experiment(
+        "Monte Carlo vs closed-form averaged characteristic-function gap",
+        {
+            "model": {"H": 0.8},
+            "n_max": 1024,
+            "n_grid": [1024],
+            "seeds": {"master_seed": 20240821, "replicates": 5000},
+            "t_grid": [0.5, 1.0, 2.0],
+            "tolerances": {"z_max": 4.0},
+        },
+        _run_delta_exactness, spec="fbm", min_replicates=100, needs_t_grid=True,
+        n_max_cap=EXACT_DELTA_MAX_N,
+    ),
+    "malliavin_bounds": Experiment(
+        "derivative-norm, characteristic-function, and correlation-bound checks",
+        {
+            "model": {"H": 0.3, "q": 2},
+            "n_max": 4096,
+            "n_grid": [4096],
+            "seeds": {"master_seed": 20240821, "replicates": 200},
+            "t_grid": [0.5, 1.0, 2.0],
+            "tolerances": {"z_max": 4.0},
+        },
+        _run_malliavin_bounds, gate=_regime_gate("subcritical"), min_replicates=100,
+        needs_t_grid=True,
+    ),
+    "sigma_limits": Experiment(
+        "variance normalizer convergence to its certified limit",
+        {
+            "model": {"H": 0.75, "q": 2},
+            "n_max": 1000000,
+            "n_grid": [10000, 100000, 1000000],
+            "seeds": {"master_seed": 20240821, "replicates": 0},
+            "t_grid": [],
+            "tolerances": {"rel_sigma": 0.10},
+        },
+        _run_sigma_limits, gate=_regime_gate("subcritical", "critical"),
+    ),
 }
 
 
@@ -1249,7 +1246,7 @@ def render_report(artifacts: RunArtifacts, cfg: ExperimentConfig) -> str:
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
     """Run one experiment. At workers > 1 the run opens one process pool and
     every stage shares it; at workers == 1 everything runs inline."""
-    runner = _RUNNERS[cfg.experiment]
+    runner = _EXPERIMENTS[cfg.experiment].runner
     if cfg.workers <= 1:
         return runner(cfg, None)
     with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -1291,7 +1288,7 @@ def run(cfg: ExperimentConfig, echo=print) -> int:
 def list_experiments(echo=print) -> None:
     """Catalog in registry order: name, role, canonical default config."""
     for name, entry in _EXPERIMENTS.items():
-        echo(f"{name} -> {entry['description']}")
+        echo(f"{name} -> {entry.description}")
         doc = _merged_defaults(name, {})
         doc.pop("out_dir")
         doc.pop("workers")

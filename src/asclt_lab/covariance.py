@@ -31,15 +31,12 @@ __all__ = [
     "fgn",
     "iid",
     "table",
-    "rho",
     "rho_many",
-    "rho_asymptotic",
     "abs_rho_power_tail",
     "abs_rho_power_sum",
     "signed_rho_power_sum",
     "power_tail_summable",
     "model_to_json",
-    "model_from_json",
     "symmetric_toeplitz",
 ]
 
@@ -87,19 +84,6 @@ class CovarianceModel:
             )
         else:
             raise ValueError(f"unknown covariance kind {self.kind!r}")
-
-    def table_dict(self) -> dict[int, float]:
-        return dict(self.values or ())
-
-    @property
-    def max_lag(self) -> int | None:
-        """Largest lag with a nonzero value, None if unbounded support."""
-        if self.kind == "fgn" and self.H != 0.5:
-            return None
-        if self.kind == "table":
-            nz = [k for k, v in self.values if v != 0.0]
-            return max(nz) if nz else 0
-        return 0
 
 
 def fgn(H: float) -> CovarianceModel:
@@ -173,18 +157,6 @@ def symmetric_toeplitz(col) -> np.ndarray:
     full = np.concatenate([col[:0:-1], col])  # full[n - 1 + d] = col[|d|]
     # Row i is full[n - 1 - i : 2n - 1 - i], the window starting at n - 1 - i.
     return np.lib.stride_tricks.sliding_window_view(full, n)[::-1].copy()
-
-
-def rho(model: CovarianceModel, r: int) -> float:
-    """Autocovariance at a single integer lag."""
-    return float(rho_many(model, np.array([r]))[0])
-
-
-def rho_asymptotic(H: float, r: int) -> float:
-    """Leading large-lag term H(2H-1)|r|^(2H-2); rejects r = 0."""
-    if r == 0:
-        raise ValueError("asymptotic form is undefined at lag 0")
-    return H * (2.0 * H - 1.0) * abs(r) ** (2.0 * H - 2.0)
 
 
 def power_tail_summable(model: CovarianceModel, q: int) -> bool:
@@ -304,24 +276,3 @@ def model_to_json(model: CovarianceModel) -> str:
     else:
         obj = {"kind": "table", "values": [[k, v] for k, v in model.values]}
     return json.dumps(obj, sort_keys=True)
-
-
-def model_from_json(text: str | dict) -> CovarianceModel:
-    obj = json.loads(text) if isinstance(text, str) else text
-    kind = obj.get("kind")
-    if kind == "fgn":
-        _reject_unknown(obj, {"kind", "H"})
-        return fgn(obj["H"])
-    if kind == "iid":
-        _reject_unknown(obj, {"kind"})
-        return iid()
-    if kind == "table":
-        _reject_unknown(obj, {"kind", "values"})
-        return table(obj["values"])
-    raise ValueError(f"unknown covariance kind {kind!r}")
-
-
-def _reject_unknown(obj: dict, allowed: set[str]) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ValueError(f"unknown fields {sorted(extra)}")

@@ -6,7 +6,7 @@ dense Cholesky fallback for short paths or failed embeddings. A path is the
 real inverse FFT (`irfft`) of the half spectrum sqrt(lam_j) xi_j, j = 0..M/2,
 so only M/2 + 1 complex coefficients are built per path. All randomness is
 derived from a counter-based generator keyed by (master_seed, replicate_id),
-and uniform-to-normal conversion is pinned to an explicit polar or inverse
+and uniform-to-normal conversion is pinned to an explicit Marsaglia polar
 transform built on the raw 64-bit stream, so identical seed tuples give
 bit-identical paths on any platform and under any call order.
 
@@ -46,7 +46,7 @@ __all__ = [
     "sample_ensemble",
     "sample_fbm_grid",
     "block_rows",
-    "empirical_autocovariance",
+    "MAX_N",
 ]
 
 # Minimum pairs of uniforms consumed per polar rejection block. The block
@@ -59,6 +59,8 @@ _EIGEN_CLAMP = -1e-10
 # size M, with M at least one minimal polar block, so a block's working
 # arrays stay near 2^16 elements however short the paths are.
 _BLOCK_POINTS = 1 << 16
+# Largest path or dyadic grid a sampler accepts.
+MAX_N = 1 << 24
 
 
 class EmbeddingError(RuntimeError):
@@ -69,27 +71,17 @@ class NormalStream:
     """Deterministic standard-normal stream for one (master_seed, replicate_id).
 
     Uniforms are built from the raw Philox 64-bit output as
-    ((word >> 11) + 0.5) * 2^-53, strictly inside (0, 1). The normal
-    transform is pinned by `method`:
-
-    * "polar": Marsaglia polar rejection in blocks sized by the remaining
-      request; leftovers are buffered, never discarded.
-    * "inverse": one uniform per normal through the inverse normal CDF.
+    ((word >> 11) + 0.5) * 2^-53, strictly inside (0, 1), and turned into
+    normals by Marsaglia polar rejection in blocks sized by the remaining
+    request; leftovers are buffered, never discarded.
     """
 
-    def __init__(self, master_seed: int, replicate_id: int, method: str = "polar"):
-        if method not in ("polar", "inverse"):
-            raise ValueError(f"unknown normal method {method!r}")
-        self.method = method
+    def __init__(self, master_seed: int, replicate_id: int):
         self._bg = np.random.Philox(
             np.random.SeedSequence([int(master_seed), int(replicate_id)])
         )
         self._buf: list[np.ndarray] = []
         self._buffered = 0
-
-    def _uniforms(self, count: int) -> np.ndarray:
-        raw = self._bg.random_raw(count)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def _polar_block(self, pairs: int) -> np.ndarray:
         return _polar_rows(self._bg.random_raw(2 * pairs)[None, :])[0]
@@ -99,12 +91,6 @@ class NormalStream:
             raise ValueError("n must be >= 0")
         if n == 0:
             return np.empty(0)
-        if self.method == "inverse":
-            # Imported on use: no default run draws inverse normals, and
-            # scipy.special is slow to import.
-            from scipy.special import ndtri
-
-            return ndtri(self._uniforms(n))
         while self._buffered < n:
             block = self._polar_block(_polar_pairs(n - self._buffered))
             self._buf.append(block)
@@ -150,13 +136,9 @@ def _polar_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_normals(streams: list[NormalStream], count: int) -> np.ndarray:
     """(len(streams), count) array whose row i is streams[i].normals(count),
-    for fresh streams. Polar rows share one transform of their first blocks;
-    a row that falls short continues from its own stream."""
+    for fresh streams. The rows share one polar transform of their first
+    blocks; a row that falls short continues from its own stream."""
     out = np.empty((len(streams), count))
-    if streams[0].method != "polar":
-        for row, stream in zip(out, streams):
-            row[:] = stream.normals(count)
-        return out
     words = 2 * _polar_pairs(count)
     raw = [stream._bg.random_raw(words) for stream in streams]
     flat, accepted = _polar_rows(raw[0][None] if len(raw) == 1 else np.stack(raw))
@@ -295,14 +277,13 @@ def sample_stationary(
     master_seed: int,
     replicate_id: int,
     method: str | None = None,
-    normal_method: str = "polar",
 ) -> GaussianPath:
     """Exact N(0, Toeplitz(rho)) path of length n, deterministic per seed tuple.
 
     method: None picks circulant embedding with Cholesky fallback (n <= 2048);
     "circulant" or "cholesky" force the route.
     """
-    return sample_ensemble(model, n, master_seed, 1, replicate_id, method, normal_method)[0]
+    return sample_ensemble(model, n, master_seed, 1, replicate_id, method)[0]
 
 
 def sample_ensemble(
@@ -312,7 +293,6 @@ def sample_ensemble(
     replicates: int,
     first_replicate: int = 0,
     method: str | None = None,
-    normal_method: str = "polar",
 ) -> PathEnsemble:
     """Paths for replicate_id = first..first+replicates-1, in order, as the
     rows of one (replicates, n) array, sampled block_rows(n) rows at a time.
@@ -325,21 +305,20 @@ def sample_ensemble(
     step = block_rows(n)
     if replicates <= step:  # one block: its own array, nothing to copy into
         ids = range(first_replicate, first_replicate + replicates)
-        values = _sample_block(route, factor, master_seed, ids, n, normal_method)
+        values = _sample_block(route, factor, master_seed, ids, n)
     else:
         values = np.empty((replicates, n))
         for lo in range(0, replicates, step):
             ids = range(first_replicate + lo, first_replicate + min(lo + step, replicates))
-            _sample_block(route, factor, master_seed, ids, n, normal_method,
-                          values[lo:lo + step])
+            _sample_block(route, factor, master_seed, ids, n, values[lo:lo + step])
     return PathEnsemble(model, n, values, int(master_seed), int(first_replicate))
 
 
-def _sample_block(route, factor, master_seed, ids, n, normal_method, out=None):
+def _sample_block(route, factor, master_seed, ids, n, out=None):
     """The (len(ids), n) paths of replicate ids, into out if given."""
     if not ids:
         return np.empty((0, n))
-    streams = [NormalStream(master_seed, r, normal_method) for r in ids]
+    streams = [NormalStream(master_seed, r) for r in ids]
     if route == "circulant":
         return _synthesize_circulant(factor, _block_normals(streams, factor.size), n, out)
     draws = _block_normals(streams, n)
@@ -356,39 +335,17 @@ def sample_fbm_grid(
     N: int,
     master_seed: int,
     replicate_id: int,
-    normal_method: str = "polar",
 ) -> FbmGrid:
     """fBm on the dyadic grid {k/N}: exact fGn increments scaled by N^{-H}."""
     if N < 1 or (N & (N - 1)) != 0:
         raise ValueError(f"N must be a power of two, got {N}")
-    if N > 1 << 24:
-        raise ValueError("grid size capped at 2^24")
+    if N > MAX_N:
+        raise ValueError(f"grid size capped at {MAX_N}")
     from .covariance import fgn
 
-    path = sample_stationary(fgn(H), N, master_seed, replicate_id,
-                             normal_method=normal_method)
+    path = sample_stationary(fgn(H), N, master_seed, replicate_id)
     values = np.empty(N + 1)
     values[0] = 0.0
     np.cumsum(path.values, out=values[1:])
     values *= float(N) ** (-H)
     return FbmGrid(float(H), N, values, int(master_seed), int(replicate_id))
-
-
-def empirical_autocovariance(paths: list[GaussianPath], r: int) -> tuple[float, float]:
-    """Cross-replicate unbiased estimate of E[X_1 X_{1+r}] and its s.e."""
-    if not paths:
-        raise ValueError("empty ensemble")
-    n = paths[0].n
-    model = paths[0].model
-    r = abs(int(r))
-    if r >= n:
-        raise ValueError(f"lag {r} out of range for n={n}")
-    for p in paths:
-        if p.n != n or p.model != model:
-            raise ValueError("ensemble mixes models or lengths")
-    per = np.array(
-        [float(np.dot(p.values[: n - r], p.values[r:])) / (n - r) for p in paths]
-    )
-    est = float(per.mean())
-    se = float(per.std(ddof=1) / math.sqrt(per.size)) if per.size > 1 else math.inf
-    return est, se

@@ -25,12 +25,10 @@ __all__ = [
     "hermite_eval",
     "hermite_design_matrix",
     "expand",
-    "hermite_rank",
     "derivative_coeffs",
     "evaluate_expansion",
     "resolve_test_function",
     "expansion_to_json",
-    "expansion_from_json",
 ]
 
 MAX_ORDER = 60
@@ -92,12 +90,6 @@ class HermiteExpansion:
     @property
     def mean(self) -> float:
         return self.coeffs[0]
-
-    def chaos_variances(self) -> np.ndarray:
-        """c_q^2 q! for q = 0..qmax (index 0 unused in variance identities)."""
-        q = np.arange(self.qmax + 1)
-        facts = np.array([math.factorial(int(k)) for k in q], dtype=float)
-        return np.asarray(self.coeffs) ** 2 * facts
 
 
 def expand(
@@ -165,19 +157,6 @@ def _first_active_order(coeffs, rank_tol) -> int | None:
     return None
 
 
-def hermite_rank(exp: HermiteExpansion, rank_tol: float | None = None) -> int:
-    """Smallest q >= 1 with |c_q| above tolerance; constant f is an error."""
-    if rank_tol is None:
-        rank = exp.rank
-    else:
-        rank = _first_active_order(exp.coeffs, rank_tol) or 0
-    if rank < 1:
-        raise ConstantFunctionError(
-            "f has no nonconstant Hermite component up to qmax"
-        )
-    return rank
-
-
 def derivative_coeffs(exp: HermiteExpansion) -> np.ndarray:
     """Coefficients of f' in the Hermite basis: H_q' = q H_{q-1}."""
     c = np.asarray(exp.coeffs)
@@ -216,15 +195,4 @@ def expansion_to_json(exp: HermiteExpansion) -> str:
             "tail_bound": exp.tail_bound,
         },
         sort_keys=True,
-    )
-
-
-def expansion_from_json(text: str) -> HermiteExpansion:
-    obj = json.loads(text)
-    return HermiteExpansion(
-        coeffs=tuple(float(c) for c in obj["coeffs"]),
-        qmax=int(obj["qmax"]),
-        rank=int(obj["rank"]),
-        var_fN=float(obj["var_fN"]),
-        tail_bound=float(obj["tail_bound"]),
     )

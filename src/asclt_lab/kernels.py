@@ -29,15 +29,14 @@ count. Block sizes depend only on the step where a block starts, so S(n)
 is bit-identical whatever the length of the pass that produced it, and one
 pass per (model, r, q - r), held in a small cache, answers every n up to
 its length. The increments are summed with Neumaier's compensation, since
-a plain running sum of thousands of like-sized terms drifts. Two oracles
-check it: an O(n^4) brute force (n <= 12) and the O(n^3) dense matmul. Bad
-arguments raise ValueError before any pass runs, and a pass that raises
-caches nothing, so every call that needs it raises alike.
+a plain running sum of thousands of like-sized terms drifts. Two oracles in
+tests/oracles.py check it: an O(n^4) brute force (n <= 12) and the O(n^3)
+dense matmul. Bad arguments raise ValueError before any pass runs, and a
+pass that raises caches nothing, so every call that needs it raises alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -46,26 +45,17 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not on the first call)
 
-from .covariance import CovarianceModel, rho_many, symmetric_toeplitz
+from .covariance import CovarianceModel, rho_many
 from .memo import CACHE_BYTES, byte_bounded_cache
 
 __all__ = [
     "ContractionResult",
-    "DenseKernel",
     "hermite_sum_variance",
     "v2_prefix",
     "contraction_norm_sq",
-    "kernel_inner",
-    "dense_kernel",
-    "diagonal_kernel",
-    "dense_contract",
-    "dense_inner",
-    "dense_norm_sq",
-    "gram_matrix",
+    "pair_lag_sum",
 ]
 
-_BRUTEFORCE_MAX_N = 12
-_DENSE_COEFF_BUDGET = 10**6
 # A bordering block has at most _PASS_BLOCK_ROWS rows and about
 # _PASS_BLOCK_ELEMS entries (512 KiB), so its arrays stay in cache.
 _PASS_BLOCK_ROWS = 64
@@ -100,7 +90,6 @@ def v2_prefix(model: CovarianceModel, q: int, n: int) -> np.ndarray:
 class ContractionResult:
     value: float              # ||f_n (x)_r f_n||^2
     raw_sum: float            # the quartic lag sum S
-    method: str
 
 
 def _powers(model, s: int, n: int) -> np.ndarray:
@@ -113,32 +102,6 @@ def _lag_power_table(model: CovarianceModel, q: int, size: int) -> np.ndarray:
     """rho(m)^q for m = 0..size-1, shared by every pair_lag_sum whose lags
     fit; sizes are powers of two so the criteria pair grids need few."""
     return _powers(model, q, size)
-
-
-def _contract_sum_bruteforce(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
-    full_r = np.concatenate([pr[::-1], pr[1:]])     # index by lag + (n-1)
-    full_q = np.concatenate([pqr[::-1], pqr[1:]])
-    off = n - 1
-    total = 0.0
-    for k in range(n):
-        for l in range(n):
-            a = full_r[k - l + off]
-            if a == 0.0:
-                continue
-            for i in range(n):
-                b = full_q[k - i + off]
-                if b == 0.0:
-                    continue
-                for j in range(n):
-                    total += a * full_r[i - j + off] * b * full_q[l - j + off]
-    return total
-
-
-def _contract_sum_dense(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
-    P = symmetric_toeplitz(pr)
-    Q = symmetric_toeplitz(pqr)
-    M = P @ Q
-    return float(np.sum(M * M.T))
 
 
 def _toeplitz_spectrum(g: np.ndarray, n: int) -> np.ndarray:
@@ -159,10 +122,6 @@ def _toeplitz_columns(g: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     full = np.concatenate([g[::-1], g[1:]])
     idx = np.arange(n)[:, None] - cols[None, :] + (n - 1)
     return full[idx]
-
-
-def _toeplitz_matvec(g: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    return _toeplitz_apply(_toeplitz_spectrum(g, n), x[:, None], n)[:, 0]
 
 
 def _pass_blocks(n: int) -> list[tuple[int, int]]:
@@ -291,29 +250,15 @@ def _lag_sum_prefix(model: CovarianceModel, a: int, b: int, n: int) -> np.ndarra
     return held[:n]
 
 
-def contraction_norm_sq(
-    model: CovarianceModel, q: int, r: int, n: int, method: str = "auto"
-) -> ContractionResult:
-    """||f_n (x)_r f_n||^2.
-
-    method: "auto" or its alias "lagsum" (the bordering pass, exact in
-    O(n^2)), or "bruteforce" (the O(n^4) oracle, n <= 12).
-    """
+def contraction_norm_sq(model: CovarianceModel, q: int, r: int, n: int) -> ContractionResult:
+    """||f_n (x)_r f_n||^2, read from the bordering pass (exact, O(n^2))."""
     if not 1 <= r <= q - 1:
         raise ValueError(f"r must be in 1..q-1, got r={r}, q={q}")
     if n < 1:
         raise ValueError("n must be >= 1")
     den = hermite_sum_variance(model, q, n) ** 2
-    if method == "bruteforce":
-        if n > _BRUTEFORCE_MAX_N:
-            raise ValueError(f"bruteforce capped at n={_BRUTEFORCE_MAX_N}")
-        S = _contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
-    elif method in ("auto", "lagsum"):
-        S = float(_lag_sum_prefix(model, min(r, q - r), max(r, q - r), n)[n - 1])
-        method = "lagsum"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ContractionResult(S / den, S, method)
+    S = float(_lag_sum_prefix(model, min(r, q - r), max(r, q - r), n)[n - 1])
+    return ContractionResult(S / den, S)
 
 
 def pair_lag_sum(model: CovarianceModel, q: int, k: int, l: int) -> float:
@@ -327,107 +272,3 @@ def pair_lag_sum(model: CovarianceModel, q: int, k: int, l: int) -> float:
     counts = np.minimum(k, l + lags) - np.maximum(1, 1 + lags) + 1
     size = 1 << (max(k, l) - 1).bit_length()
     return float(np.sum(counts * _lag_power_table(model, q, size)[np.abs(lags)]))
-
-
-def kernel_inner(model: CovarianceModel, q: int, k: int, l: int) -> float:
-    """<f_k, f_l> = (E V_k^2 E V_l^2)^{-1/2} sum_{i<=k, j<=l} rho(i-j)^q."""
-    den = math.sqrt(
-        hermite_sum_variance(model, q, k) * hermite_sum_variance(model, q, l)
-    )
-    return pair_lag_sum(model, q, k, l) / den
-
-
-# ---------------------------------------------------------------------------
-# Dense test-scale kernels under the Gram metric.
-
-
-def gram_matrix(model: CovarianceModel, dim: int) -> np.ndarray:
-    return symmetric_toeplitz(rho_many(model, np.arange(dim)))
-
-
-@dataclass(frozen=True, eq=False)
-class DenseKernel:
-    """Order-q tensor over indices {1..dim} with metric <e_k,e_l> = rho(k-l).
-
-    Constructed kernels are symmetrized; contraction outputs are kept raw
-    (they are only block-symmetric), which is what the norm identities use.
-    """
-
-    model: CovarianceModel
-    q: int
-    coeffs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0] if self.q > 0 else 0
-
-
-def _symmetrize(t: np.ndarray) -> np.ndarray:
-    q = t.ndim
-    if q <= 1:
-        return t
-    acc = np.zeros_like(t)
-    for perm in itertools.permutations(range(q)):
-        acc += np.transpose(t, perm)
-    return acc / math.factorial(q)
-
-
-def dense_kernel(model: CovarianceModel, coeffs) -> DenseKernel:
-    t = np.asarray(coeffs, dtype=float)
-    q = t.ndim
-    if t.size > _DENSE_COEFF_BUDGET:
-        raise ValueError("dense kernel exceeds the test-scale budget")
-    if q >= 1 and len(set(t.shape)) != 1:
-        raise ValueError("coefficient tensor must be cubical")
-    return DenseKernel(model, q, _symmetrize(t))
-
-
-def diagonal_kernel(model: CovarianceModel, q: int, n: int) -> DenseKernel:
-    """f_n as a dense tensor: (E V_n^2)^{-1/2} sum_k e_k^{otimes q}."""
-    t = np.zeros((n,) * q)
-    idx = (np.arange(n),) * q
-    t[idx] = 1.0 / math.sqrt(hermite_sum_variance(model, q, n))
-    return DenseKernel(model, q, t)
-
-
-def _apply_gram(t: np.ndarray, G: np.ndarray, axes: list[int]) -> np.ndarray:
-    for ax in axes:
-        t = np.moveaxis(np.tensordot(t, G, axes=([ax], [0])), -1, ax)
-    return t
-
-
-def dense_contract(f: DenseKernel, g: DenseKernel, r: int) -> DenseKernel | float:
-    """f (x)_r g: contract the last r slots of f with the first r of g."""
-    if f.model != g.model:
-        raise ValueError("kernels live over different covariance models")
-    if not 0 <= r <= min(f.q, g.q):
-        raise ValueError(f"r must be in 0..min(p,q), got {r}")
-    if f.q and g.q and f.dim != g.dim:
-        raise ValueError("kernels have different index sets")
-    out_order = f.q + g.q - 2 * r
-    if f.dim ** max(out_order, 1) > _DENSE_COEFF_BUDGET:
-        raise ValueError("contraction output exceeds the test-scale budget")
-    if r == 0:
-        t = np.tensordot(f.coeffs, g.coeffs, axes=0)
-        return DenseKernel(f.model, out_order, t)
-    G = gram_matrix(f.model, f.dim)
-    gg = _apply_gram(g.coeffs, G, list(range(r)))
-    t = np.tensordot(f.coeffs, gg, axes=(list(range(f.q - r, f.q)), list(range(r))))
-    if out_order == 0:
-        return float(t)
-    return DenseKernel(f.model, out_order, t)
-
-
-def dense_inner(f: DenseKernel, g: DenseKernel) -> float:
-    """<f, g> under the full Gram metric (orders must match)."""
-    if f.q != g.q:
-        raise ValueError("inner product needs kernels of equal order")
-    if f.q == 0:
-        return float(f.coeffs * g.coeffs)
-    G = gram_matrix(f.model, f.dim)
-    gg = _apply_gram(g.coeffs, G, list(range(g.q)))
-    return float(np.tensordot(f.coeffs, gg, axes=f.q))
-
-
-def dense_norm_sq(f: DenseKernel) -> float:
-    return dense_inner(f, f)

@@ -10,10 +10,9 @@ and ||D^2G_n (x)_1 D^2G_n||^2 is a quartic lag sum weighted by f''(X_k),
 evaluated exactly by dense matmul for small n and by blocked FFT Toeplitz
 applies beyond. When f'' is constant (b = c), the trace is c^4 tr(R^4), the
 kernel quartic lag sum, read at n from the bordering pass of `kernels`,
-which runs once per model. Lag-truncated variants return certified
-remainder bounds; the fourth-moment inequalities are evaluated exactly as
-printed (fractional exponents included) alongside the first-power variants,
-and violations are reported, not corrected.
+which runs once per model. The fourth-moment inequalities are evaluated
+exactly as printed (fractional exponents included) alongside the
+first-power variants, and violations are reported, not corrected.
 
 The ensemble checks are map-reduce: `malliavin_sample` reduces one path to
 the scalars the checks need (||DG_n||^2, G_n, and the D^2G contraction
@@ -39,14 +38,12 @@ from .kernels import (
     _lag_sum_prefix,
     _toeplitz_apply,
     _toeplitz_columns,
-    _toeplitz_matvec,
     _toeplitz_spectrum,
     hermite_sum_variance,
 )
 from .memo import CACHE_BYTES, byte_bounded_cache
 from .sequences import (
     FbmScaled,
-    GeneralF,
     HermiteVariation,
     RegimeError,
     SequenceSpec,
@@ -60,12 +57,10 @@ __all__ = [
     "MomentBoundCheck",
     "GebeleinRow",
     "dg_norm_sq",
-    "dg_norm_sq_truncated",
     "d2g_contraction_norm_sq",
     "malliavin_sample",
     "d2g_depends_on_path",
     "lag_covariances",
-    "dl_inverse_pairing",
     "cf_gap_bound",
     "co1_check",
     "co2_check",
@@ -86,16 +81,6 @@ class MalliavinSample:
     dg_norm_sq: float
     g_n: float
     d2g_contraction_norm_sq: float | None
-    L: int | None
-    truncation_bound: float
-
-
-def _resolve_n(path: GaussianPath, n: int | None) -> int:
-    if n is None:
-        return path.n
-    if n < 1 or n > path.n:
-        raise ValueError(f"n must be in 1..{path.n}, got {n}")
-    return n
 
 
 def _check_path(path: GaussianPath, spec: SequenceSpec) -> None:
@@ -172,32 +157,7 @@ def _second_derivative_constant(spec: SequenceSpec) -> float | None:
     return None
 
 
-def _rho_window(model, n: int, L: int | None) -> np.ndarray:
-    g = rho_many(model, np.arange(n))
-    if L is not None and L + 1 < n:
-        g[L + 1 :] = 0.0
-    return g
-
-
-def _window_abs_sums(model, s: int, n: int, L: int) -> tuple[float, float]:
-    """(sum_{|m|<n} |rho|^s, sum_{L<|m|<n} |rho|^s) on the finite window."""
-    a = np.abs(rho_many(model, np.arange(1, n))) ** s
-    full = 1.0 + 2.0 * float(np.sum(a))
-    tail = 2.0 * float(np.sum(a[L:])) if L < n - 1 else 0.0
-    return full, tail
-
-
-def _check_lag(L: int | None, n: int) -> int | None:
-    if L is None:
-        return None
-    if L < 1:
-        raise ValueError("lag cutoff L must be >= 1")
-    if L > n:
-        raise ValueError(f"lag cutoff L = {L} exceeds n = {n}")
-    return min(L, n - 1)
-
-
-def dg_norm_sq(path: GaussianPath, spec: SequenceSpec, n: int | None = None) -> float:
+def dg_norm_sq(path: GaussianPath, spec: SequenceSpec) -> float:
     """Pathwise ||DG_n||^2, exact over all lags.
 
     For FbmScaled this is identically 1: the sequence is a unit-variance
@@ -206,35 +166,11 @@ def dg_norm_sq(path: GaussianPath, spec: SequenceSpec, n: int | None = None) -> 
     if isinstance(spec, FbmScaled):
         return 1.0
     _check_path(path, spec)
-    n = _resolve_n(path, n)
-    x = path.values[:n]
-    b = _first_derivative_field(spec, x)
+    n = path.n
+    b = _first_derivative_field(spec, path.values)
     u = _toeplitz_apply(_covariance_spectrum(spec.model, n), b[:, None], n)[:, 0]
     val = float(b @ u) / _normalizer_sq(spec, n)
     return max(val, 0.0)
-
-
-def dg_norm_sq_truncated(
-    path: GaussianPath, spec: SequenceSpec, L: int, n: int | None = None
-) -> tuple[float, float]:
-    """||DG_n||^2 restricted to lags |k-l| <= L, with a certified remainder.
-
-    The neglected part is at most sum_{L<|r|<n} |rho(r)| * ||b||_2^2 by
-    Cauchy-Schwarz along each diagonal; the value itself can dip below the
-    exact one, the bound covers both directions.
-    """
-    if isinstance(spec, FbmScaled):
-        return 1.0, 0.0
-    _check_path(path, spec)
-    n = _resolve_n(path, n)
-    lag = _check_lag(L, n)
-    x = path.values[:n]
-    b = _first_derivative_field(spec, x)
-    g = _rho_window(spec.model, n, lag)
-    u = _toeplitz_matvec(g, b, n)
-    den = _normalizer_sq(spec, n)
-    _, tail1 = _window_abs_sums(spec.model, 1, n, lag)
-    return float(b @ u) / den, tail1 * float(b @ b) / den
 
 
 def _weighted_quartic_trace(g: np.ndarray, b: np.ndarray, n: int) -> float:
@@ -253,17 +189,6 @@ def _weighted_quartic_trace(g: np.ndarray, b: np.ndarray, n: int) -> float:
     return total
 
 
-def _d2g_truncation_bound(model, n: int, L: int, b: np.ndarray) -> float:
-    # Multilinear expansion in R = R_L + W has 15 cross terms; bound each
-    # 4-cycle trace by Frobenius/operator norm splitting:
-    #   ||B V B||_F <= ||b||_4^2 sqrt(sum_r V(r)^2),  ||V||_op <= sum_r |V(r)|.
-    # Designating the first tail factor in each term gives the 10/5 counts.
-    s1, t1 = _window_abs_sums(model, 1, n, L)
-    s2, t2 = _window_abs_sums(model, 2, n, L)
-    b4 = float(np.sum(b**4))
-    return b4 * (10.0 * math.sqrt(t2 * s2) * s1**2 + 5.0 * s2 * s1 * t1)
-
-
 def _constant_d2g_norm_sq(spec: SequenceSpec, n: int) -> float:
     """||D^2G_n (x)_1 D^2G_n||^2 when f'' is a constant c, the same on every
     path: tr((TR)^2) = c^4 tr(R^4), which is >= 0."""
@@ -272,33 +197,17 @@ def _constant_d2g_norm_sq(spec: SequenceSpec, n: int) -> float:
     return raw / _normalizer_sq(spec, n) ** 2
 
 
-def d2g_contraction_norm_sq(
-    path: GaussianPath,
-    spec: SequenceSpec,
-    L: int | None = None,
-    n: int | None = None,
-) -> tuple[float, float]:
-    """Pathwise ||D^2G_n (x)_1 D^2G_n||^2 and a certified truncation bound.
-
-    L = None evaluates the full quartic sum exactly (bound 0.0). A finite L
-    zeroes rho beyond that lag; the truncated value is not a norm and may
-    undershoot, so the bound covers the absolute error. At L = n-1 no lag
-    is dropped and the bound collapses to zero.
-    """
+def d2g_contraction_norm_sq(path: GaussianPath, spec: SequenceSpec) -> float:
+    """Pathwise ||D^2G_n (x)_1 D^2G_n||^2, the full quartic sum, exact."""
     if isinstance(spec, FbmScaled):
-        return 0.0, 0.0
+        return 0.0
     _check_path(path, spec)
-    n = _resolve_n(path, n)
-    lag = _check_lag(L, n)
-    if lag is None and _second_derivative_constant(spec) is not None:
-        return _constant_d2g_norm_sq(spec, n), 0.0
-    den = _normalizer_sq(spec, n) ** 2
-    b = _second_derivative_field(spec, path.values[:n])
-    g = _rho_window(spec.model, n, lag)
-    raw = _weighted_quartic_trace(g, b, n)
-    if lag is None or lag >= n - 1:
-        return max(raw, 0.0) / den, 0.0
-    return raw / den, _d2g_truncation_bound(spec.model, n, lag, b) / den
+    n = path.n
+    if _second_derivative_constant(spec) is not None:
+        return _constant_d2g_norm_sq(spec, n)
+    b = _second_derivative_field(spec, path.values)
+    raw = _weighted_quartic_trace(rho_many(spec.model, np.arange(n)), b, n)
+    return max(raw, 0.0) / _normalizer_sq(spec, n) ** 2
 
 
 def d2g_depends_on_path(spec: SequenceSpec) -> bool:
@@ -308,51 +217,17 @@ def d2g_depends_on_path(spec: SequenceSpec) -> bool:
 
 
 def malliavin_sample(
-    path: GaussianPath,
-    spec: SequenceSpec,
-    L: int | None = None,
-    with_d2g: bool = True,
+    path: GaussianPath, spec: SequenceSpec, with_d2g: bool = True
 ) -> MalliavinSample:
     """||DG_n||^2, the terminal value G_n and, with with_d2g,
     ||D^2G_n (x)_1 D^2G_n||^2 of one path, each computed once."""
-    n = path.n
-    dg = dg_norm_sq(path, spec)
-    if with_d2g:
-        d2g, bound = d2g_contraction_norm_sq(path, spec, L)
-    else:
-        d2g, bound = None, 0.0
     return MalliavinSample(
         spec=spec,
-        n=n,
-        dg_norm_sq=dg,
+        n=path.n,
+        dg_norm_sq=dg_norm_sq(path, spec),
         g_n=float(build_gseries(path, spec).values[-1]),
-        d2g_contraction_norm_sq=d2g,
-        L=L,
-        truncation_bound=bound,
+        d2g_contraction_norm_sq=d2g_contraction_norm_sq(path, spec) if with_d2g else None,
     )
-
-
-def dl_inverse_pairing(
-    path: GaussianPath, spec: SequenceSpec, n: int | None = None
-) -> float:
-    """Pathwise <DG_n, -D L^{-1} G_n>; its mean is E[G_n^2] = 1.
-
-    Fixed chaos q divides the inverse generator by q, so the pairing is
-    ||DG_n||^2 / q. Mixed expansions drop one q factor per chaos order:
-    the second field uses coefficient c_q on H_{q-1} instead of q c_q.
-    """
-    if isinstance(spec, FbmScaled):
-        return 1.0
-    if isinstance(spec, HermiteVariation):
-        return dg_norm_sq(path, spec, n) / spec.q
-    _check_path(path, spec)
-    n = _resolve_n(path, n)
-    x = path.values[:n]
-    u = _first_derivative_field(spec, x)
-    w = evaluate_expansion(np.asarray(spec.expansion.coeffs[1:]), x)
-    g = rho_many(spec.model, np.arange(n))
-    rw = _toeplitz_matvec(g, w, n)
-    return float(u @ rw) / _normalizer_sq(spec, n)
 
 
 def _quad_fourth_moment(spec: SequenceSpec, which: str) -> float:
@@ -399,8 +274,8 @@ def _d2g_values(spec: SequenceSpec, records: list[MalliavinSample], n: int) -> n
     if not d2g_depends_on_path(spec):
         # f'' does not depend on the path; one evaluation serves them all.
         return np.array([_constant_d2g_norm_sq(spec, n)])
-    if any(r.d2g_contraction_norm_sq is None or r.L is not None for r in records):
-        raise ValueError("samples need the untruncated D^2G contraction (with_d2g, L=None)")
+    if any(r.d2g_contraction_norm_sq is None for r in records):
+        raise ValueError("samples need the D^2G contraction (with_d2g)")
     return np.array([r.d2g_contraction_norm_sq for r in records])
 
 

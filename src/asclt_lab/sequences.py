@@ -23,7 +23,6 @@ from .covariance import (
     CovarianceModel,
     DivergentTailError,
     fgn,
-    model_from_json,
     model_to_json,
     power_tail_summable,
     rho_many,
@@ -34,7 +33,6 @@ from .hermite import (
     ConstantFunctionError,
     HermiteExpansion,
     evaluate_expansion,
-    expansion_from_json,
     expansion_to_json,
     hermite_eval,
 )
@@ -459,12 +457,10 @@ def zn_limit_second_moment(q: int, H: float) -> float:
     )
 
 
-def geometric_grid(n: int, ratio: float = 1.25) -> np.ndarray:
-    """Distinct indices floor(ratio^i) <= n, ascending."""
+def geometric_grid(n: int) -> np.ndarray:
+    """Distinct indices floor(1.25^i) <= n, ascending."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
     ks: list[int] = []
     v = 1.0
     while True:
@@ -473,14 +469,8 @@ def geometric_grid(n: int, ratio: float = 1.25) -> np.ndarray:
             break
         if not ks or k != ks[-1]:
             ks.append(k)
-        v *= ratio
+        v *= 1.25
     return np.array(ks, dtype=np.int64)
-
-
-def _reject_unknown(obj: dict, allowed: set[str]) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ValueError(f"unknown sequence spec fields: {sorted(extra)}")
 
 
 def spec_to_json(spec: SequenceSpec) -> str:
@@ -502,25 +492,3 @@ def spec_to_json(spec: SequenceSpec) -> str:
     else:
         raise TypeError(f"unknown sequence spec: {type(spec).__name__}")
     return json.dumps(obj, sort_keys=True)
-
-
-def spec_from_json(text: str | dict) -> SequenceSpec:
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
-    variant = obj.get("variant")
-    if variant == "fbm_scaled":
-        _reject_unknown(obj, {"variant", "H"})
-        return FbmScaled(H=float(obj["H"]))
-    if variant == "hermite_variation":
-        _reject_unknown(obj, {"variant", "model", "q", "regime"})
-        return HermiteVariation(
-            model=model_from_json(obj["model"]),
-            q=int(obj["q"]),
-            regime=str(obj["regime"]),
-        )
-    if variant == "general_f":
-        _reject_unknown(obj, {"variant", "model", "expansion"})
-        return GeneralF(
-            model=model_from_json(obj["model"]),
-            expansion=expansion_from_json(json.dumps(obj["expansion"])),
-        )
-    raise ValueError(f"unknown sequence variant: {variant!r}")

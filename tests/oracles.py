@@ -1,0 +1,230 @@
+"""Reference implementations the tests check the production evaluators
+against: brute-force and dense quartic lag sums, the dense Gram-metric
+kernel algebra, and pathwise and ensemble references. No run uses them."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from asclt_lab.covariance import CovarianceModel, rho_many, symmetric_toeplitz
+from asclt_lab.gaussian_sim import GaussianPath
+from asclt_lab.hermite import evaluate_expansion
+from asclt_lab.kernels import (
+    ContractionResult,
+    _powers,
+    _toeplitz_apply,
+    _toeplitz_spectrum,
+    hermite_sum_variance,
+    pair_lag_sum,
+)
+from asclt_lab.malliavin import _first_derivative_field, _normalizer_sq, dg_norm_sq
+from asclt_lab.sequences import FbmScaled, HermiteVariation, SequenceSpec
+
+BRUTEFORCE_MAX_N = 12
+DENSE_COEFF_BUDGET = 10**6
+
+
+def rho(model: CovarianceModel, r: int) -> float:
+    """Autocovariance at a single integer lag."""
+    return float(rho_many(model, np.array([r]))[0])
+
+
+def rho_asymptotic(H: float, r: int) -> float:
+    """Leading large-lag term H(2H-1)|r|^(2H-2); rejects r = 0."""
+    if r == 0:
+        raise ValueError("asymptotic form is undefined at lag 0")
+    return H * (2.0 * H - 1.0) * abs(r) ** (2.0 * H - 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The quartic lag sum and the contraction norm.
+
+
+def contract_sum_bruteforce(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
+    full_r = np.concatenate([pr[::-1], pr[1:]])     # index by lag + (n-1)
+    full_q = np.concatenate([pqr[::-1], pqr[1:]])
+    off = n - 1
+    total = 0.0
+    for k in range(n):
+        for l in range(n):
+            a = full_r[k - l + off]
+            if a == 0.0:
+                continue
+            for i in range(n):
+                b = full_q[k - i + off]
+                if b == 0.0:
+                    continue
+                for j in range(n):
+                    total += a * full_r[i - j + off] * b * full_q[l - j + off]
+    return total
+
+
+def contract_sum_dense(pr: np.ndarray, pqr: np.ndarray, n: int) -> float:
+    P = symmetric_toeplitz(pr)
+    Q = symmetric_toeplitz(pqr)
+    M = P @ Q
+    return float(np.sum(M * M.T))
+
+
+def contraction_bruteforce(model: CovarianceModel, q: int, r: int, n: int) -> ContractionResult:
+    """||f_n (x)_r f_n||^2 from the O(n^4) brute force, n <= 12."""
+    if n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"bruteforce capped at n={BRUTEFORCE_MAX_N}")
+    S = contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
+    return ContractionResult(S / hermite_sum_variance(model, q, n) ** 2, S)
+
+
+def kernel_inner(model: CovarianceModel, q: int, k: int, l: int) -> float:
+    """<f_k, f_l> = (E V_k^2 E V_l^2)^{-1/2} sum_{i<=k, j<=l} rho(i-j)^q."""
+    den = math.sqrt(
+        hermite_sum_variance(model, q, k) * hermite_sum_variance(model, q, l)
+    )
+    return pair_lag_sum(model, q, k, l) / den
+
+
+# ---------------------------------------------------------------------------
+# Dense test-scale kernels under the Gram metric.
+
+
+def gram_matrix(model: CovarianceModel, dim: int) -> np.ndarray:
+    return symmetric_toeplitz(rho_many(model, np.arange(dim)))
+
+
+@dataclass(frozen=True, eq=False)
+class DenseKernel:
+    """Order-q tensor over indices {1..dim} with metric <e_k,e_l> = rho(k-l).
+
+    Constructed kernels are symmetrized; contraction outputs are kept raw
+    (they are only block-symmetric), which is what the norm identities use.
+    """
+
+    model: CovarianceModel
+    q: int
+    coeffs: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[0] if self.q > 0 else 0
+
+
+def _symmetrize(t: np.ndarray) -> np.ndarray:
+    q = t.ndim
+    if q <= 1:
+        return t
+    acc = np.zeros_like(t)
+    for perm in itertools.permutations(range(q)):
+        acc += np.transpose(t, perm)
+    return acc / math.factorial(q)
+
+
+def dense_kernel(model: CovarianceModel, coeffs) -> DenseKernel:
+    t = np.asarray(coeffs, dtype=float)
+    q = t.ndim
+    if t.size > DENSE_COEFF_BUDGET:
+        raise ValueError("dense kernel exceeds the test-scale budget")
+    if q >= 1 and len(set(t.shape)) != 1:
+        raise ValueError("coefficient tensor must be cubical")
+    return DenseKernel(model, q, _symmetrize(t))
+
+
+def diagonal_kernel(model: CovarianceModel, q: int, n: int) -> DenseKernel:
+    """f_n as a dense tensor: (E V_n^2)^{-1/2} sum_k e_k^{otimes q}."""
+    t = np.zeros((n,) * q)
+    idx = (np.arange(n),) * q
+    t[idx] = 1.0 / math.sqrt(hermite_sum_variance(model, q, n))
+    return DenseKernel(model, q, t)
+
+
+def _apply_gram(t: np.ndarray, G: np.ndarray, axes: list[int]) -> np.ndarray:
+    for ax in axes:
+        t = np.moveaxis(np.tensordot(t, G, axes=([ax], [0])), -1, ax)
+    return t
+
+
+def dense_contract(f: DenseKernel, g: DenseKernel, r: int) -> DenseKernel | float:
+    """f (x)_r g: contract the last r slots of f with the first r of g."""
+    if f.model != g.model:
+        raise ValueError("kernels live over different covariance models")
+    if not 0 <= r <= min(f.q, g.q):
+        raise ValueError(f"r must be in 0..min(p,q), got {r}")
+    if f.q and g.q and f.dim != g.dim:
+        raise ValueError("kernels have different index sets")
+    out_order = f.q + g.q - 2 * r
+    if f.dim ** max(out_order, 1) > DENSE_COEFF_BUDGET:
+        raise ValueError("contraction output exceeds the test-scale budget")
+    if r == 0:
+        t = np.tensordot(f.coeffs, g.coeffs, axes=0)
+        return DenseKernel(f.model, out_order, t)
+    G = gram_matrix(f.model, f.dim)
+    gg = _apply_gram(g.coeffs, G, list(range(r)))
+    t = np.tensordot(f.coeffs, gg, axes=(list(range(f.q - r, f.q)), list(range(r))))
+    if out_order == 0:
+        return float(t)
+    return DenseKernel(f.model, out_order, t)
+
+
+def dense_inner(f: DenseKernel, g: DenseKernel) -> float:
+    """<f, g> under the full Gram metric (orders must match)."""
+    if f.q != g.q:
+        raise ValueError("inner product needs kernels of equal order")
+    if f.q == 0:
+        return float(f.coeffs * g.coeffs)
+    G = gram_matrix(f.model, f.dim)
+    gg = _apply_gram(g.coeffs, G, list(range(g.q)))
+    return float(np.tensordot(f.coeffs, gg, axes=f.q))
+
+
+def dense_norm_sq(f: DenseKernel) -> float:
+    return dense_inner(f, f)
+
+
+# ---------------------------------------------------------------------------
+# Pathwise and ensemble references.
+
+
+def toeplitz_matvec(g: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Toeplitz(g) @ x through the size-2n circulant embedding."""
+    return _toeplitz_apply(_toeplitz_spectrum(g, n), x[:, None], n)[:, 0]
+
+
+def dl_inverse_pairing(path: GaussianPath, spec: SequenceSpec) -> float:
+    """Pathwise <DG_n, -D L^{-1} G_n>; its mean is E[G_n^2] = 1.
+
+    Fixed chaos q divides the inverse generator by q, so the pairing is
+    ||DG_n||^2 / q. Mixed expansions drop one q factor per chaos order:
+    the second field uses coefficient c_q on H_{q-1} instead of q c_q.
+    """
+    if isinstance(spec, FbmScaled):
+        return 1.0
+    if isinstance(spec, HermiteVariation):
+        return dg_norm_sq(path, spec) / spec.q
+    n = path.n
+    x = path.values
+    u = _first_derivative_field(spec, x)
+    w = evaluate_expansion(np.asarray(spec.expansion.coeffs[1:]), x)
+    rw = toeplitz_matvec(rho_many(spec.model, np.arange(n)), w, n)
+    return float(u @ rw) / _normalizer_sq(spec, n)
+
+
+def empirical_autocovariance(paths: list[GaussianPath], r: int) -> tuple[float, float]:
+    """Cross-replicate unbiased estimate of E[X_1 X_{1+r}] and its s.e."""
+    if not paths:
+        raise ValueError("empty ensemble")
+    n = paths[0].n
+    model = paths[0].model
+    r = abs(int(r))
+    if r >= n:
+        raise ValueError(f"lag {r} out of range for n={n}")
+    for p in paths:
+        if p.n != n or p.model != model:
+            raise ValueError("ensemble mixes models or lengths")
+    per = np.array(
+        [float(np.dot(p.values[: n - r], p.values[r:])) / (n - r) for p in paths]
+    )
+    est = float(per.mean())
+    se = float(per.std(ddof=1) / math.sqrt(per.size)) if per.size > 1 else math.inf
+    return est, se

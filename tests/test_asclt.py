@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from asclt_lab import asclt
+from asclt_lab import asclt, cli
 from asclt_lab.asclt import (
     DeltaRow,
     KsRow,
     LogAveragedMeasure,
     criteria_diagnostic,
     criteria_report_to_json,
-    delta_ensemble,
     delta_rows_to_csv,
     delta_stat,
     delta_stat_prefixes,
-    delta_triangle_bound,
-    empirical_target,
     exact_gaussian_delta_sq,
     harmonic_weighted_mean,
+    il_delta_prefixes,
+    il_from_prefixes,
     il_series_diagnostic,
     ks_distance,
     ks_rows_to_csv,
@@ -47,20 +46,20 @@ def test_measure_harmonic_weights():
     m = log_average_measure(build_gseries(p, FbmScaled(0.5)))
     assert m.n == 2 and m.values.size == 2
     assert sorted(m.weights) == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
-    assert abs(m.total_mass - 1.0) <= 1e-12
+    assert abs(float(m.weights.sum()) - 1.0) <= 1e-12
     assert np.all(np.isfinite(m.values))
     assert np.all(np.diff(m.values) >= 0.0)
 
 
 def test_measure_large_mass_exact():
     m = _measure(n=4096)
-    assert abs(m.total_mass - 1.0) <= 1e-12
+    assert abs(float(m.weights.sum()) - 1.0) <= 1e-12
 
 
 def test_measure_log_n_mass():
     p = sample_stationary(fgn(0.5), 2, SEED, 0)
     m = log_average_measure(build_gseries(p, FbmScaled(0.5)), "log_n")
-    assert m.total_mass == pytest.approx(1.5 / math.log(2.0), rel=1e-12)
+    assert float(m.weights.sum()) == pytest.approx(1.5 / math.log(2.0), rel=1e-12)
 
 
 def test_measure_validation():
@@ -77,17 +76,10 @@ def test_ks_single_atom_at_zero():
     assert ks_distance(single) == 0.5
 
 
-def test_ks_self_target_is_zero():
-    m = _measure()
-    assert ks_distance(m, empirical_target(m.values, m.weights)) == 0.0
-
-
 def test_ks_rejects_log_n():
     m = _measure(normalization="log_n")
     with pytest.raises(ValueError):
         ks_distance(m)
-    with pytest.raises(TypeError):
-        ks_distance(_measure(), target=(1, 2))
 
 
 def test_ks_brute_force_oracle():
@@ -102,14 +94,6 @@ def test_ks_brute_force_oracle():
     brute = float(np.max(np.abs(cdf - ndtr(grid))))
     assert abs(exact - brute) <= 1e-9
     assert exact >= brute - 1e-15
-
-
-def test_ks_between_step_functions():
-    m = LogAveragedMeasure(
-        np.array([0.0, 1.0]), np.array([2.0 / 3.0, 1.0 / 3.0]), "harmonic", 2
-    )
-    target = empirical_target(np.array([0.5]))
-    assert ks_distance(m, target) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_grouped_cdf_matches_unique_with_ties():
@@ -219,46 +203,55 @@ def test_block_series_and_delta_equal_per_path_bit_for_bit():
         block = build_gseries(ens, spec)
         assert block.values.shape == (37, n) and block.replicate_id == 4
         for t in (0.5, 1.0, 2.0):
-            for cf in (None, lambda t: 0.5 + 0.25j * t):
-                rows = delta_stat(block, t, cf)
-                assert rows.shape == (37,)
-                for i, path in enumerate(ens):
-                    g = build_gseries(path, spec)
-                    assert np.array_equal(block.values[i], g.values)
-                    assert np.array_equal(block.sigmas, g.sigmas)
-                    one = delta_stat(g, t, cf)
-                    assert isinstance(one, complex) and rows[i] == one, (spec, t, i)
+            rows = delta_stat(block, t)
+            assert rows.shape == (37,)
+            for i, path in enumerate(ens):
+                g = build_gseries(path, spec)
+                assert np.array_equal(block.values[i], g.values)
+                assert np.array_equal(block.sigmas, g.sigmas)
+                one = delta_stat(g, t)
+                assert isinstance(one, complex) and rows[i] == one, (spec, t, i)
     with pytest.raises(TypeError):
         build_gseries(sample_ensemble(fgn(0.3), 64, SEED, 2),
                       GeneralF(fgn(0.3), expand(np.arctan, qmax=5)))
 
 
 def test_delta_mc_matches_exact_and_triangle():
+    n = 2**10
     spec = FbmScaled(0.8)
-    paths = sample_ensemble(fgn(0.8), 2**10, SEED + 1, 5000)
-    series = [build_gseries(p, spec) for p in paths]
+    g = build_gseries(sample_ensemble(fgn(0.8), n, SEED + 1, 5000), spec)
+    # |e^{itG} - cf| <= 2 termwise, so |delta| <= (1/log n) sum 2/k.
+    triangle = 2.0 * float(np.sum(1.0 / np.arange(1.0, n + 1.0))) / math.log(n)
     for t in (0.5, 1.0, 2.0):
-        est = delta_ensemble(series, t)
-        exact = exact_gaussian_delta_sq(spec, 2**10, t)
-        assert abs(est.mean_sq - exact) <= 4.0 * est.stderr
-        assert np.all(np.abs(est.per_replicate) <= est.triangle_bound)
+        per = delta_stat(g, t)
+        sq = np.abs(per) ** 2
+        exact = exact_gaussian_delta_sq(spec, n, t)
+        assert abs(sq.mean() - exact) <= 4.0 * sq.std(ddof=1) / math.sqrt(sq.size)
+        assert np.all(np.abs(per) <= triangle)
 
 
-def test_delta_ensemble_stats_and_validation():
-    spec = FbmScaled(0.6)
-    paths = sample_ensemble(fgn(0.6), 32, SEED, 50)
-    series = [build_gseries(p, spec) for p in paths]
-    est = delta_ensemble(series, 1.0)
-    sq = np.abs(est.per_replicate) ** 2
-    assert est.mean_sq == pytest.approx(float(sq.mean()), rel=1e-12)
-    assert est.stderr == pytest.approx(float(sq.std(ddof=1) / math.sqrt(50)), rel=1e-12)
-    assert est.target == "std_normal"
-    assert est.triangle_bound == pytest.approx(delta_triangle_bound(32), rel=1e-12)
-    with pytest.raises(ValueError):
-        delta_ensemble([], 1.0)
-    short = [build_gseries(p, spec, n=16) for p in paths[:2]]
-    with pytest.raises(ValueError):
-        delta_ensemble(series[:2] + short, 1.0)
+def test_delta_ensemble_stats_and_validation(monkeypatch):
+    # The delta_exactness reducer is the Monte-Carlo E|delta_n(t)|^2
+    # estimator: the mean of |delta|^2 over the replicates and its s.e.
+    n, spec = 32, FbmScaled(0.6)
+    cfg, errors = cli.validate_config({
+        "schema_version": 1, "experiment": "delta_exactness", "model": {"H": 0.6},
+        "n_max": n, "n_grid": [n], "seeds": {"master_seed": SEED, "replicates": 100},
+        "t_grid": [1.0]})
+    assert not errors
+    (row,) = cli.run_experiment(cfg).report["rows"]
+    sq = np.abs(delta_stat(build_gseries(sample_ensemble(fgn(0.6), n, SEED, 100), spec), 1.0)) ** 2
+    assert row["mc"] == float(sq.mean())
+    assert row["stderr"] == float(sq.std(ddof=1) / math.sqrt(100))
+    assert row["exact"] == exact_gaussian_delta_sq(spec, n, 1.0)
+    assert row["z"] == (row["mc"] - row["exact"]) / row["stderr"]
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "delta_stat", boom)
+    with pytest.raises(RuntimeError, match="all replicates failed"):
+        cli.run_experiment(cfg)
 
 
 def test_il_exact_fbm_consistent():
@@ -277,35 +270,27 @@ def test_il_exact_fbm_consistent():
     assert tuple(sup) == il.sup_delta_sq
 
 
+def _il_mc(spec, t_grid, n_grid, master_seed, replicates):
+    prefixes = [il_delta_prefixes(spec, t_grid, n_grid, master_seed, rep)
+                for rep in range(replicates)]
+    return il_from_prefixes(t_grid, n_grid, prefixes)
+
+
 def test_il_supercritical_flagged():
-    il = il_series_diagnostic(
-        HermiteVariation(fgn(0.9), 2),
-        (1.0,),
-        n_grid=GRID16,
-        master_seed=SEED + 10,
-        replicates=120,
-    )
+    il = _il_mc(HermiteVariation(fgn(0.9), 2), (1.0,), GRID16, SEED + 10, 120)
     assert il.verdict == "flagged"
     # second moment stays bounded away from zero across the grid
     assert min(il.rows[0].delta_sq) >= 0.2
 
 
 def test_il_subcritical_consistent_mc():
-    il = il_series_diagnostic(
-        HermiteVariation(fgn(0.3), 2),
-        (1.0,),
-        n_grid=GRID16,
-        master_seed=SEED + 10,
-        replicates=120,
-    )
+    il = _il_mc(HermiteVariation(fgn(0.3), 2), (1.0,), GRID16, SEED + 10, 120)
     assert il.verdict == "consistent"
 
 
 def test_il_validation():
     with pytest.raises(ValueError):
         il_series_diagnostic(FbmScaled(0.5), (1.0,), n_grid=[16, 16, 64])
-    with pytest.raises(ValueError):
-        il_series_diagnostic(FbmScaled(0.5), (1.0,), n_grid=[4, 16], replicates=10)
     with pytest.raises(ValueError):
         il_series_diagnostic(HermiteVariation(fgn(0.3), 2), (1.0,), n_grid=[4, 16])
 

@@ -19,7 +19,6 @@ from asclt_lab.asclt import (
     exact_gaussian_delta_sq,
     il_delta_prefixes,
     il_from_prefixes,
-    il_series_diagnostic,
     ks_distance,
     log_average_measure,
 )
@@ -206,11 +205,44 @@ _RULES = [
 ]
 
 
-@pytest.mark.parametrize("experiment,overrides,fields", _RULES)
+def _rule_id(case) -> str:
+    """experiment:field=value,... with object fields flattened."""
+    experiment, overrides, _ = case
+    flat = {f"{k}.{kk}": vv for k, v in overrides.items() if isinstance(v, dict)
+            for kk, vv in v.items() if kk != "master_seed"}
+    flat.update({k: "/".join(map(str, v)) if isinstance(v, list) else v
+                 for k, v in overrides.items() if not isinstance(v, dict)})
+    return experiment + ":" + ",".join(f"{k}={v}" for k, v in flat.items())
+
+
+@pytest.mark.parametrize("experiment,overrides,fields", _RULES, ids=map(_rule_id, _RULES))
 def test_validation_rule_table(experiment, overrides, fields):
     cfg, errors = validate_config(_doc(experiment, **overrides))
     assert {e.field for e in errors} == fields
     assert (cfg is None) == bool(fields)
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("asclt_fbm", "z_max"), ("asclt_hermite_sub", "rel_zn"), ("asclt_hermite_crit", "z_max"),
+    ("asclt_general_f", "rel_sigma"), ("non_gaussian", "ks_final_max"),
+    ("kernels_decay", "z_max"), ("delta_exactness", "ks_final_max"),
+    ("malliavin_bounds", "rel_zn"), ("sigma_limits", "ks_final_max"),
+])
+def test_tolerances_are_per_experiment(experiment, key):
+    # A tolerance the experiment never reads is refused; its own are not.
+    assert _errors_by_field(_doc(experiment, tolerances={key: 0.5})) == {f"tolerances.{key}"}
+    own = cli._EXPERIMENTS[experiment].defaults["tolerances"]
+    cfg, errors = validate_config(_doc(experiment, tolerances=dict(own)))
+    assert errors == [] and cfg.tolerances == own
+
+
+@pytest.mark.parametrize("experiment", _EXPERIMENT_NAMES)
+def test_sizes_are_capped(experiment):
+    # One step above each cap is refused at validation; nothing runs.
+    assert _errors_by_field(_doc(experiment, n_max=(1 << 24) + 1)) == {"n_max"}
+    assert _errors_by_field(_doc(experiment, n_grid=[64, (1 << 24) + 1])) == {"n_grid[1]"}
+    assert _errors_by_field(_doc(experiment, n_grid=[64, 1 << 40])) == {"n_grid[1]"}
+    assert _errors_by_field(_doc(experiment, **_seeds((1 << 20) + 1))) == {"seeds.replicates"}
 
 
 def test_defaults_fill_in():
@@ -478,10 +510,9 @@ def test_ks_worker_matches_per_prefix_builds():
      GeneralF(fgn(0.3), expand(np.arctan, qmax=9))),
 ])
 def test_pooled_il_matches_serial_diagnostic(experiment, model, spec):
-    expect = il_series_diagnostic(
-        spec, (0.0, 0.5, 1.0), n_grid=[16, 64, 256],
-        master_seed=SEED + cli._SEED_IL, replicates=6,
-    )
+    t_grid, n_grid = (0.0, 0.5, 1.0), [16, 64, 256]
+    expect = il_from_prefixes(t_grid, n_grid, [
+        il_delta_prefixes(spec, t_grid, n_grid, SEED + cli._SEED_IL, rep) for rep in range(6)])
     il, failures = cli._start_il_mc(_small_asclt(experiment, model), [16, 64, 256], None)()
     assert failures == [] and il == expect
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
@@ -554,9 +585,9 @@ def test_each_lag_sum_key_is_evaluated_once(monkeypatch, q):
     calls, passes = [], []
     real_pass = kernels._bordering_pass
 
-    def counting(model, q, r, n, method="auto"):
+    def counting(model, q, r, n):
         calls.append((min(r, q - r), max(r, q - r), n))
-        return contraction_norm_sq(model, q, r, n, method)
+        return contraction_norm_sq(model, q, r, n)
 
     def counting_pass(p, q, n):
         passes.append(n)
@@ -754,8 +785,10 @@ def test_block_failure_is_reported_per_replicate_alike_across_workers(monkeypatc
     assert reports[0]["failures"] == ["replicate 37: RuntimeError: boom"]
     _assert_same_outputs(*outs)
     cfg = load_config(cfg_path)
-    assert cli._run_replicates(cli._delta_worker, (*cli._spec_args(cfg), 1024, (0.5, 1.0), SEED),
-                               100, 1024, None, 1)[1] == ["replicate 37: RuntimeError: boom"]
+    pending = cli._start_replicates(cli._delta_worker,
+                                    (*cli._spec_args(cfg), 1024, (0.5, 1.0), SEED),
+                                    100, 1024, None, 1)
+    assert pending()[1] == ["replicate 37: RuntimeError: boom"]
 
 
 def test_criteria_error_is_reported_alike_across_workers(monkeypatch, tmp_path, capsys):
@@ -795,7 +828,6 @@ def test_contraction_error_is_reported_alike_across_workers(monkeypatch, tmp_pat
 _FOOTPRINT_SCRIPT = """
 import json, sys
 import asclt_lab.cli as cli
-from asclt_lab.gaussian_sim import NormalStream
 
 heavy = ("scipy.special", "scipy.linalg")
 out = {"import": [m for m in heavy if m in sys.modules]}
@@ -805,7 +837,6 @@ codes = [cli.main(["run", "--config", c, "--out", c + ".out", "--workers", "1"])
 out["runs"] = [m for m in heavy if m in sys.modules]
 out["new_numpy"] = sorted(m for m in set(sys.modules) - loaded if m.split(".")[0] == "numpy")
 out["codes"] = codes
-out["inverse"] = NormalStream(1, 0, "inverse").normals(4).tolist()
 print(json.dumps(out))
 """
 
@@ -829,4 +860,3 @@ def test_runs_import_no_scipy_special_or_linalg(tmp_path):
     assert out["import"] == [] and out["runs"] == []
     assert out["new_numpy"] == []
     assert all(code in (0, 2) for code in out["codes"])
-    assert len(out["inverse"]) == 4 and all(math.isfinite(v) for v in out["inverse"])

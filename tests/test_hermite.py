@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from asclt_lab.covariance import fgn
 from asclt_lab.hermite import (
     ConstantFunctionError,
+    HermiteExpansion,
+    _first_active_order,
+    _quad_rule,
     derivative_coeffs,
     evaluate_expansion,
     expand,
-    expansion_from_json,
     expansion_to_json,
     hermite_design_matrix,
     hermite_eval,
-    hermite_rank,
     resolve_test_function,
-    _quad_rule,
 )
+from asclt_lab.sequences import GeneralF
 
 
 def test_low_order_values():
@@ -102,7 +105,8 @@ def test_expand_quartic_gaussian_moments():
 
 def test_expand_arctan_parseval():
     exp = expand(np.arctan, qmax=20)
-    captured = float(np.sum(exp.chaos_variances()[1:]))
+    facts = np.array([math.factorial(q) for q in range(21)], dtype=float)
+    captured = float(np.sum((np.asarray(exp.coeffs) ** 2 * facts)[1:]))
     assert captured <= exp.var_fN + 1e-12
     assert abs(exp.var_fN - captured) <= max(1e-8, exp.tail_bound + 1e-12)
     assert exp.rank == 1
@@ -120,19 +124,21 @@ def test_even_function_has_no_odd_coeffs():
 def test_rank_of_centered_quartic():
     exp = expand(lambda x: x**4 - 3.0, qmax=6)
     assert abs(exp.coeffs[0]) <= 1e-12
-    assert hermite_rank(exp) == 2
+    assert exp.rank == 2
 
 
 def test_constant_function_rejected():
     exp = expand(lambda x: np.full_like(x, 5.0), qmax=4)
+    assert exp.rank == 0
     with pytest.raises(ConstantFunctionError):
-        hermite_rank(exp)
+        GeneralF(fgn(0.3), exp)
 
 
 def test_rank_with_explicit_tolerance():
     exp = expand(lambda x: 1e-6 * x + hermite_eval(2, x), qmax=4)
-    assert hermite_rank(exp, rank_tol=1e-8) == 1
-    assert hermite_rank(exp, rank_tol=1e-3) == 2
+    assert exp.rank == 1
+    assert _first_active_order(exp.coeffs, 1e-8) == 1
+    assert _first_active_order(exp.coeffs, 1e-3) == 2
 
 
 def test_non_finite_f_rejected():
@@ -177,6 +183,7 @@ def test_resolve_test_function():
 
 
 def test_json_round_trip():
+    # The report's expansion echo holds every field of the expansion.
     exp = expand(np.arctan, qmax=8)
-    back = expansion_from_json(expansion_to_json(exp))
-    assert back == exp
+    obj = json.loads(expansion_to_json(exp))
+    assert HermiteExpansion(**{**obj, "coeffs": tuple(obj["coeffs"])}) == exp

@@ -1,5 +1,5 @@
 """Kernel algebra: the bordering lag-sum pass against brute-force and dense
-oracles, plus the dense Gram-metric kernel identities."""
+oracles, plus the dense Gram-metric kernel identities of those oracles."""
 
 from __future__ import annotations
 
@@ -15,28 +15,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asclt_lab import kernels
-from asclt_lab.covariance import fgn, iid, rho, rho_many, table
+from asclt_lab.covariance import fgn, iid, table
 from asclt_lab.kernels import (
     _bordering_pass,
-    _contract_sum_bruteforce,
-    _contract_sum_dense,
     _lag_sum_prefix,
     _pass_table_size,
     _powers,
     _running_sum,
     contraction_norm_sq,
+    hermite_sum_variance,
+    pair_lag_sum,
+    v2_prefix,
+)
+from asclt_lab.sequences import geometric_grid
+from oracles import (
+    contract_sum_bruteforce,
+    contract_sum_dense,
+    contraction_bruteforce,
     dense_contract,
     dense_inner,
     dense_kernel,
     dense_norm_sq,
     diagonal_kernel,
     gram_matrix,
-    hermite_sum_variance,
     kernel_inner,
-    pair_lag_sum,
-    v2_prefix,
+    rho,
 )
-from asclt_lab.sequences import geometric_grid
 
 MODELS = [iid(), fgn(0.3), fgn(0.75)]
 # MA(2) autocorrelation, so Toeplitz(rho^s) is positive semidefinite.
@@ -107,11 +111,11 @@ def test_pair_lag_sum_accepts_grid_integers():
 
 
 def test_bruteforce_iid_value():
-    res = contraction_norm_sq(iid(), 2, 1, 4, method="bruteforce")
+    res = contraction_bruteforce(iid(), 2, 1, 4)
     assert res.value == pytest.approx(1.0 / 16.0, abs=1e-15)
     assert res.raw_sum == pytest.approx(4.0, abs=1e-13)
     # 1/(4n) for any n in the iid q=2 case.
-    res8 = contraction_norm_sq(iid(), 2, 1, 8, method="bruteforce")
+    res8 = contraction_bruteforce(iid(), 2, 1, 8)
     assert res8.value == pytest.approx(1.0 / 32.0, abs=1e-15)
 
 
@@ -120,8 +124,8 @@ def test_lagsum_equals_bruteforce_on_oracle_grid():
         for q in (2, 3):
             for r in range(1, q):
                 for n in (3, 5, 9, 12):
-                    bf = contraction_norm_sq(model, q, r, n, method="bruteforce")
-                    ls = contraction_norm_sq(model, q, r, n, method="lagsum")
+                    bf = contraction_bruteforce(model, q, r, n)
+                    ls = contraction_norm_sq(model, q, r, n)
                     assert ls.value == pytest.approx(bf.value, abs=1e-10), (
                         model.kind, q, r, n,
                     )
@@ -134,7 +138,7 @@ def test_lagsum_matches_dense(model):
     cases = [(n, q, r) for n in (1, 2, 3, 64, 257) for q in (2, 3, 4) for r in range(1, q)]
     cases += [(2048, q, r) for q in (2, 3, 4) for r in range(1, q) if r <= q - r]
     for n, q, r in cases:
-        dense = _contract_sum_dense(_powers(model, r, n), _powers(model, q - r, n), n)
+        dense = contract_sum_dense(_powers(model, r, n), _powers(model, q - r, n), n)
         got = contraction_norm_sq(model, q, r, n).raw_sum
         assert got == pytest.approx(dense, rel=DENSE_REL_TOL), (n, q, r)
 
@@ -165,7 +169,7 @@ def test_one_pass_matches_bruteforce_at_every_n(model):
         for r in range(1, q):
             S = _one_pass(model, r, q - r, 12)
             for n in range(1, 13):
-                want = _contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
+                want = contract_sum_bruteforce(_powers(model, r, n), _powers(model, q - r, n), n)
                 assert S[n - 1] == pytest.approx(want, rel=1e-12), (q, r, n)
 
 
@@ -180,7 +184,7 @@ def test_bordering_pass_matches_dense_on_random_tables(model, qr, n):
     q, r = qr
     S = _one_pass(model, r, q - r, n)
     for k in range(1, n + 1):
-        dense = _contract_sum_dense(_powers(model, r, k), _powers(model, q - r, k), k)
+        dense = contract_sum_dense(_powers(model, r, k), _powers(model, q - r, k), k)
         assert S[k - 1] == pytest.approx(dense, rel=DENSE_REL_TOL), k
     assert contraction_norm_sq(model, q, r, n).raw_sum == S[n - 1]
 
@@ -268,13 +272,13 @@ def test_contraction_symmetry_in_r():
 
 def test_method_guards():
     with pytest.raises(ValueError):
-        contraction_norm_sq(iid(), 2, 1, 13, method="bruteforce")
+        contraction_bruteforce(iid(), 2, 1, 13)
     with pytest.raises(ValueError):
         contraction_norm_sq(iid(), 2, 0, 8)
     with pytest.raises(ValueError):
         contraction_norm_sq(iid(), 2, 2, 8)
     with pytest.raises(ValueError):
-        contraction_norm_sq(iid(), 2, 1, 8, method="truncated")
+        contraction_norm_sq(iid(), 2, 1, 0)
 
 
 def test_kernel_inner_diagonal_is_inverse_factorial():
@@ -372,7 +376,7 @@ def test_diagonal_dense_kernel_matches_lag_machinery():
             1.0, abs=1e-12
         )
         got = dense_norm_sq(dense_contract(f, f, 1))
-        want = contraction_norm_sq(model, q, 1, n, method="bruteforce").value
+        want = contraction_bruteforce(model, q, 1, n).value
         assert got == pytest.approx(want, rel=1e-11)
 
 

@@ -10,7 +10,7 @@ from asclt_lab.covariance import abs_rho_power_sum, fgn, iid, rho_many
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
 from asclt_lab.hermite import _quad_rule, expand
 from asclt_lab import malliavin
-from asclt_lab.kernels import _toeplitz_matvec, contraction_norm_sq, hermite_sum_variance
+from asclt_lab.kernels import contraction_norm_sq, hermite_sum_variance
 from asclt_lab.malliavin import (
     _QUAD_NODES,
     CfGap,
@@ -30,13 +30,12 @@ from asclt_lab.malliavin import (
     d2g_contraction_norm_sq,
     d2g_depends_on_path,
     dg_norm_sq,
-    dg_norm_sq_truncated,
-    dl_inverse_pairing,
     gebelein_check,
     lag_covariances,
     malliavin_sample,
 )
 from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, RegimeError, build_gseries
+from oracles import dl_inverse_pairing, toeplitz_matvec
 
 SEED = 20240821
 
@@ -94,7 +93,7 @@ def test_dg_path_independent_work_is_cached(monkeypatch):
     assert calls == [(spec.model, 2, n)]
     for p, value in zip(paths, got):
         b = 2.0 * p.values
-        u = _toeplitz_matvec(rho_many(spec.model, np.arange(n)), b, n)
+        u = toeplitz_matvec(rho_many(spec.model, np.arange(n)), b, n)
         assert value == max(float(b @ u) / hermite_sum_variance(spec.model, 2, n), 0.0)
     spectrum = malliavin._covariance_spectrum(spec.model, n)
     assert not spectrum.flags.writeable
@@ -107,9 +106,8 @@ def test_fbm_scaled_is_first_chaos():
     spec = FbmScaled(0.7)
     p = sample_ensemble(fgn(0.7), 64, SEED, 1)[0]
     assert dg_norm_sq(p, spec) == 1.0
-    assert d2g_contraction_norm_sq(p, spec) == (0.0, 0.0)
+    assert d2g_contraction_norm_sq(p, spec) == 0.0
     assert dl_inverse_pairing(p, spec) == 1.0
-    assert dg_norm_sq_truncated(p, spec, 5) == (1.0, 0.0)
 
 
 def test_dg_mean_is_chaos_order():
@@ -160,8 +158,7 @@ def test_d2g_quadratic_hermite_is_deterministic():
     spec = HermiteVariation(model, 2)
     for n in (512, 1024):
         p = sample_ensemble(model, n, SEED, 1)[0]
-        val, bound = d2g_contraction_norm_sq(p, spec)
-        assert bound == 0.0
+        val = d2g_contraction_norm_sq(p, spec)
         assert val == pytest.approx(
             16.0 * contraction_norm_sq(model, 2, 1, n).value, rel=1e-12
         )
@@ -177,52 +174,13 @@ def test_d2g_constant_second_derivative_matches_blocked_trace():
         g = rho_many(model, np.arange(n))
         blocked = _weighted_quartic_trace(g, np.full(n, 2.0), n)
         want = blocked / hermite_sum_variance(model, 2, n) ** 2
-        assert d2g_contraction_norm_sq(p, spec)[0] == pytest.approx(want, rel=1e-12)
+        assert d2g_contraction_norm_sq(p, spec) == pytest.approx(want, rel=1e-12)
 
 
 def test_d2g_vanishes_for_first_chaos():
     spec = HermiteVariation(fgn(0.6), 1)
     p = sample_ensemble(fgn(0.6), 64, SEED, 1)[0]
-    assert d2g_contraction_norm_sq(p, spec) == (0.0, 0.0)
-
-
-def test_d2g_truncation_certified():
-    model = fgn(0.3)
-    spec = HermiteVariation(model, 2)
-    p = sample_ensemble(model, 256, SEED, 1)[0]
-    exact, _ = d2g_contraction_norm_sq(p, spec)
-    last = math.inf
-    for L in (1, 4, 16, 64):
-        val, bound = d2g_contraction_norm_sq(p, spec, L=L)
-        assert abs(val - exact) <= bound
-        assert bound < last
-        last = bound
-    # no lag dropped once L reaches n-1: value exact, bound zero
-    for L in (255, 256):
-        val, bound = d2g_contraction_norm_sq(p, spec, L=L)
-        assert bound == 0.0
-        assert val == pytest.approx(exact, rel=1e-12)
-
-
-def test_dg_truncation_certified():
-    model = fgn(0.3)
-    spec = HermiteVariation(model, 2)
-    p = sample_ensemble(model, 256, SEED, 1)[0]
-    exact = dg_norm_sq(p, spec)
-    val, bound = dg_norm_sq_truncated(p, spec, 16)
-    assert abs(val - exact) <= bound
-    assert bound > 0.0
-
-
-def test_lag_cutoff_validation():
-    spec = HermiteVariation(fgn(0.3), 2)
-    p = sample_ensemble(fgn(0.3), 64, SEED, 1)[0]
-    with pytest.raises(ValueError):
-        d2g_contraction_norm_sq(p, spec, L=0)
-    with pytest.raises(ValueError):
-        d2g_contraction_norm_sq(p, spec, L=65)
-    with pytest.raises(ValueError):
-        dg_norm_sq_truncated(p, spec, 0)
+    assert d2g_contraction_norm_sq(p, spec) == 0.0
 
 
 def test_co1_printed_exponent_is_violated_for_iid():
@@ -258,7 +216,7 @@ def test_d2g_decay_rate_fgn():
     vals = []
     for n in ns:
         p = sample_stationary(model, n, SEED, 0)
-        vals.append(d2g_contraction_norm_sq(p, spec)[0])
+        vals.append(d2g_contraction_norm_sq(p, spec))
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert -1.2 <= slope <= -0.8
 
@@ -321,13 +279,12 @@ def test_cf_gap_validation():
         cf_gap_bound(spec, q3_records, 1.0)
     with pytest.raises(ValueError, match="spec"):
         co2_check(q3, _records(q3_paths, spec))
-    # A path-dependent f'' needs the untruncated contraction on every sample.
+    # A path-dependent f'' needs the contraction on every sample.
     lean = [malliavin_sample(p, q3, with_d2g=False) for p in q3_paths]
-    with pytest.raises(ValueError, match="D\\^2G"):
-        cf_gap_bound(q3, lean, 1.0)
-    truncated = [malliavin_sample(p, q3, L=8) for p in q3_paths]
-    with pytest.raises(ValueError, match="D\\^2G"):
-        co2_check(q3, truncated)
+    for reducer in (lambda records: cf_gap_bound(q3, records, 1.0),
+                    lambda records: co2_check(q3, records)):
+        with pytest.raises(ValueError, match="D\\^2G"):
+            reducer(lean)
 
 
 def test_gebelein_arctan_holds():
@@ -357,15 +314,14 @@ def test_malliavin_sample_wiring():
     model = fgn(0.3)
     spec = HermiteVariation(model, 2)
     p = sample_ensemble(model, 128, SEED, 1)[0]
-    s = malliavin_sample(p, spec, L=16)
+    s = malliavin_sample(p, spec)
     assert isinstance(s, MalliavinSample)
-    assert s.n == 128 and s.L == 16
+    assert s.n == 128
     assert s.dg_norm_sq == dg_norm_sq(p, spec)
     assert s.g_n == build_gseries(p, spec).values[-1]
-    assert s.truncation_bound > 0.0
+    assert s.d2g_contraction_norm_sq == d2g_contraction_norm_sq(p, spec)
     lean = malliavin_sample(p, spec, with_d2g=False)
     assert lean.d2g_contraction_norm_sq is None
-    assert lean.truncation_bound == 0.0
 
 
 def test_cf_rows_csv():
@@ -385,8 +341,8 @@ def test_cf_rows_csv():
 # map, each quantity recomputed from the paths themselves.
 def _oracle_d2g_mean(spec, paths):
     if _second_derivative_constant(spec) is not None:
-        return d2g_contraction_norm_sq(paths[0], spec)[0]
-    return float(np.array([d2g_contraction_norm_sq(p, spec)[0] for p in paths]).mean())
+        return d2g_contraction_norm_sq(paths[0], spec)
+    return float(np.array([d2g_contraction_norm_sq(p, spec) for p in paths]).mean())
 
 
 def _oracle_cf_gap_bound(spec, paths, t):
@@ -416,9 +372,9 @@ def _oracle_co_checks(spec, paths):
     rho_sum = abs_rho_power_sum(spec.model, 1).value
     dg4 = np.array([dg_norm_sq(p, spec) for p in paths]) ** 2
     if _second_derivative_constant(spec) is not None:
-        d2g = np.array([d2g_contraction_norm_sq(paths[0], spec)[0]])
+        d2g = np.array([d2g_contraction_norm_sq(paths[0], spec)])
     else:
-        d2g = np.array([d2g_contraction_norm_sq(p, spec)[0] for p in paths])
+        d2g = np.array([d2g_contraction_norm_sq(p, spec) for p in paths])
     co1 = _oracle_moment_check(
         "co1", dg4, _quad_fourth_moment(spec, "first"), sigma4, rho_sum, 2, 1)
     co2 = _oracle_moment_check(

@@ -1,6 +1,5 @@
 """Normalized sequence construction against hand oracles and Monte Carlo."""
 
-import json
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from asclt_lab.covariance import abs_rho_power_sum
 from asclt_lab.sequences import (
     FbmScaled,
     GeneralF,
-    GSeries,
     HermiteVariation,
     NormalizationError,
     RegimeError,
@@ -38,8 +36,6 @@ from asclt_lab.sequences import (
     regime_for,
     sigma_limit,
     sigma_n_squared,
-    spec_from_json,
-    spec_to_json,
     zn_cross_moment,
     zn_dyadic,
     zn_limit_second_moment,
@@ -443,25 +439,6 @@ def test_geometric_grid():
     assert np.all(np.diff(ks) > 0) and ks[-1] <= 10_000
     with pytest.raises(ValueError):
         geometric_grid(0)
-    with pytest.raises(ValueError):
-        geometric_grid(10, ratio=1.0)
-
-
-def test_spec_json_roundtrip():
-    arctan = expand(np.arctan, qmax=9)
-    specs = [
-        FbmScaled(0.75),
-        HermiteVariation(fgn(0.9), 2),
-        GeneralF(fgn(0.3), arctan),
-    ]
-    for spec in specs:
-        text = spec_to_json(spec)
-        back = spec_from_json(text)
-        assert back == spec
-    with pytest.raises(ValueError):
-        spec_from_json('{"variant": "fbm_scaled", "H": 0.5, "extra": 1}')
-    with pytest.raises(ValueError):
-        spec_from_json('{"variant": "nope"}')
 
 
 def test_gseries_immutable():
