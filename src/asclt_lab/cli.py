@@ -192,6 +192,7 @@ class Experiment:
     exact_sizes: int = 0  # entries of n_grid <= EXACT_DELTA_MAX_N
     n_max_power_of_two: bool = False
     n_max_cap: int | None = None
+    kernel_scan: bool = False  # the critical contraction * log n boundedness scan
 
 
 # Regime gates: an experiment only makes sense on its side of the boundary
@@ -710,7 +711,7 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
     exact_il = isinstance(spec, FbmScaled)
     il_grid = [n for n in cfg.n_grid if not exact_il or n <= EXACT_DELTA_MAX_N]
     kernel_grid = []
-    if cfg.experiment == "asclt_hermite_crit":
+    if _EXPERIMENTS[cfg.experiment].kernel_scan:
         kernel_grid = [n for n in cfg.n_grid if 64 <= n <= _KERNEL_BOUNDED_MAX_N]
         if not kernel_grid:
             kernel_grid = [min(cfg.n_grid[-1], _KERNEL_BOUNDED_MAX_N)]
@@ -1132,7 +1133,7 @@ _EXPERIMENTS: dict[str, Experiment] = {
             "t_grid": [1.0],
             "tolerances": {"ks_final_max": 0.40},
         },
-        _run_asclt_family, gate=_critical_gate, **_TREND,
+        _run_asclt_family, gate=_critical_gate, kernel_scan=True, **_TREND,
     ),
     "asclt_general_f": Experiment(
         "log-averaged CLT check for a nonlinear functional of fGn",

@@ -165,10 +165,29 @@ def derivative_coeffs(exp: HermiteExpansion) -> np.ndarray:
 
 
 def evaluate_expansion(coeffs, x) -> np.ndarray:
-    """sum_q coeffs[q] H_q(x)."""
+    """sum_q coeffs[q] H_q(x), elementwise: each output depends on its own x
+    alone, so its bits do not depend on the shape or length of x. H_q runs
+    by the recurrence of hermite_design_matrix, with the same roundings, and
+    the nonzero terms c_q H_q are added in increasing q."""
     coeffs = np.asarray(coeffs, dtype=float)
-    hmat = hermite_design_matrix(coeffs.size - 1, np.asarray(x, dtype=float))
-    return np.tensordot(coeffs, hmat, axes=(0, 0))
+    if coeffs.size - 1 > MAX_ORDER:
+        raise ValueError(f"at most {MAX_ORDER + 1} coefficients")
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    nonzero = np.flatnonzero(coeffs)
+    if not nonzero.size:
+        return out
+    tmp = np.empty(x.shape)
+    prev, cur = np.zeros(x.shape), np.ones(x.shape)  # H_{q-1}, H_q; H_{-1} = 0
+    for q in range(int(nonzero[-1]) + 1):
+        if q:
+            # x H_{q-1} - (q-1) H_{q-2}, in place with the same roundings.
+            prev *= -(q - 1)
+            prev += np.multiply(x, cur, out=tmp)
+            prev, cur = cur, prev
+        if coeffs[q] != 0.0:
+            out += np.multiply(cur, coeffs[q], out=tmp)
+    return out
 
 
 def resolve_test_function(name: str) -> Callable[[np.ndarray], np.ndarray]:

@@ -27,7 +27,7 @@ with a cumulative sum of Toeplitz windows, and reduces each row with
 einsum rather than a BLAS dot, so its bits do not depend on the BLAS thread
 count. Block sizes depend only on the step where a block starts, so S(n)
 is bit-identical whatever the length of the pass that produced it, and one
-pass per (model, r, q - r), held in a small cache, answers every n up to
+pass per (model, r, q - r), held in a prefix cache, answers every n up to
 its length. The increments are summed with Neumaier's compensation, since
 a plain running sum of thousands of like-sized terms drifts. Two oracles in
 tests/oracles.py check it: an O(n^4) brute force (n <= 12) and the O(n^3)
@@ -38,7 +38,6 @@ pass that raises caches nothing, so every call that needs it raises alike.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +45,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not on the first call)
 
 from .covariance import CovarianceModel, rho_many
-from .memo import CACHE_BYTES, byte_bounded_cache
+from .memo import CACHE_BYTES, byte_bounded_cache, prefix_cache
 
 __all__ = [
     "ContractionResult",
@@ -60,8 +59,6 @@ __all__ = [
 # _PASS_BLOCK_ELEMS entries (512 KiB), so its arrays stay in cache.
 _PASS_BLOCK_ROWS = 64
 _PASS_BLOCK_ELEMS = 1 << 16
-# Lag-sum passes kept, one per (model, a, b); each holds N floats.
-_PASSES_HELD = 32
 
 
 def hermite_sum_variance(model: CovarianceModel, q: int, n: int) -> float:
@@ -73,10 +70,11 @@ def hermite_sum_variance(model: CovarianceModel, q: int, n: int) -> float:
     return math.factorial(q) * acc
 
 
-@byte_bounded_cache(CACHE_BYTES)
+@prefix_cache(CACHE_BYTES)
 def v2_prefix(model: CovarianceModel, q: int, n: int) -> np.ndarray:
-    """E[V_k^2] for k = 1..n in one O(n) pass; cached per (model, q, n) and
-    returned read-only, since every replicate shares the same normalizers."""
+    """E[V_k^2] for k = 1..n in one O(n) pass, read-only, since every
+    replicate shares the same normalizers. Entry k does not depend on n, so
+    one table per (model, q) answers every n up to its length."""
     if q < 1 or n < 1:
         raise ValueError("q and n must be >= 1")
     p = rho_many(model, np.arange(1, n)) ** q
@@ -224,9 +222,7 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-_PASSES: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
+@prefix_cache(CACHE_BYTES)
 def _lag_sum_prefix(model: CovarianceModel, a: int, b: int, n: int) -> np.ndarray:
     """S(1..n) for P = Toeplitz(rho^a), Q = Toeplitz(rho^b), a <= b, read-only.
 
@@ -236,18 +232,9 @@ def _lag_sum_prefix(model: CovarianceModel, a: int, b: int, n: int) -> np.ndarra
     new one runs only when it does not reach n; callers that need several n
     ask for the largest first. A pass that raises leaves the cache as it was.
     """
-    key = (model, a, b)
-    held = _PASSES.get(key)
-    if held is None or held.size < n:
-        size = _pass_table_size(n)
-        pa = _powers(model, a, size)
-        held = _bordering_pass(pa, None if a == b else _powers(model, b, size), n)
-        held.setflags(write=False)
-        _PASSES[key] = held
-    _PASSES.move_to_end(key)
-    while len(_PASSES) > _PASSES_HELD:
-        _PASSES.popitem(last=False)
-    return held[:n]
+    size = _pass_table_size(n)
+    pa = _powers(model, a, size)
+    return _bordering_pass(pa, None if a == b else _powers(model, b, size), n)
 
 
 def contraction_norm_sq(model: CovarianceModel, q: int, r: int, n: int) -> ContractionResult:
@@ -261,14 +248,21 @@ def contraction_norm_sq(model: CovarianceModel, q: int, r: int, n: int) -> Contr
     return ContractionResult(S / den, S)
 
 
-def pair_lag_sum(model: CovarianceModel, q: int, k: int, l: int) -> float:
-    """sum_{i<=k, j<=l} rho(i-j)^q via lag multiplicities, O(k+l)."""
+def pair_lag_sum(model: CovarianceModel, orders, k: int, l: int) -> tuple[float, ...]:
+    """sum_{i<=k, j<=l} rho(i-j)^q for each q of orders, via lag
+    multiplicities, O(k+l) per order. The lags and their counts are built
+    once for all orders; each order has its own gather and sum, so its float
+    does not depend on which other orders are asked with it."""
     k, l = int(k), int(l)
+    orders = tuple(int(q) for q in orders)
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not orders or min(orders) < 1:
+        raise ValueError("orders must be >= 1")
     lags = np.arange(-(l - 1), k)
     counts = np.minimum(k, l + lags) - np.maximum(1, 1 + lags) + 1
+    np.abs(lags, out=lags)
     size = 1 << (max(k, l) - 1).bit_length()
-    return float(np.sum(counts * _lag_power_table(model, q, size)[np.abs(lags)]))
+    return tuple(
+        float(np.sum(counts * _lag_power_table(model, q, size)[lags])) for q in orders
+    )

@@ -37,7 +37,7 @@ from .hermite import (
     hermite_eval,
 )
 from .kernels import hermite_sum_variance, pair_lag_sum, v2_prefix
-from .memo import CACHE_BYTES, byte_bounded_cache
+from .memo import CACHE_BYTES, prefix_cache
 
 REGIMES = ("subcritical", "critical", "supercritical")
 
@@ -160,7 +160,7 @@ def _check_normalizers(v2: np.ndarray, scale: np.ndarray) -> None:
         )
 
 
-@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (model, expansion, n)
+@prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable, like v2_prefix
 def _general_f_prefix_var(model, expansion, n):
     c = expansion.coeffs
     v2 = np.zeros(n)
@@ -170,8 +170,8 @@ def _general_f_prefix_var(model, expansion, n):
     return v2
 
 
-@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (n, H)
-def _k_power(n: int, H: float) -> np.ndarray:
+@prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable
+def _k_power(H: float, n: int) -> np.ndarray:
     """k^H for k = 1..n, the FbmScaled divisors."""
     return np.arange(1, n + 1, dtype=np.float64) ** H
 
@@ -188,19 +188,24 @@ def _general_f_tail_rel(model, expansion, n, v2_n):
     return expansion.tail_bound * window / v2_n
 
 
+def _tail_rel(spec: SequenceSpec, n: int) -> float:
+    """GSeries.sigma_tail_rel of a length-n build of spec."""
+    if not isinstance(spec, GeneralF):
+        return 0.0
+    v2_n = float(_general_f_prefix_var(spec.model, spec.expansion, n)[-1])
+    return _general_f_tail_rel(spec.model, spec.expansion, n, v2_n)
+
+
 def build_gseries(
     path: GaussianPath | PathEnsemble, spec: SequenceSpec, n: int | None = None
 ) -> GSeries:
     """Compute G_1..G_n from a path whose model matches the spec.
 
-    Partial sums and their variance normalizers are cumulative. For FbmScaled
-    and HermiteVariation every step is elementwise, so the result for n is
-    bit-identical to the length-n prefix of any longer run on the same path
-    (see gseries_prefixes), and a PathEnsemble gives the series of all its
-    rows at once, each row bit-identical to its own path's. A GeneralF
-    expansion is evaluated by a BLAS matrix-vector product, whose rounding
-    of the last few entries can depend on the length, so its prefixes match
-    only to rounding and it is built one path at a time.
+    Partial sums and their variance normalizers are cumulative and every
+    other step is elementwise, so the result for n is bit-identical to the
+    length-n prefix of any longer run on the same path (see
+    gseries_prefixes), and a PathEnsemble gives the series of all its rows
+    at once, each row bit-identical to its own path's.
     """
     if not isinstance(path, (GaussianPath, PathEnsemble)):
         raise TypeError("build_gseries expects a GaussianPath or a PathEnsemble")
@@ -213,10 +218,9 @@ def build_gseries(
 
     x = path.values[..., :n]
     k = np.arange(1, n + 1, dtype=np.float64)
-    tail_rel = 0.0
 
     if isinstance(spec, FbmScaled):
-        sig = _k_power(n, spec.H)
+        sig = _k_power(spec.H, n)
         g = np.cumsum(x, axis=-1)
         g /= sig
     elif isinstance(spec, HermiteVariation):
@@ -229,15 +233,13 @@ def build_gseries(
             sig = np.sqrt(v2)
         g = v / sig
     elif isinstance(spec, GeneralF):
-        if x.ndim != 1:
-            raise TypeError("GeneralF series are built one path at a time")
-        coeffs = np.asarray(spec.expansion.coeffs)
-        v = np.cumsum(evaluate_expansion(coeffs, x) - spec.expansion.mean)
+        f = evaluate_expansion(spec.expansion.coeffs, x)
+        f -= spec.expansion.mean
+        v = np.cumsum(f, axis=-1)
         v2 = _general_f_prefix_var(spec.model, spec.expansion, n)
         _check_normalizers(v2, max(spec.expansion.var_fN, 1.0) * k)
         sig = np.sqrt(v2)
         g = v / sig
-        tail_rel = _general_f_tail_rel(spec.model, spec.expansion, n, float(v2[-1]))
     else:
         raise TypeError(f"unknown sequence spec: {type(spec).__name__}")
 
@@ -250,23 +252,19 @@ def build_gseries(
         sigmas=sig,
         master_seed=path.master_seed,
         replicate_id=path.replicate_id,
-        sigma_tail_rel=float(tail_rel),
+        sigma_tail_rel=_tail_rel(spec, n),
     )
 
 
 def gseries_prefixes(path: GaussianPath, spec: SequenceSpec, n_grid) -> list[GSeries]:
     """build_gseries(path, spec, n) for every n of an increasing n_grid, bit
-    for bit. FbmScaled and HermiteVariation build once at n_grid[-1] and
-    slice (their sigma_tail_rel is zero at every n). GeneralF builds each n,
-    since its BLAS expansion rounds differently at different lengths; the
-    normalizers of every n still come from the v2_prefix cache.
-    """
+    for bit: one build at n_grid[-1], sliced. Each prefix's sigma_tail_rel
+    comes from the normalizer table sliced at its own n."""
     n_grid = [int(n) for n in n_grid]
-    if isinstance(spec, GeneralF):
-        return [build_gseries(path, spec, n) for n in n_grid]
     full = build_gseries(path, spec, n_grid[-1])
     return [
-        replace(full, n=n, values=full.values[:n], sigmas=full.sigmas[:n])
+        replace(full, n=n, values=full.values[..., :n], sigmas=full.sigmas[:n],
+                sigma_tail_rel=_tail_rel(spec, n))
         for n in n_grid
     ]
 
@@ -337,10 +335,10 @@ def _expansion_pair_sum(model, expansion, k: int, l: int) -> float:
     """sum_q c_q^2 q! sum_{i<=k, j<=l} rho(i-j)^q over the nonzero orders,
     accumulated in increasing order q."""
     c = expansion.coeffs
+    orders = [order for order in range(1, expansion.qmax + 1) if c[order] != 0.0]
     total = 0.0
-    for order in range(1, expansion.qmax + 1):
-        if c[order] != 0.0:
-            total += c[order] ** 2 * math.factorial(order) * pair_lag_sum(model, order, k, l)
+    for order, lag_sum in zip(orders, pair_lag_sum(model, orders, k, l)):
+        total += c[order] ** 2 * math.factorial(order) * lag_sum
     return total
 
 
@@ -368,7 +366,7 @@ def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
                 "supercritical sequences are not unit-normalized; "
                 "use zn_cross_moment for second moments"
             )
-        num = math.factorial(spec.q) * pair_lag_sum(spec.model, spec.q, k, l)
+        num = math.factorial(spec.q) * pair_lag_sum(spec.model, (spec.q,), k, l)[0]
         den = math.sqrt(
             _hermite_diagonal(spec.model, spec.q, k) * _hermite_diagonal(spec.model, spec.q, l)
         )

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the production evaluators
 against: brute-force and dense quartic lag sums, the dense Gram-metric
-kernel algebra, and pathwise and ensemble references. No run uses them."""
+kernel algebra, the design-matrix Hermite expansion, and pathwise and
+ensemble references. No run uses them."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from asclt_lab.covariance import CovarianceModel, rho_many, symmetric_toeplitz
 from asclt_lab.gaussian_sim import GaussianPath
-from asclt_lab.hermite import evaluate_expansion
+from asclt_lab.hermite import evaluate_expansion, hermite_design_matrix
 from asclt_lab.kernels import (
     ContractionResult,
     _powers,
@@ -38,6 +39,19 @@ def rho_asymptotic(H: float, r: int) -> float:
     if r == 0:
         raise ValueError("asymptotic form is undefined at lag 0")
     return H * (2.0 * H - 1.0) * abs(r) ** (2.0 * H - 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Hermite expansions.
+
+
+def evaluate_expansion_design(coeffs, x) -> np.ndarray:
+    """sum_q coeffs[q] H_q(x) as one BLAS product of the coefficients with
+    the (qmax + 1) x n design matrix; its rounding of an entry may depend
+    on the length of x."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    hmat = hermite_design_matrix(coeffs.size - 1, np.asarray(x, dtype=float))
+    return np.tensordot(coeffs, hmat, axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +97,7 @@ def kernel_inner(model: CovarianceModel, q: int, k: int, l: int) -> float:
     den = math.sqrt(
         hermite_sum_variance(model, q, k) * hermite_sum_variance(model, q, l)
     )
-    return pair_lag_sum(model, q, k, l) / den
+    return pair_lag_sum(model, (q,), k, l)[0] / den
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,15 @@ from asclt_lab.asclt import (
 from asclt_lab.covariance import fgn
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
 from asclt_lab.hermite import expand
-from asclt_lab.sequences import FbmScaled, GeneralF, HermiteVariation, build_gseries
+from asclt_lab.sequences import FbmScaled, GeneralF, GSeries, HermiteVariation, build_gseries
 
 SEED = 20240821
 GRID16 = [2**8, 2**10, 2**12, 2**14, 2**16]
 
 
-def _measure(n=64, H=0.6, seed=SEED, rep=0, normalization="harmonic"):
+def _measure(n=64, H=0.6, seed=SEED, rep=0):
     p = sample_stationary(fgn(H), n, seed, rep)
-    return log_average_measure(build_gseries(p, FbmScaled(H)), normalization)
+    return log_average_measure(build_gseries(p, FbmScaled(H)))
 
 
 def test_measure_harmonic_weights():
@@ -56,30 +56,16 @@ def test_measure_large_mass_exact():
     assert abs(float(m.weights.sum()) - 1.0) <= 1e-12
 
 
-def test_measure_log_n_mass():
-    p = sample_stationary(fgn(0.5), 2, SEED, 0)
-    m = log_average_measure(build_gseries(p, FbmScaled(0.5)), "log_n")
-    assert float(m.weights.sum()) == pytest.approx(1.5 / math.log(2.0), rel=1e-12)
-
-
 def test_measure_validation():
     p = sample_stationary(fgn(0.5), 2, SEED, 0)
     g = build_gseries(p, FbmScaled(0.5), n=1)
     with pytest.raises(ValueError):
         log_average_measure(g)
-    with pytest.raises(ValueError):
-        log_average_measure(build_gseries(p, FbmScaled(0.5)), "uniform")
 
 
 def test_ks_single_atom_at_zero():
-    single = LogAveragedMeasure(np.array([0.0]), np.array([1.0]), "harmonic", 1)
+    single = LogAveragedMeasure(np.array([0.0]), np.array([1.0]), 1)
     assert ks_distance(single) == 0.5
-
-
-def test_ks_rejects_log_n():
-    m = _measure(normalization="log_n")
-    with pytest.raises(ValueError):
-        ks_distance(m)
 
 
 def test_ks_brute_force_oracle():
@@ -112,6 +98,56 @@ def test_grouped_cdf_matches_unique_with_ties():
 
 def _ulps(got, want):
     return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_ks_with_ties_matches_fsum_step_cdf():
+    """Tied atoms (values rounded to one decimal, or to integers) against a
+    brute-force step CDF: at each distinct value v, the mass of atoms <= v
+    and of atoms < v, each an fsum of 1/k over the fsum of all 1/k."""
+    rng = np.random.default_rng(23)
+    spec = FbmScaled(0.5)
+    for n, decimals in ((2, 0), (7, 0), (100, 1), (1000, 1), (2048, 0)):
+        values = np.round(rng.standard_normal(n) * 1.5, decimals)
+        g = GSeries(spec, n, values, np.ones(n), SEED, 0)
+        inv = [1.0 / k for k in range(1, n + 1)]
+        total = math.fsum(inv)
+        brute = 0.0
+        for v in np.unique(values):
+            phi = float(ndtr(v))
+            hi = math.fsum(w for w, x in zip(inv, values) if x <= v) / total
+            lo = math.fsum(w for w, x in zip(inv, values) if x < v) / total
+            brute = max(brute, abs(hi - phi), abs(lo - phi))
+        m = log_average_measure(g)
+        assert np.all(np.diff(m.values) >= 0.0)
+        assert abs(ks_distance(m) - brute) <= 1e-13, (n, decimals)
+
+
+def test_phases_bit_equal_complex_exp():
+    """_phases, which delta_stat and delta_stat_prefixes use, gives the bits
+    of np.exp(1j * t * g), signed zeros and |t g| up to 1e5 included."""
+    rng = np.random.default_rng(29)
+    g = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300],
+        rng.standard_normal(20_000) * 4.0,
+        rng.uniform(-2.5e4, 2.5e4, 20_000),
+    ])
+    for t in (0.0, -0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 3.7, -1.5):
+        want = np.exp(1j * t * g)
+        got = asclt._phases(g, t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+    p = sample_stationary(fgn(0.3), 4096, SEED, 6)
+    for spec in (FbmScaled(0.3), HermiteVariation(fgn(0.3), 2)):
+        series = build_gseries(p, spec)
+        k = np.arange(1.0, 4097.0)
+        for t in (0.5, 2.0):
+            terms = np.exp(1j * t * series.values) - math.exp(-t * t / 2.0)
+            direct = np.sum(terms / k) / math.log(4096)
+            assert delta_stat(series, t) == complex(direct)
+            cum = np.cumsum(np.exp(1j * t * series.values) / k)
+            grid = [2, 3, 100, 4096]
+            idx = np.array(grid) - 1
+            want = (cum[idx] - math.exp(-t * t / 2.0) * np.cumsum(1.0 / k)[idx]) / np.log(grid)
+            assert np.array_equal(delta_stat_prefixes(series, t, grid), want)
 
 
 def test_ndtr_matches_scipy_cephes():
@@ -198,7 +234,8 @@ def test_block_series_and_delta_equal_per_path_bit_for_bit():
     """A PathEnsemble's series and delta_stat rows equal those of each path
     built and reduced alone."""
     for spec, n in ((FbmScaled(0.8), 1024), (FbmScaled(0.3), 2049),
-                    (HermiteVariation(fgn(0.3), 2), 1024)):
+                    (HermiteVariation(fgn(0.3), 2), 1024),
+                    (GeneralF(fgn(0.3), expand(np.arctan, qmax=9)), 1023)):
         ens = sample_ensemble(spec.model, n, SEED + 2, 37, 4)
         block = build_gseries(ens, spec)
         assert block.values.shape == (37, n) and block.replicate_id == 4
@@ -211,9 +248,7 @@ def test_block_series_and_delta_equal_per_path_bit_for_bit():
                 assert np.array_equal(block.sigmas, g.sigmas)
                 one = delta_stat(g, t)
                 assert isinstance(one, complex) and rows[i] == one, (spec, t, i)
-    with pytest.raises(TypeError):
-        build_gseries(sample_ensemble(fgn(0.3), 64, SEED, 2),
-                      GeneralF(fgn(0.3), expand(np.arctan, qmax=5)))
+                assert block.sigma_tail_rel == g.sigma_tail_rel
 
 
 def test_delta_mc_matches_exact_and_triangle():

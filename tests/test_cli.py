@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asclt_lab import asclt, cli, kernels, malliavin
+from asclt_lab import asclt, cli, kernels, malliavin, sequences
 from asclt_lab.asclt import (
     contraction_keys,
     criteria_diagnostic,
@@ -41,6 +41,7 @@ from asclt_lab.malliavin import (
     lag_covariances,
     malliavin_sample,
 )
+from asclt_lab.memo import CACHE_BYTES, prefix_cache
 from asclt_lab.sequences import (
     FbmScaled,
     GeneralF,
@@ -487,6 +488,18 @@ def _small_asclt(experiment, model, workers=1, replicates=6):
     return cfg
 
 
+def test_kernel_scan_is_a_registry_field(monkeypatch):
+    # The critical boundedness scan runs where the registry entry asks for
+    # it, whatever the experiment's name.
+    assert [name for name, e in cli._EXPERIMENTS.items() if e.kernel_scan] == [
+        "asclt_hermite_crit"]
+    cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2}, replicates=2)
+    assert "kernel_log_bounded" not in cli.run_experiment(cfg).report
+    monkeypatch.setitem(cli._EXPERIMENTS, "asclt_hermite_sub", dataclasses.replace(
+        cli._EXPERIMENTS["asclt_hermite_sub"], kernel_scan=True))
+    assert cli.run_experiment(cfg).report["kernel_log_bounded"]["n_grid"] == [64, 256]
+
+
 def test_ks_worker_matches_per_prefix_builds():
     n_grid = (16, 257, 1000, 4096)
     cases = [
@@ -502,6 +515,26 @@ def test_ks_worker_matches_per_prefix_builds():
                 ks_distance(log_average_measure(build_gseries(path, spec, n))) for n in n_grid
             )
             assert cli._ks_prefix_worker((*args, n_grid, SEED, rep)) == expect
+
+
+@pytest.mark.parametrize("args", [
+    ("fbm", 0.5, None, None, None),
+    ("hermite", 0.3, 2, None, None),
+    ("general_f", 0.3, None, "arctan", 9),
+])
+def test_ks_worker_builds_one_series_per_replicate(monkeypatch, args):
+    calls = []
+    real = sequences.build_gseries
+
+    def counting(path, spec, n=None):
+        calls.append(n)
+        return real(path, spec, n)
+
+    monkeypatch.setattr(sequences, "build_gseries", counting)
+    n_grid = (16, 257, 1000, 4096)
+    for rep in range(3):
+        assert len(cli._ks_prefix_worker((*args, n_grid, SEED, rep))) == len(n_grid)
+    assert calls == [4096] * 3
 
 
 @pytest.mark.parametrize("experiment,model,spec", [
@@ -595,7 +628,9 @@ def test_each_lag_sum_key_is_evaluated_once(monkeypatch, q):
 
     monkeypatch.setattr(asclt, "contraction_norm_sq", counting)
     monkeypatch.setattr(kernels, "_bordering_pass", counting_pass)
-    monkeypatch.setattr(kernels, "_PASSES", type(kernels._PASSES)())
+    # A fresh pass cache, so that every pass of the run is counted.
+    monkeypatch.setattr(kernels, "_lag_sum_prefix",
+                        prefix_cache(CACHE_BYTES)(kernels._lag_sum_prefix.__wrapped__))
     H = 1 - 1 / (2 * q)
     cfg, errors = validate_config(_doc(
         "asclt_hermite_crit", model={"H": H, "q": q}, n_max=256, n_grid=[16, 69, 211, 256],

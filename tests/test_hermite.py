@@ -23,6 +23,7 @@ from asclt_lab.hermite import (
     resolve_test_function,
 )
 from asclt_lab.sequences import GeneralF
+from oracles import evaluate_expansion_design
 
 
 def test_low_order_values():
@@ -168,6 +169,41 @@ def test_evaluate_expansion_round_trip():
     exp = expand(f, qmax=6)
     x = np.linspace(-3, 3, 31)
     assert np.allclose(evaluate_expansion(exp.coeffs, x), f(x), atol=1e-11)
+
+
+def test_evaluate_expansion_matches_design_matrix_oracle():
+    # Bound fixed before the test was written: |got - oracle| <= 1e-12 *
+    # sum_q |c_q H_q(x)| at every x, orders up to 20, |x| <= 8. Both sides
+    # share the recurrence's H_q; only the order of the sum differs.
+    rng = np.random.default_rng(31)
+    x = np.concatenate([np.linspace(-8.0, 8.0, 4001), rng.uniform(-8.0, 8.0, 4000),
+                        [0.0, -0.0, 8.0, -8.0]])
+    cases = [np.asarray(expand(np.arctan, qmax=9).coeffs), np.zeros(4), np.array([2.5])]
+    for qmax in (1, 2, 5, 9, 14, 20):
+        for _ in range(3):
+            c = rng.standard_normal(qmax + 1) / np.sqrt(
+                [math.factorial(q) for q in range(qmax + 1)])
+            c[rng.random(qmax + 1) < 0.3] = 0.0  # zero coefficients are skipped
+            cases.append(c)
+    for c in cases:
+        got = evaluate_expansion(c, x)
+        want = evaluate_expansion_design(c, x)
+        scale = np.abs(c[:, None] * hermite_design_matrix(c.size - 1, x)).sum(axis=0)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), c.size
+
+
+def test_evaluate_expansion_is_elementwise():
+    # Each output depends on its own x alone: prefixes, 2-D blocks and
+    # scalars give the bits of the full evaluation.
+    c = expand(np.arctan, qmax=9).coeffs
+    x = np.random.default_rng(37).standard_normal(3467) * 2.0
+    full = evaluate_expansion(c, x)
+    for n in (1, 2, 3, 7, 31, 257, 1023, 3467):
+        assert np.array_equal(evaluate_expansion(c, x[:n]), full[:n]), n
+    block = evaluate_expansion(c, x[:3400].reshape(34, 100))
+    assert np.array_equal(block.ravel(), full[:3400])
+    assert evaluate_expansion(c, x[5]) == full[5]
 
 
 def test_resolve_test_function():

@@ -98,16 +98,31 @@ def test_pair_lag_sum_matches_explicit_double_sum():
                 direct = math.fsum(
                     rho(model, i - j) ** q for i in range(1, k + 1) for j in range(1, l + 1)
                 )
-                got = pair_lag_sum(model, q, k, l)
+                got = pair_lag_sum(model, (q,), k, l)[0]
                 assert got == pytest.approx(direct, rel=1e-13, abs=1e-15), (model, q, k, l)
-                assert pair_lag_sum(model, q, k, l) == got
+                assert pair_lag_sum(model, (q,), k, l)[0] == got
+
+
+def test_pair_lag_sum_orders_share_one_lag_build():
+    # Several orders from one lags/counts build give, bit for bit, the floats
+    # of one call per order, in any order of the orders.
+    orders = (1, 3, 5, 7, 9)
+    for model in (fgn(0.3), fgn(0.8), TABLE):
+        for k, l in ((1, 1), (1, 9), (9, 1), (37, 100), (100, 37), (1000, 1000), (65, 4097)):
+            got = pair_lag_sum(model, orders, k, l)
+            assert got == tuple(pair_lag_sum(model, (q,), k, l)[0] for q in orders)
+            assert pair_lag_sum(model, orders[::-1], k, l) == got[::-1]
+    with pytest.raises(ValueError):
+        pair_lag_sum(fgn(0.3), (), 2, 3)
+    with pytest.raises(ValueError):
+        pair_lag_sum(fgn(0.3), (1, 0), 2, 3)
 
 
 def test_pair_lag_sum_accepts_grid_integers():
     grid = geometric_grid(300)
     assert grid.dtype == np.int64
     for k, l in ((grid[3], grid[-1]), (grid[-1], grid[-1]), (grid[-2], grid[5])):
-        assert pair_lag_sum(fgn(0.3), 2, k, l) == pair_lag_sum(fgn(0.3), 2, int(k), int(l))
+        assert pair_lag_sum(fgn(0.3), (2,), k, l) == pair_lag_sum(fgn(0.3), (2,), int(k), int(l))
 
 
 def test_bruteforce_iid_value():
@@ -206,8 +221,7 @@ def test_lag_sum_prefix_runs_one_pass_for_smaller_n(monkeypatch):
         return _bordering_pass(p, q, n)
 
     monkeypatch.setattr(kernels, "_bordering_pass", counting)
-    monkeypatch.setattr(kernels, "_PASSES", type(kernels._PASSES)())
-    model = fgn(0.6)
+    model = fgn(0.6125)  # used by no other test, so no pass is held yet
     first = _lag_sum_prefix(model, 1, 2, 200)
     assert not first.flags.writeable
     values = [contraction_norm_sq(model, 3, r, n).raw_sum for n in (200, 150, 3) for r in (1, 2)]
@@ -221,15 +235,16 @@ def test_failed_pass_caches_nothing(monkeypatch):
     def boom(p, q, n):
         raise RuntimeError("pass boom")
 
-    monkeypatch.setattr(kernels, "_PASSES", type(kernels._PASSES)())
-    model = fgn(0.6)
+    model = fgn(0.6375)  # used by no other test, so no pass is held yet
     held = _lag_sum_prefix(model, 1, 1, 50)
+    expect = held.copy()
     monkeypatch.setattr(kernels, "_bordering_pass", boom)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="pass boom"):
             contraction_norm_sq(model, 2, 1, 51)
-    assert list(kernels._PASSES) == [(model, 1, 1)]
-    assert np.array_equal(kernels._PASSES[(model, 1, 1)], held)
+    # The held pass still answers n <= 50 (a new pass would raise).
+    assert _lag_sum_prefix(model, 1, 1, 50) is held
+    assert np.array_equal(held, expect)
 
 
 def test_running_sum_stays_within_one_rounding_of_fsum():

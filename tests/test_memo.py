@@ -1,9 +1,9 @@
-"""The byte-bounded memoization shared by the path-independent caches."""
+"""The byte-bounded memoizations shared by the path-independent caches."""
 
 import numpy as np
 import pytest
 
-from asclt_lab.memo import byte_bounded_cache
+from asclt_lab.memo import byte_bounded_cache, prefix_cache
 
 
 def _counting(max_bytes):
@@ -50,3 +50,46 @@ def test_results_are_read_only():
     with pytest.raises(ValueError):
         v[0] = 0.0
     assert floats(4, 7) is v and np.array_equal(v, np.full(4, 7.0))
+
+
+def _counting_prefix(max_bytes):
+    calls = []
+
+    @prefix_cache(max_bytes)
+    def ramp(step, n):
+        calls.append((step, n))
+        return np.arange(n) * float(step)
+
+    return ramp, calls
+
+
+def test_prefix_cache_slices_the_longest_table():
+    ramp, calls = _counting_prefix(1 << 10)
+    long = ramp(2, 10)
+    short = ramp(2, 4)                      # a slice of the held table
+    assert calls == [(2, 10)]
+    assert np.array_equal(short, np.arange(4) * 2.0) and short.base is long.base
+    assert ramp(2, 4) is short              # the same view for the same n
+    assert not short.flags.writeable and not long.flags.writeable
+    ramp(2, 12)                             # longer: computed, replaces the table
+    ramp(2, 10)
+    assert calls == [(2, 10), (2, 12)]
+    ramp(3, 4)                              # another key has its own table
+    assert calls[-1] == (3, 4)
+
+
+def test_prefix_cache_evicts_by_bytes():
+    ramp, calls = _counting_prefix(64)      # room for 8 float64 values
+    ramp(1, 4)
+    ramp(2, 4)                              # 64 bytes held
+    ramp(1, 2)                              # hit; key 2 is now the oldest
+    ramp(3, 1)                              # 72 > 64: drops key 2 only
+    ramp(1, 4)
+    ramp(3, 1)
+    assert len(calls) == 3
+    ramp(2, 4)
+    assert calls[-1] == (2, 4) and len(calls) == 4
+    big = ramp(4, 9)                        # larger than the whole budget
+    assert big.shape == (9,) and not big.flags.writeable
+    ramp(4, 9)
+    assert calls.count((4, 9)) == 2

@@ -261,9 +261,9 @@ def test_general_f_cross_covariance_matches_per_order_loop():
             if c[order] == 0.0:
                 continue
             w = c[order] ** 2 * math.factorial(order)
-            num += w * pair_lag_sum(spec.model, order, a, b)
-            v2a += w * pair_lag_sum(spec.model, order, a, a)
-            v2b += w * pair_lag_sum(spec.model, order, b, b)
+            num += w * pair_lag_sum(spec.model, (order,), a, b)[0]
+            v2a += w * pair_lag_sum(spec.model, (order,), a, a)[0]
+            v2b += w * pair_lag_sum(spec.model, (order,), b, b)[0]
         assert cross_covariance(spec, k, l) == num / math.sqrt(v2a * v2b)
 
 
@@ -286,7 +286,7 @@ def test_hermite_cross_covariance_computes_each_normalizer_once(monkeypatch):
     assert sorted(n for _, _, n in calls) == sorted(distinct)
     for (k, l), value in zip(pairs, got):
         den = math.sqrt(hermite_sum_variance(model, 2, k) * hermite_sum_variance(model, 2, l))
-        assert value == 2 * pair_lag_sum(model, 2, k, l) / den
+        assert value == 2 * pair_lag_sum(model, (2,), k, l)[0] / den
 
 
 def test_general_f_prefix_variance_is_cached_read_only():
@@ -451,7 +451,6 @@ def test_gseries_immutable():
 def test_gseries_prefixes_match_per_prefix_builds():
     # Odd sizes included: the slices must match a build at every n, not only
     # at the powers of two the default grids use.
-    n_grid = [4, 7, 64, 257, 1000, 1023, 4096]
     specs = [
         GeneralF(fgn(0.3), expand(np.arctan, qmax=9)),
         HermiteVariation(fgn(0.3), 2),
@@ -459,14 +458,39 @@ def test_gseries_prefixes_match_per_prefix_builds():
         HermiteVariation(fgn(0.9), 2),
         FbmScaled(0.7),
     ]
-    for spec in specs:
-        for rep in range(3):
-            path = sample_stationary(spec.model, n_grid[-1], SEED, rep)
-            for n, g in zip(n_grid, gseries_prefixes(path, spec, n_grid)):
-                ref = build_gseries(path, spec, n)
-                assert g.n == n and g.spec == spec
-                assert np.array_equal(g.values, ref.values), (spec, rep, n)
-                assert np.array_equal(g.sigmas, ref.sigmas), (spec, rep, n)
-                assert g.sigma_tail_rel == ref.sigma_tail_rel
-                assert (g.master_seed, g.replicate_id) == (SEED, rep)
-                assert not g.values.flags.writeable
+    for n_grid in ([4, 7, 64, 257, 1000, 1023, 4096], [2, 3, 7, 31, 257, 1023, 3467]):
+        for spec in specs:
+            for rep in range(3):
+                path = sample_stationary(spec.model, n_grid[-1], SEED, rep)
+                for n, g in zip(n_grid, gseries_prefixes(path, spec, n_grid)):
+                    ref = build_gseries(path, spec, n)
+                    assert g.n == n and g.spec == spec
+                    assert np.array_equal(g.values, ref.values), (spec, rep, n)
+                    assert np.array_equal(g.sigmas, ref.sigmas), (spec, rep, n)
+                    assert g.sigma_tail_rel == ref.sigma_tail_rel
+                    assert (g.master_seed, g.replicate_id) == (SEED, rep)
+                    assert not g.values.flags.writeable
+
+
+def test_normalizer_tables_are_prefix_stable():
+    # The cached tables answer a short n by slicing a longer table, so a
+    # table computed afresh at n must equal the first n entries of one
+    # computed afresh at N (the uncached functions, via __wrapped__).
+    N = 1 << 14
+    ns = (1, 2, 3, 7, 31, 257, 1023, 3467, N)
+    arctan = expand(np.arctan, qmax=9)
+    ma = table({0: 1.0, 1: 0.5, 2: 0.2})
+    for model in (fgn(0.3), fgn(0.5), fgn(0.75), fgn(0.9), iid(), ma):
+        for q in (1, 2, 3, 5, 9):
+            full = v2_prefix.__wrapped__(model, q, N)
+            for n in ns:
+                assert np.array_equal(v2_prefix.__wrapped__(model, q, n), full[:n]), (model, q, n)
+    for model in (fgn(0.2), fgn(0.3), ma):
+        full = sequences._general_f_prefix_var.__wrapped__(model, arctan, N)
+        for n in ns:
+            part = sequences._general_f_prefix_var.__wrapped__(model, arctan, n)
+            assert np.array_equal(part, full[:n]), (model, n)
+    for H in (0.2, 0.5, 0.7, 0.9):
+        full = sequences._k_power.__wrapped__(H, N)
+        for n in ns:
+            assert np.array_equal(sequences._k_power.__wrapped__(H, n), full[:n]), (H, n)
