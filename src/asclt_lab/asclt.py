@@ -601,22 +601,24 @@ def criteria_diagnostic(
 
     This is the reduce step. For a HermiteVariation spec it reads the kernel
     contraction norms from `contractions`, a mapping from every key of
-    contraction_keys(spec, n_max) to its contraction_values entry; the CLI
-    computes those values as one pool task per (a, b) group. Without the
-    mapping they are computed here, inline, by the same function. The cross
-    covariances E[G_k G_l] come from sequences.cross_covariance on the pair
-    grid, each pair once, shared by both envelope conditions.
+    contraction_keys(spec, n_max) to its contraction_values entry (the CLI
+    computes those values as one pool task per (a, b) group), and raises
+    ValueError without it. The cross covariances E[G_k G_l] come from
+    sequences.cross_covariance on the pair grid, each pair once, shared by
+    both envelope conditions.
     """
     grid = _criteria_grid(n_max)
     conditions: list[ConditionDiagnostic] = []
 
     supercritical = isinstance(spec, HermiteVariation) and spec.regime == "supercritical"
+    if not supercritical:
+        _normalizer_sq(spec, grid[-1])  # the largest n first: every other n reads a slice
     # Kernel contraction norms per order r, shared by both fixed-chaos series.
     per_order = {}
     if isinstance(spec, HermiteVariation):
         if contractions is None:
-            keys = contraction_keys(spec, n_max)
-            contractions = dict(zip(keys, contraction_values(spec.model, keys)))
+            raise ValueError("a HermiteVariation needs contractions=, the "
+                             "contraction_values of its contraction_keys")
         per_order = {
             r: np.array([contractions[_lag_sum_key(spec.q, r, g)] for g in grid])
             for r in range(1, spec.q)

@@ -50,6 +50,10 @@ class DivergentTailError(ValueError):
 _SERIES_CUTOFF = 32
 _SERIES_TERMS = 9
 _SUM_CHUNK = 1 << 21
+# Summed fgn tails stop once the certified remainder is below _TAIL_TOL of
+# the value, or at lag _TAIL_CUTOFF_MAX.
+_TAIL_TOL = 1e-12
+_TAIL_CUTOFF_MAX = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -206,13 +210,7 @@ def _summed_fgn_tail(model, q, m, tol, cutoff_max, signed):
         R *= 4
 
 
-def abs_rho_power_tail(
-    model: CovarianceModel,
-    q: int,
-    m: int,
-    tol: float = 1e-12,
-    cutoff_max: int = 1 << 24,
-) -> TailSum:
+def abs_rho_power_tail(model: CovarianceModel, q: int, m: int) -> TailSum:
     """Certified sum_{|r| > m} |rho(r)|^q.
 
     Returns the directly summed value up to an adaptive cutoff together with
@@ -236,20 +234,16 @@ def abs_rho_power_tail(
         # telescopes: sum_{|r|>m} |rho(r)| = (m+1)^{2H} - m^{2H} exactly.
         two_h = 2.0 * model.H
         return TailSum((m + 1.0) ** two_h - float(m) ** two_h, 0.0, m)
-    return _summed_fgn_tail(model, q, m, tol, cutoff_max, signed=False)
+    return _summed_fgn_tail(model, q, m, _TAIL_TOL, _TAIL_CUTOFF_MAX, signed=False)
 
 
-def abs_rho_power_sum(
-    model: CovarianceModel, q: int, tol: float = 1e-12
-) -> TailSum:
+def abs_rho_power_sum(model: CovarianceModel, q: int) -> TailSum:
     """Certified sum over all integer lags of |rho(r)|^q (includes r = 0)."""
-    t = abs_rho_power_tail(model, q, 0, tol=tol)
+    t = abs_rho_power_tail(model, q, 0)
     return TailSum(t.value + 1.0, t.remainder_bound, t.cutoff)
 
 
-def signed_rho_power_sum(
-    model: CovarianceModel, q: int, tol: float = 1e-12
-) -> TailSum:
+def signed_rho_power_sum(model: CovarianceModel, q: int) -> TailSum:
     """Certified sum over all integer lags of rho(r)^q, signs kept."""
     if not power_tail_summable(model, q):
         raise DivergentTailError(
@@ -264,7 +258,7 @@ def signed_rho_power_sum(
         # Telescoping: partial sums over |r| <= R equal (R+1)^{2H} - R^{2H},
         # which tends to 0. The full signed series sums to 0 exactly.
         return TailSum(0.0, 0.0, 0)
-    t = _summed_fgn_tail(model, q, 0, tol, 1 << 24, signed=True)
+    t = _summed_fgn_tail(model, q, 0, _TAIL_TOL, _TAIL_CUTOFF_MAX, signed=True)
     return TailSum(t.value + 1.0, t.remainder_bound, t.cutoff)
 
 

@@ -92,25 +92,14 @@ class HermiteExpansion:
         return self.coeffs[0]
 
 
-def expand(
-    f: Callable[[np.ndarray], np.ndarray],
-    qmax: int,
-    quad_nodes: int | None = None,
-) -> HermiteExpansion:
-    """Hermite coefficients of f by Gauss quadrature.
-
-    quad_nodes defaults to 2*qmax + 16; fewer than that is rejected so every
-    pairwise product H_p H_q with p, q <= qmax stays inside the exactness
-    budget of the rule.
+def expand(f: Callable[[np.ndarray], np.ndarray], qmax: int) -> HermiteExpansion:
+    """Hermite coefficients of f by Gauss quadrature on 2*qmax + 16 nodes, so
+    every pairwise product H_p H_q with p, q <= qmax stays inside the
+    exactness budget of the rule.
     """
     if qmax < 0 or qmax > _MAX_QMAX:
         raise ValueError(f"qmax must be in 0..{_MAX_QMAX}")
-    min_nodes = 2 * qmax + 16
-    if quad_nodes is None:
-        quad_nodes = min_nodes
-    if quad_nodes < min_nodes:
-        raise ValueError(f"need at least {min_nodes} quadrature nodes")
-    x, w = _quad_rule(quad_nodes)
+    x, w = _quad_rule(2 * qmax + 16)
     fx = np.asarray(f(x), dtype=float)
     if fx.shape != x.shape:
         fx = np.broadcast_to(fx, x.shape).astype(float)
@@ -133,7 +122,7 @@ def expand(
     if tail < -_NEGATIVE_TAIL_SLACK * max(1.0, abs(var)):
         raise ValueError(
             f"captured chaos variance exceeds Var f(N) by {-tail:.3e}: "
-            "increase quad_nodes or reduce qmax"
+            "reduce qmax"
         )
     tail = max(tail, 0.0)
 

@@ -20,8 +20,9 @@ when f'' depends on the path), computed once each, and `cf_gap_bound`,
 `co1_check` and `co2_check` reduce those records; `lag_covariances` and
 `gebelein_check` do the same for the correlation-bound sweep. The map runs
 where the path is sampled, so only the scalars travel, and its
-path-independent parts, the Toeplitz spectrum of ||DG_n||^2 and N_n^2, are
-cached per (model, n) and (spec, n).
+path-independent parts are shared: the Toeplitz spectrum of ||DG_n||^2 is
+cached per (model, n), and N_n^2 is read from the spec's normalizer table
+in `sequences`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .kernels import (
     _toeplitz_apply,
     _toeplitz_columns,
     _toeplitz_spectrum,
-    hermite_sum_variance,
 )
 from .memo import CACHE_BYTES, byte_bounded_cache
 from .sequences import (
@@ -47,6 +47,7 @@ from .sequences import (
     HermiteVariation,
     RegimeError,
     SequenceSpec,
+    _v2_table,
     build_gseries,
 )
 
@@ -90,23 +91,11 @@ def _check_path(path: GaussianPath, spec: SequenceSpec) -> None:
 
 def _normalizer_sq(spec: SequenceSpec, n: int) -> float:
     """N_n^2, the squared divisor applied to the raw partial sum."""
-    return float(_normalizer_sq_cached(spec, n))
-
-
-@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (spec, n)
-def _normalizer_sq_cached(spec: SequenceSpec, n: int) -> np.ndarray:
     if isinstance(spec, FbmScaled):
-        return np.array(float(n) ** (2.0 * spec.H))
-    if isinstance(spec, HermiteVariation):
-        if spec.regime == "supercritical":
-            return np.array(float(n) ** (2.0 * (1.0 - spec.q * (1.0 - spec.model.H))))
-        return np.array(hermite_sum_variance(spec.model, spec.q, n))
-    c = spec.expansion.coeffs
-    total = 0.0
-    for order in range(1, spec.expansion.qmax + 1):
-        if c[order] != 0.0:
-            total += c[order] ** 2 * hermite_sum_variance(spec.model, order, n)
-    return np.array(total)
+        return float(n) ** (2.0 * spec.H)
+    if isinstance(spec, HermiteVariation) and spec.regime == "supercritical":
+        return float(n) ** (2.0 * (1.0 - spec.q * (1.0 - spec.model.H)))
+    return float(_v2_table(spec, n)[n - 1])
 
 
 @byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (model, n)

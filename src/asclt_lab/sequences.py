@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .covariance import (
     fgn,
     model_to_json,
     power_tail_summable,
-    rho_many,
     signed_rho_power_sum,
 )
 from .gaussian_sim import FbmGrid, GaussianPath, PathEnsemble
@@ -36,7 +34,7 @@ from .hermite import (
     expansion_to_json,
     hermite_eval,
 )
-from .kernels import hermite_sum_variance, pair_lag_sum, v2_prefix
+from .kernels import _lag_weighted_prefix, _powers, hermite_sum_variance, pair_lag_sum, v2_prefix
 from .memo import CACHE_BYTES, prefix_cache
 
 REGIMES = ("subcritical", "critical", "supercritical")
@@ -170,30 +168,34 @@ def _general_f_prefix_var(model, expansion, n):
     return v2
 
 
+def _v2_table(spec: HermiteVariation | GeneralF, n: int) -> np.ndarray:
+    """E[V_k^2] for k = 1..n, the one normalizer table of a spec: build_gseries,
+    malliavin's N_n^2 and the cross-covariance diagonals all read it."""
+    if isinstance(spec, HermiteVariation):
+        return v2_prefix(spec.model, spec.q, n)
+    return _general_f_prefix_var(spec.model, spec.expansion, n)
+
+
 @prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable
 def _k_power(H: float, n: int) -> np.ndarray:
     """k^H for k = 1..n, the FbmScaled divisors."""
     return np.arange(1, n + 1, dtype=np.float64) ** H
 
 
-@lru_cache(maxsize=256)  # path-independent: once per (model, expansion, n)
-def _general_f_tail_rel(model, expansion, n, v2_n):
-    # Orders beyond qmax contribute at most tail_bound * sum (n-|r|)|rho|^(qmax+1)
-    # to E[V_n^2] because |rho| <= 1 makes |rho|^q decreasing in q.
-    if expansion.tail_bound <= 0.0:
-        return 0.0
-    r = np.arange(1, n)
-    w = np.abs(rho_many(model, r)) ** (expansion.qmax + 1)
-    window = n + 2.0 * float(np.sum((n - r) * w))
-    return expansion.tail_bound * window / v2_n
+@prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable
+def _tail_window(model: CovarianceModel, q: int, n: int) -> np.ndarray:
+    """sum_{|r|<k} (k - |r|) |rho(r)|^q for k = 1..n."""
+    return _lag_weighted_prefix(np.abs(_powers(model, q, n)))
 
 
 def _tail_rel(spec: SequenceSpec, n: int) -> float:
-    """GSeries.sigma_tail_rel of a length-n build of spec."""
-    if not isinstance(spec, GeneralF):
+    """GSeries.sigma_tail_rel of a length-n build of spec. Orders beyond qmax
+    add at most tail_bound * sum_{|r|<n} (n-|r|)|rho|^(qmax+1) to E[V_n^2],
+    because |rho| <= 1 makes |rho|^q decreasing in q."""
+    if not isinstance(spec, GeneralF) or spec.expansion.tail_bound <= 0.0:
         return 0.0
-    v2_n = float(_general_f_prefix_var(spec.model, spec.expansion, n)[-1])
-    return _general_f_tail_rel(spec.model, spec.expansion, n, v2_n)
+    window = float(_tail_window(spec.model, spec.expansion.qmax + 1, n)[n - 1])
+    return spec.expansion.tail_bound * window / float(_v2_table(spec, n)[n - 1])
 
 
 def build_gseries(
@@ -228,7 +230,7 @@ def build_gseries(
         if spec.regime == "supercritical":
             sig = k ** (1.0 - spec.q * (1.0 - spec.model.H))
         else:
-            v2 = v2_prefix(spec.model, spec.q, n)
+            v2 = _v2_table(spec, n)
             _check_normalizers(v2, math.factorial(spec.q) * k)
             sig = np.sqrt(v2)
         g = v / sig
@@ -236,7 +238,7 @@ def build_gseries(
         f = evaluate_expansion(spec.expansion.coeffs, x)
         f -= spec.expansion.mean
         v = np.cumsum(f, axis=-1)
-        v2 = _general_f_prefix_var(spec.model, spec.expansion, n)
+        v2 = _v2_table(spec, n)
         _check_normalizers(v2, max(spec.expansion.var_fN, 1.0) * k)
         sig = np.sqrt(v2)
         g = v / sig
@@ -330,27 +332,9 @@ def sigma_limit(model: CovarianceModel, q: int) -> SigmaLimit:
     return SigmaLimit(value=val, remainder_bound=bound, regime="subcritical")
 
 
-@lru_cache(maxsize=4096)  # the diagonals (k, k) recur across every pair
-def _expansion_pair_sum(model, expansion, k: int, l: int) -> float:
-    """sum_q c_q^2 q! sum_{i<=k, j<=l} rho(i-j)^q over the nonzero orders,
-    accumulated in increasing order q."""
-    c = expansion.coeffs
-    orders = [order for order in range(1, expansion.qmax + 1) if c[order] != 0.0]
-    total = 0.0
-    for order, lag_sum in zip(orders, pair_lag_sum(model, orders, k, l)):
-        total += c[order] ** 2 * math.factorial(order) * lag_sum
-    return total
-
-
-@lru_cache(maxsize=4096)  # the diagonals (k, k) recur across every pair
-def _hermite_diagonal(model, q: int, k: int) -> float:
-    """E[V_k^2] of the order-q Hermite sum, the HermiteVariation counterpart
-    of _expansion_pair_sum(model, expansion, k, k)."""
-    return hermite_sum_variance(model, q, k)
-
-
 def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
-    """Exact E[G_k G_l]; equals 1 at k = l for every sigma-normalized spec."""
+    """Exact E[G_k G_l], about 1 at k = l for every sigma-normalized spec.
+    The pair sum is read from pair_lag_sum, the diagonals from _v2_table."""
     k, l = int(k), int(l)
     if k < 1 or l < 1:
         raise ValueError("indices must be >= 1")
@@ -367,16 +351,17 @@ def cross_covariance(spec: SequenceSpec, k: int, l: int) -> float:
                 "use zn_cross_moment for second moments"
             )
         num = math.factorial(spec.q) * pair_lag_sum(spec.model, (spec.q,), k, l)[0]
-        den = math.sqrt(
-            _hermite_diagonal(spec.model, spec.q, k) * _hermite_diagonal(spec.model, spec.q, l)
-        )
-        return num / den
-    if isinstance(spec, GeneralF):
-        num = _expansion_pair_sum(spec.model, spec.expansion, k, l)
-        v2k = _expansion_pair_sum(spec.model, spec.expansion, k, k)
-        v2l = _expansion_pair_sum(spec.model, spec.expansion, l, l)
-        return num / math.sqrt(v2k * v2l)
-    raise TypeError(f"unknown sequence spec: {type(spec).__name__}")
+    elif isinstance(spec, GeneralF):
+        # sum_q c_q^2 q! sum_{i<=k, j<=l} rho(i-j)^q, in increasing order q.
+        c = spec.expansion.coeffs
+        orders = [order for order in range(1, spec.expansion.qmax + 1) if c[order] != 0.0]
+        num = 0.0
+        for order, lag_sum in zip(orders, pair_lag_sum(spec.model, orders, k, l)):
+            num += c[order] ** 2 * math.factorial(order) * lag_sum
+    else:
+        raise TypeError(f"unknown sequence spec: {type(spec).__name__}")
+    v2 = _v2_table(spec, l)
+    return num / math.sqrt(v2[k - 1] * v2[l - 1])
 
 
 def _require_supercritical(q: int, H: float) -> None:

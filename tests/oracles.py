@@ -1,5 +1,6 @@
 """Reference implementations the tests check the production evaluators
-against: brute-force and dense quartic lag sums, the dense Gram-metric
+against: math.fsum and exact-integer lag sums of rho^q, a Neumaier running
+sum, brute-force and dense quartic lag sums, the dense Gram-metric
 kernel algebra, the design-matrix Hermite expansion, and pathwise and
 ensemble references. No run uses them."""
 
@@ -52,6 +53,68 @@ def evaluate_expansion_design(coeffs, x) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     hmat = hermite_design_matrix(coeffs.size - 1, np.asarray(x, dtype=float))
     return np.tensordot(coeffs, hmat, axes=(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Lag sums of rho^q and the E[V_k^2] normalizer.
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Veltkamp: x = hi + lo exactly, each with at most 26 significant bits,
+    # so an integer below 2^26 times either part is exact.
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def pair_fsum(model: CovarianceModel, q: int, k: int, l: int) -> float:
+    """sum_{i<=k, j<=l} rho(i-j)^q: math.fsum of the float terms rho(r)^q
+    (NumPy's pow), each times its count of j with 1 <= j <= l and
+    1 <= j + r <= k, exactly, so the sum is rounded once (k, l < 2^26)."""
+    lags = np.arange(-(l - 1), k)
+    counts = (np.minimum(l, k - lags) - np.maximum(1, 1 - lags) + 1).astype(float)
+    hi, lo = _split(rho_many(model, lags) ** q)
+    return math.fsum(np.concatenate([counts * hi, counts * lo]).tolist())
+
+
+def v2_fsum(model: CovarianceModel, q: int, k: int) -> float:
+    """E[V_k^2] = q! (k + 2 sum_{0<r<k} (k - r) rho(r)^q): the fsum of the
+    exact terms, rounded once, then multiplied by q!."""
+    r = np.arange(1, k)
+    hi, lo = _split(rho_many(model, r) ** q)
+    w = 2.0 * (k - r)
+    return math.factorial(q) * math.fsum([float(k)] + (w * hi).tolist() + (w * lo).tolist())
+
+
+def v2_exact_prefix(model: CovarianceModel, q: int, n: int) -> np.ndarray:
+    """v2_fsum(model, q, k) for every k = 1..n in one O(n) pass: the terms
+    rho(r)^q as integers in units of 2^-1100 (exact for every float), the
+    running sums A = sum rho^q and B = sum r rho^q kept exactly, and each
+    k + 2 (k A - B) rounded once by Python's correctly rounded int division."""
+    unit = 1 << 1100
+    out = np.empty(n)
+    a = b = 0
+    for k, p in enumerate((rho_many(model, np.arange(1, n + 1)) ** q).tolist(), 1):
+        out[k - 1] = math.factorial(q) * (((k * unit) + 2 * (k * a - b)) / unit)
+        num, den = p.as_integer_ratio()
+        a += num * (unit // den)
+        b += k * num * (unit // den)
+    return out
+
+
+def neumaier_prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of x by a Neumaier running sum, one element at a time."""
+    out = np.empty_like(x)
+    total = carry = 0.0
+    for i, v in enumerate(x.tolist()):
+        t = total + v
+        if abs(total) >= abs(v):
+            carry += (total - t) + v
+        else:
+            carry += (v - t) + total
+        total = t
+        out[i] = total + carry
+    return out
 
 
 # ---------------------------------------------------------------------------

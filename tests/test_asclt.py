@@ -13,6 +13,8 @@ from asclt_lab.asclt import (
     DeltaRow,
     KsRow,
     LogAveragedMeasure,
+    contraction_keys,
+    contraction_values,
     criteria_diagnostic,
     criteria_report_to_json,
     delta_rows_to_csv,
@@ -330,6 +332,16 @@ def test_il_validation():
         il_series_diagnostic(HermiteVariation(fgn(0.3), 2), (1.0,), n_grid=[4, 16])
 
 
+def _criteria(spec, n_max):
+    keys = contraction_keys(spec, n_max)
+    return criteria_diagnostic(spec, n_max, dict(zip(keys, contraction_values(spec.model, keys))))
+
+
+def test_criteria_needs_contractions_for_hermite():
+    with pytest.raises(ValueError, match="contractions"):
+        criteria_diagnostic(HermiteVariation(fgn(0.3), 2), 256)
+
+
 def test_criteria_fbm():
     rep = criteria_diagnostic(FbmScaled(0.3))
     assert rep.verdict == "consistent"
@@ -343,7 +355,7 @@ def test_criteria_fbm():
 
 
 def test_criteria_hermite_subcritical():
-    rep = criteria_diagnostic(HermiteVariation(fgn(0.3), 2), n_max=2**11)
+    rep = _criteria(HermiteVariation(fgn(0.3), 2), 2**11)
     assert rep.verdict == "consistent"
     by_name = {c.name: c for c in rep.conditions}
     assert 0.3 <= by_name["kernel_contraction"].fitted_alpha <= 0.7
@@ -354,7 +366,7 @@ def test_criteria_hermite_subcritical():
 
 
 def test_criteria_supercritical_flagged():
-    rep = criteria_diagnostic(HermiteVariation(fgn(0.9), 2), n_max=2**11)
+    rep = _criteria(HermiteVariation(fgn(0.9), 2), 2**11)
     assert rep.verdict == "flagged"
     by_name = {c.name: c for c in rep.conditions}
     assert by_name["kernel_contraction"].verdict == "flagged"

@@ -15,6 +15,7 @@ import pytest
 from asclt_lab import asclt, cli, kernels, malliavin, sequences
 from asclt_lab.asclt import (
     contraction_keys,
+    contraction_values,
     criteria_diagnostic,
     exact_gaussian_delta_sq,
     il_delta_prefixes,
@@ -596,12 +597,13 @@ def test_pooled_criteria_matches_inline():
     assert sorted(spec.regime for spec in _CRITERIA_SPECS) == sorted(
         ["subcritical", "critical", "supercritical"] * 3)
     scan_ns = (64, 211, 256)
-    expect = {
-        spec: (criteria_diagnostic(spec, 256),
-               [contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n)
-                for n in scan_ns])
-        for spec in _CRITERIA_SPECS
-    }
+    expect = {}
+    for spec in _CRITERIA_SPECS:
+        keys = contraction_keys(spec, 256)
+        values = dict(zip(keys, contraction_values(spec.model, keys)))
+        expect[spec] = (criteria_diagnostic(spec, 256, values),
+                        [contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n)
+                         for n in scan_ns])
     for spec in _CRITERIA_SPECS:
         assert cli._start_criteria(spec, 256, scan_ns, None)() == expect[spec]
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:

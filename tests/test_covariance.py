@@ -12,6 +12,7 @@ import pytest
 from asclt_lab.covariance import (
     CovarianceModel,
     DivergentTailError,
+    _summed_fgn_tail,
     abs_rho_power_sum,
     abs_rho_power_tail,
     fgn,
@@ -217,7 +218,7 @@ def test_tail_consistency_head_plus_tail():
 def test_remainder_bound_is_sound():
     # Force an early cutoff, then check the bound covers the missing mass.
     model, q = fgn(0.55), 4
-    coarse = abs_rho_power_tail(model, q, 0, tol=1e-30, cutoff_max=8192)
+    coarse = _summed_fgn_tail(model, q, 0, 1e-30, 8192, signed=False)
     assert coarse.cutoff == 8192
     deep = 2.0 * float(
         np.sum(np.abs(rho_many(model, np.arange(1, 2 * 10**6))) ** q)

@@ -147,11 +147,6 @@ def test_non_finite_f_rejected():
         expand(lambda x: np.where(np.abs(x) > 5.0, np.nan, x), qmax=4)
 
 
-def test_node_floor_enforced():
-    with pytest.raises(ValueError):
-        expand(lambda x: x, qmax=10, quad_nodes=20)
-
-
 def test_derivative_coeffs():
     exp = expand(lambda x: x**2, qmax=4)
     d = derivative_coeffs(exp)

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asclt_lab import kernels
-from asclt_lab.covariance import fgn, iid, table
+from asclt_lab.covariance import fgn, iid, rho_many, table
 from asclt_lab.kernels import (
     _bordering_pass,
     _lag_sum_prefix,
     _pass_table_size,
     _powers,
-    _running_sum,
+    _prefix_sums,
     contraction_norm_sq,
     hermite_sum_variance,
     pair_lag_sum,
@@ -39,7 +39,10 @@ from oracles import (
     diagonal_kernel,
     gram_matrix,
     kernel_inner,
+    neumaier_prefix_sums,
     rho,
+    v2_exact_prefix,
+    v2_fsum,
 )
 
 MODELS = [iid(), fgn(0.3), fgn(0.75)]
@@ -56,23 +59,43 @@ def test_hermite_sum_variance_iid():
             assert hermite_sum_variance(iid(), q, n) == math.factorial(q) * n
 
 
-def test_hermite_sum_variance_direct_double_sum():
-    model, q, n = fgn(0.3), 2, 37
-    direct = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            direct += rho(model, i - j) ** q
-    direct *= math.factorial(q)
-    assert hermite_sum_variance(model, q, n) == pytest.approx(direct, rel=1e-12)
+# Fixed before the oracle test was written: every E[V_k^2] table entry is
+# within this relative distance of the once-rounded sum of its float terms.
+V2_REL_TOL = 1e-14
+V2_CASES = [(fgn(H), q) for H, q in ((0.3, 1), (0.3, 2), (0.3, 3), (0.75, 2), (0.9, 1),
+                                      (0.9, 2), (0.6, 3), (0.3, 9))] + [(iid(), 3), (TABLE, 2)]
+
+
+@pytest.mark.parametrize("model, q", V2_CASES,
+                         ids=[f"{m.kind}{m.H or ''}-q{q}" for m, q in V2_CASES])
+def test_v2_table_matches_fsum_oracle(model, q):
+    table_ = v2_prefix.__wrapped__(model, q, 1 << 20)
+    exact = v2_exact_prefix(model, q, 4096)
+    assert np.max(np.abs(table_[:4096] / exact - 1.0)) <= V2_REL_TOL
+    for k in (1, 2, 37, 4096):
+        assert exact[k - 1] == v2_fsum(model, q, k)
+    for k in (65537, 1 << 20):
+        assert abs(table_[k - 1] / v2_fsum(model, q, k) - 1.0) <= V2_REL_TOL, k
 
 
 def test_v2_prefix_matches_scalar_calls():
+    # hermite_sum_variance builds the same prefix-stable table to n.
     model, q = fgn(0.75), 2
     pref = v2_prefix(model, q, 40)
     for k in (1, 2, 3, 17, 40):
-        assert pref[k - 1] == pytest.approx(
-            hermite_sum_variance(model, q, k), rel=1e-13
-        )
+        assert hermite_sum_variance(model, q, k) == pref[k - 1]
+    with pytest.raises(ValueError):
+        hermite_sum_variance(model, q, 0)
+
+
+def test_powers_match_pow():
+    # The square-and-multiply chain rounds (q - 1) products at most, against
+    # one rounding for pow; subnormal powers are compared absolutely.
+    for model in (fgn(0.3), fgn(0.9), TABLE, iid()):
+        rho_ = rho_many(model, np.arange(5000))
+        for q in range(1, 41):
+            np.testing.assert_allclose(_powers(model, q, 5000), rho_**q,
+                                       rtol=q * 2.3e-16, atol=1e-300)
 
 
 def test_v2_prefix_cache_is_read_only():
@@ -251,9 +274,19 @@ def test_running_sum_stays_within_one_rounding_of_fsum():
     # Increments alike in size, as the lag-sum increments are; a plain
     # cumulative sum drifts by several ulp here.
     x = np.random.default_rng(5).uniform(0.9, 1.1, 1 << 14)
-    prefixes = _running_sum(x)
+    prefixes = _prefix_sums(x)
     for n in (10, 100, 1000, 4096, 10000, 1 << 14):
         assert prefixes[n - 1] == pytest.approx(math.fsum(x[:n].tolist()), rel=2.3e-16), n
+
+
+def test_prefix_sums_bit_equal_neumaier_loop():
+    # The vectorized TwoSum errors are the exact errors a Neumaier loop
+    # carries, so the two agree bit for bit, here over both signs and
+    # magnitudes 1e-10..1e10 as well as over like-sized terms.
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal(1 << 14) * 10.0 ** rng.integers(-10, 11, 1 << 14)
+    for x in (wide, rng.uniform(0.9, 1.1, 1 << 14)):
+        assert np.array_equal(_prefix_sums(x), neumaier_prefix_sums(x))
 
 
 _BLAS_THREADS_SCRIPT = """

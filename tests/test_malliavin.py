@@ -9,7 +9,7 @@ import pytest
 from asclt_lab.covariance import abs_rho_power_sum, fgn, iid, rho_many
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
 from asclt_lab.hermite import _quad_rule, expand
-from asclt_lab import malliavin
+from asclt_lab import kernels, malliavin, sequences
 from asclt_lab.kernels import contraction_norm_sq, hermite_sum_variance
 from asclt_lab.malliavin import (
     _QUAD_NODES,
@@ -77,29 +77,34 @@ def test_quartic_trace_fft_matches_dense():
 
 
 def test_dg_path_independent_work_is_cached(monkeypatch):
-    """Over 50 paths, N_n^2 costs one hermite_sum_variance call per (spec, n)
-    and the Toeplitz spectrum is cached read-only; ||DG||^2 is bit-equal to
-    the uncached evaluation."""
-    calls = []
+    """Over 50 paths, N_n^2 builds one E[V_k^2] table, read by every path (the
+    second build is hermite_sum_variance's own, which keeps no table), and
+    the Toeplitz spectrum is cached read-only; ||DG||^2 is bit-equal to the
+    uncached evaluation. N_n^2 of a GeneralF is entry n of the spec-level
+    table that normalizes its series."""
+    builds = []
+    real = kernels._lag_weighted_prefix
 
-    def counting(model, q, n):
-        calls.append((model, q, n))
-        return hermite_sum_variance(model, q, n)
+    def counting(p):
+        builds.append(p.size)
+        return real(p)
 
-    monkeypatch.setattr(malliavin, "hermite_sum_variance", counting)
+    monkeypatch.setattr(kernels, "_lag_weighted_prefix", counting)
     spec, n = HermiteVariation(fgn(0.37), 2), 301
     paths = sample_ensemble(spec.model, n, SEED + 13, 50)
     got = [dg_norm_sq(p, spec) for p in paths]
-    assert calls == [(spec.model, 2, n)]
+    assert builds == [n]
+    assert _normalizer_sq(spec, n) == hermite_sum_variance(spec.model, 2, n)
     for p, value in zip(paths, got):
         b = 2.0 * p.values
         u = toeplitz_matvec(rho_many(spec.model, np.arange(n)), b, n)
-        assert value == max(float(b @ u) / hermite_sum_variance(spec.model, 2, n), 0.0)
+        assert value == max(float(b @ u) / _normalizer_sq(spec, n), 0.0)
+    assert builds == [n, n]
     spectrum = malliavin._covariance_spectrum(spec.model, n)
     assert not spectrum.flags.writeable
     assert malliavin._covariance_spectrum(spec.model, n) is spectrum
-    assert _normalizer_sq(spec, n) == hermite_sum_variance(spec.model, 2, n)
-    assert len(calls) == 1
+    general = GeneralF(fgn(0.37), expand(np.arctan, qmax=9))
+    assert _normalizer_sq(general, n) == sequences._v2_table(general, n)[-1]
 
 
 def test_fbm_scaled_is_first_chaos():

@@ -19,9 +19,9 @@ from asclt_lab.gaussian_sim import (
     sample_stationary,
 )
 from asclt_lab.hermite import ConstantFunctionError, expand
-from asclt_lab import sequences
+from asclt_lab import kernels, sequences
 from asclt_lab.asclt import _pair_grid
-from asclt_lab.kernels import hermite_sum_variance, pair_lag_sum, v2_prefix
+from asclt_lab.kernels import _powers, hermite_sum_variance, pair_lag_sum, v2_prefix
 from asclt_lab.covariance import abs_rho_power_sum
 from asclt_lab.sequences import (
     FbmScaled,
@@ -41,6 +41,7 @@ from asclt_lab.sequences import (
     zn_limit_second_moment,
     zn_second_moment,
 )
+from oracles import pair_fsum, v2_fsum
 
 SEED = 20240821
 
@@ -238,68 +239,68 @@ def test_cross_covariance_closed_forms():
 
 def test_cross_covariance_against_bruteforce():
     model, q, k, l = fgn(0.6), 2, 7, 11
-    num = 0.0
-    for i in range(1, k + 1):
-        for j in range(1, l + 1):
-            num += float(rho_many(model, [i - j])[0]) ** q
-    num *= math.factorial(q)
-    den = math.sqrt(
-        float(v2_prefix(model, q, k)[-1]) * float(v2_prefix(model, q, l)[-1])
-    )
+    num = math.factorial(q) * pair_fsum(model, q, k, l)
+    den = math.sqrt(v2_fsum(model, q, k) * v2_fsum(model, q, l))
     spec = HermiteVariation(model, q)
     assert cross_covariance(spec, k, l) == pytest.approx(num / den, rel=1e-13)
 
 
 def test_general_f_cross_covariance_matches_per_order_loop():
-    """The cached per-order sums keep the explicit loop's summation order."""
+    """The pair sum keeps the explicit loop's summation order over the
+    orders, and the diagonals are read from the spec's normalizer table."""
     spec = GeneralF(fgn(0.3), expand(np.arctan, qmax=9))
     c = spec.expansion.coeffs
+    v2 = sequences._v2_table(spec, 1000)
     for k, l in ((1, 1), (2, 9), (9, 2), (5, 5), (17, 64), (300, 1000)):
         a, b = min(k, l), max(k, l)
-        num = v2a = v2b = 0.0
+        num = 0.0
         for order in range(1, spec.expansion.qmax + 1):
-            if c[order] == 0.0:
-                continue
-            w = c[order] ** 2 * math.factorial(order)
-            num += w * pair_lag_sum(spec.model, (order,), a, b)[0]
-            v2a += w * pair_lag_sum(spec.model, (order,), a, a)[0]
-            v2b += w * pair_lag_sum(spec.model, (order,), b, b)[0]
-        assert cross_covariance(spec, k, l) == num / math.sqrt(v2a * v2b)
+            if c[order] != 0.0:
+                num += c[order] ** 2 * math.factorial(order) * pair_lag_sum(
+                    spec.model, (order,), a, b)[0]
+        assert cross_covariance(spec, k, l) == num / math.sqrt(v2[a - 1] * v2[b - 1])
 
 
 def test_hermite_cross_covariance_computes_each_normalizer_once(monkeypatch):
-    """Over the criteria pair grid every E[V_k^2] is computed once, and each
-    value is bit-equal to the formula with two direct normalizer calls."""
-    calls = []
+    """Over the criteria pair grid, asked at the largest n first as
+    criteria_diagnostic does, the E[V_k^2] table is built once, and each
+    value is bit-equal to the formula with the normalizers of
+    hermite_sum_variance."""
+    builds = []
+    real = kernels._lag_weighted_prefix
 
-    def counting(model, q, n):
-        calls.append((model, q, n))
-        return hermite_sum_variance(model, q, n)
+    def counting(p):
+        builds.append(p.size)
+        return real(p)
 
-    monkeypatch.setattr(sequences, "hermite_sum_variance", counting)
-    sequences._hermite_diagonal.cache_clear()
-    model = fgn(0.3)
+    monkeypatch.setattr(kernels, "_lag_weighted_prefix", counting)
+    model = fgn(0.61)  # no other test builds this table
     spec = HermiteVariation(model, 2)
-    pairs = _pair_grid([int(g) for g in geometric_grid(1024) if g >= 2])
+    grid = [int(g) for g in geometric_grid(1024) if g >= 2]
+    sequences._v2_table(spec, grid[-1])
+    pairs = _pair_grid(grid)
     got = [cross_covariance(spec, k, l) for k, l in pairs]
-    distinct = {n for pair in pairs for n in pair}
-    assert sorted(n for _, _, n in calls) == sorted(distinct)
+    assert builds == [grid[-1]]
     for (k, l), value in zip(pairs, got):
         den = math.sqrt(hermite_sum_variance(model, 2, k) * hermite_sum_variance(model, 2, l))
         assert value == 2 * pair_lag_sum(model, (2,), k, l)[0] / den
 
 
 def test_general_f_prefix_variance_is_cached_read_only():
+    # One read-only table per spec: v2_prefix itself for a Hermite
+    # variation, the c_q^2-weighted sum of the order tables for GeneralF.
     spec = GeneralF(fgn(0.3), expand(np.arctan, qmax=9))
     c = spec.expansion.coeffs
     expect = np.zeros(1000)
     for order in range(1, spec.expansion.qmax + 1):
         if c[order] != 0.0:
             expect += c[order] ** 2 * v2_prefix(spec.model, order, 1000)
-    v2 = sequences._general_f_prefix_var(spec.model, spec.expansion, 1000)
+    v2 = sequences._v2_table(spec, 1000)
     assert not v2.flags.writeable
     assert np.array_equal(v2, expect)
-    assert sequences._general_f_prefix_var(spec.model, spec.expansion, 1000) is v2
+    assert sequences._v2_table(spec, 1000) is v2
+    hv = HermiteVariation(fgn(0.3), 2)
+    assert sequences._v2_table(hv, 1000) is v2_prefix(hv.model, 2, 1000)
 
 
 def test_fbm_covariance_decay_bound():
@@ -490,6 +491,20 @@ def test_normalizer_tables_are_prefix_stable():
         for n in ns:
             part = sequences._general_f_prefix_var.__wrapped__(model, arctan, n)
             assert np.array_equal(part, full[:n]), (model, n)
+        # The GeneralF tail window, at the order above arctan's qmax and at
+        # an odd order, where |rho|^q keeps no sign.
+        for q in (10, 11):
+            full = sequences._tail_window.__wrapped__(model, q, N)
+            for n in ns:
+                part = sequences._tail_window.__wrapped__(model, q, n)
+                assert np.array_equal(part, full[:n]), (model, q, n)
+    # The rho^q chain, whose lags are taken in chunks, at every q up to 40.
+    M = 3 * (1 << 16) + 5
+    for model in (fgn(0.3), fgn(0.9), ma):
+        for q in range(1, 41):
+            full = _powers(model, q, M)
+            for n in (1, 2, 257, 1 << 16, (1 << 16) + 1):
+                assert np.array_equal(_powers(model, q, n), full[:n]), (model, q, n)
     for H in (0.2, 0.5, 0.7, 0.9):
         full = sequences._k_power.__wrapped__(H, N)
         for n in ns:
