@@ -16,6 +16,7 @@ no compiled special-function library.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -52,10 +53,11 @@ __all__ = [
     "harmonic_weighted_mean",
     "delta_stat",
     "delta_stat_prefixes",
+    "exact_delta_sq",
     "exact_gaussian_delta_sq",
     "il_series_diagnostic",
     "il_delta_prefixes",
-    "il_exact_row",
+    "il_from_exact",
     "il_from_prefixes",
     "il_from_rows",
     "contraction_keys",
@@ -68,7 +70,10 @@ __all__ = [
 
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 EXACT_DELTA_MAX_N = 1 << 12
-_EXACT_DELTA_CHUNK = 1 << 10
+# Rows per block of the exact Delta pass (at most 2^18 entries at the cap),
+# and the width of the fixed column chunks its row sums are built from.
+_EXACT_DELTA_ROWS = (1 << 18) // EXACT_DELTA_MAX_N
+_EXACT_DELTA_SPAN = 128
 # Fit-based verdict thresholds, pilot-calibrated on grids up to 2^16.
 # The averaged second moment decays only logarithmically in the healthy
 # cases, so the slope gate is scale-dependent: -0.08 splits the unit-variance
@@ -296,37 +301,100 @@ def delta_stat_prefixes(g: GSeries, t: float, n_grid) -> np.ndarray:
     return (cum_phase[idx] - target * cum_w[idx]) / np.log(np.array(n_grid, dtype=float))
 
 
-def exact_gaussian_delta_sq(spec: SequenceSpec, n: int, t: float) -> float:
-    """Closed-form E|delta_n(t)|^2 for a jointly Gaussian unit-variance series:
-    (1/log^2 n) sum_{k,l} (e^{-t^2}/(kl)) (e^{E[G_k G_l] t^2} - 1).
+def _exact_delta_rows(H: float, ts, ns, lo: int, hi: int) -> np.ndarray:
+    """Rows k = lo..hi-1 of the exact Delta pass: for each t of ts and n of
+    ns, r_k(n) = sum_{l=k}^{n} w_kl (e^{c_kl t^2} - 1)/(kl), with w = 1 on
+    the diagonal and 2 above it, and c_kl = E[G_k G_l] from the gathered
+    tables m^{2H} and m^H; shape (len(ts), hi - lo, len(ns)), zero where
+    k > n.
 
-    Only the scaled-increment-sum spec is jointly Gaussian; the double sum
-    is evaluated in full, which caps n at 2^12.
+    Columns are summed in fixed chunks of _EXACT_DELTA_SPAN, aligned on
+    multiples of it: one pairwise sum per (row, chunk), a running sum of
+    the chunks that end at or before n, and the sum of the chunk that holds n
+    up to n. So r_k(n) is the same bits for every lo, hi and grid that
+    contain k and n."""
+    span = _EXACT_DELTA_SPAN
+    c0 = (lo - 1) // span * span + 1
+    width = -(-(max(ns) - c0 + 1) // span) * span
+    m = np.arange(c0 + width, dtype=float)
+    m2h = m ** (2.0 * H)  # gathered below: no pow per entry
+    mh = m**H
+    k = np.arange(lo, hi)
+    l = np.arange(c0, c0 + width)
+    d = l - k[:, None]
+    cov = m2h[k][:, None] + m2h[l]
+    cov -= m2h[np.abs(d)]
+    cov *= 0.5
+    cov /= np.multiply.outer(mh[k], mh[l])
+    weight = np.sign(d).astype(float)
+    weight += 1.0
+    weight /= np.multiply.outer(m[k], m[l])
+    out = np.zeros((len(ts), hi - lo, len(ns)))
+    term = np.empty_like(cov)
+    for i, t in enumerate(ts):
+        np.multiply(cov, t * t, out=term)
+        np.expm1(term, out=term)
+        term *= weight
+        chunks = term.reshape(hi - lo, -1, span).sum(axis=-1)
+        full = np.cumsum(chunks, axis=1)
+        for j, n in enumerate(ns):
+            if n < lo:
+                continue
+            a = (n - c0) // span * span  # start of the chunk that holds n
+            part = term[:, a : n - c0 + 1].sum(axis=1)
+            out[i, :, j] = part if a == 0 else full[:, a // span - 1] + part
+    return out
+
+
+def exact_delta_sq(spec: SequenceSpec, t_grid, n_grid, submit=functools.partial):
+    """Closed-form E|delta_n(t)|^2 for a jointly Gaussian unit-variance series,
+    every t of t_grid and n of n_grid from one pass:
+    (e^{-t^2}/log^2 n) sum_{k,l<=n} (e^{E[G_k G_l] t^2} - 1)/(kl).
+
+    The summand is symmetric, so the pass runs over the upper triangle
+    k <= l of the rows k = 1..max(n_grid), in blocks of _EXACT_DELTA_ROWS
+    rows. submit(fn, *args) starts one block and returns a zero-argument
+    callable giving its result (default: run when collected), so the blocks
+    can be pool tasks. Each block gives the row sums r_k(n) of
+    _exact_delta_rows, and the sum over k is math.fsum, so every entry is
+    the same bits however it is asked: alone, within any grid, and whatever
+    the block split or worker count. Returns a zero-argument callable giving
+    the (len(t_grid), len(n_grid)) array.
+
+    Only the scaled-increment-sum spec is jointly Gaussian; the pass is
+    quadratic in n, which caps n at 2^12.
     """
     if not isinstance(spec, FbmScaled):
         raise ValueError("exact second moment requires the jointly Gaussian spec")
-    if n < 2:
+    t_grid = [float(t) for t in t_grid]
+    n_grid = [int(n) for n in n_grid]
+    if min(n_grid) < 2:
         raise ValueError("need n >= 2")
-    if n > EXACT_DELTA_MAX_N:
-        raise ValueError(f"full double sum capped at n = {EXACT_DELTA_MAX_N}")
-    if t == 0.0:
-        return 0.0
-    H = spec.H
-    t2 = t * t
-    damp = math.exp(-t2)
-    l = np.arange(1.0, n + 1.0)
-    l2h = l ** (2.0 * H)
-    lh = l**H
-    total = 0.0
-    for start in range(0, n, _EXACT_DELTA_CHUNK):
-        k = l[start : start + _EXACT_DELTA_CHUNK]
-        cov = 0.5 * (
-            k[:, None] ** (2.0 * H) + l2h[None, :] - np.abs(k[:, None] - l[None, :]) ** (2.0 * H)
-        )
-        cov /= k[:, None] ** H * lh[None, :]
-        block = np.expm1(cov * t2) / (k[:, None] * l[None, :])
-        total += float(block.sum())
-    return damp * total / math.log(n) ** 2
+    if max(n_grid) > EXACT_DELTA_MAX_N:
+        raise ValueError(f"double sum capped at n = {EXACT_DELTA_MAX_N}")
+    ts = tuple(t for t in t_grid if t != 0.0)
+    n_max = max(n_grid)
+    blocks = [submit(_exact_delta_rows, spec.H, ts, tuple(n_grid), lo,
+                     min(lo + _EXACT_DELTA_ROWS, n_max + 1))
+              for lo in range(1, n_max + 1, _EXACT_DELTA_ROWS)] if ts else []
+
+    def collect() -> np.ndarray:
+        out = np.zeros((len(t_grid), len(n_grid)))
+        sums = iter(np.concatenate([block() for block in blocks], axis=1) if ts else ())
+        for row, t in zip(out, t_grid):
+            if t != 0.0:
+                r = next(sums)  # r_k(n) of every row k, shape (max(n_grid), len(n_grid))
+                damp = math.exp(-t * t)
+                row[:] = [damp * math.fsum(r[:, j]) / math.log(n) ** 2
+                          for j, n in enumerate(n_grid)]
+        return out
+
+    return collect
+
+
+def exact_gaussian_delta_sq(spec: SequenceSpec, n: int, t: float) -> float:
+    """exact_delta_sq at one n and t."""
+    return float(exact_delta_sq(spec, (t,), (n,))()[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +486,10 @@ def il_from_prefixes(t_grid, n_grid, prefixes) -> IlDiagnostic:
     return il_from_rows(n_grid, rows)
 
 
-def il_exact_row(spec: SequenceSpec, t: float, n_grid) -> IlRow:
-    """One t of the exact il diagnostic, from exact_gaussian_delta_sq on
-    n_grid (jointly Gaussian specs only)."""
-    return _il_row(t, n_grid, np.array([exact_gaussian_delta_sq(spec, n, t) for n in n_grid]))
+def il_from_exact(t_grid, n_grid, delta_sq) -> IlDiagnostic:
+    """The exact il diagnostic from exact_delta_sq's (len(t_grid),
+    len(n_grid)) array."""
+    return il_from_rows(n_grid, [_il_row(t, n_grid, row) for t, row in zip(t_grid, delta_sq)])
 
 
 def il_series_diagnostic(spec: SequenceSpec, t_grid=DEFAULT_T_GRID, n_grid=None) -> IlDiagnostic:
@@ -438,7 +506,7 @@ def il_series_diagnostic(spec: SequenceSpec, t_grid=DEFAULT_T_GRID, n_grid=None)
         raise ValueError("n_grid must be strictly increasing")
     if n_grid[0] < 2:
         raise ValueError("n_grid entries must be >= 2")
-    return il_from_rows(n_grid, [il_exact_row(spec, t, n_grid) for t in t_grid])
+    return il_from_exact(t_grid, n_grid, exact_delta_sq(spec, t_grid, n_grid)())
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ primitive tuples naming a block of replicate ids (about 2^16 sampled points
 per block) and rebuild their sequence spec locally; deterministic
 tasks receive the spec or covariance model itself. All return plain numbers
 or small records that the parent merges in submission order, so
-report.json is byte-identical whatever the worker count. Wall clock facts (timestamps, worker count,
-output directory) live in a separate run_meta.json and never touch the
-report.
+report.json is byte-identical whatever the worker count. Machine facts
+(timestamps, elapsed time, peak memory, worker count, output directory)
+live in a separate run_meta.json and never touch the report.
 
 Exit codes: 0 every verdict consistent, 2 at least one flagged, 1 error.
 """
@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import resource
 import sys
 import time
 from collections.abc import Callable
@@ -48,12 +49,11 @@ from .asclt import (
     criteria_report_to_json,
     delta_rows_to_csv,
     delta_stat,
-    exact_gaussian_delta_sq,
+    exact_delta_sq,
     harmonic_weighted_mean,
     il_delta_prefixes,
-    il_exact_row,
+    il_from_exact,
     il_from_prefixes,
-    il_from_rows,
     ks_distance,
     ks_rows_to_csv,
     log_average_measure,
@@ -720,8 +720,8 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
     # the replicate fan-out; results merge below in the report's fixed order.
     criteria_pending = _start_criteria(spec, cfg.n_max, kernel_grid, pool)
     if exact_il:
-        # One task per t: the n = 4096 double sums dominate the fbm run.
-        il_rows = [_submit(pool, il_exact_row, spec, t, il_grid) for t in cfg.t_grid]
+        # One task per row block of the exact pass, which bounds the fbm run.
+        il_exact = exact_delta_sq(spec, cfg.t_grid, il_grid, functools.partial(_submit, pool))
     else:
         il_mc = _start_il_mc(cfg, il_grid, pool)
     ks_rows, failures = _start_replicates(
@@ -746,7 +746,7 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         summary.append("ks trend: no successful replicates")
 
     if exact_il:
-        il = il_from_rows(il_grid, [row() for row in il_rows])
+        il = il_from_exact(cfg.t_grid, il_grid, il_exact())
     else:
         il, fail = il_mc()
         failures += fail
@@ -924,21 +924,22 @@ def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
 def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
     spec = FbmScaled(cfg.model["H"])
     z_max = float(cfg.tolerances["z_max"])
-    # The closed-form rows are queued first so that they run alongside the
-    # replicate fan-out.
-    exact_pending = [_submit(pool, exact_gaussian_delta_sq, spec, cfg.n_max, t)
-                     for t in cfg.t_grid]
+    # The blocks of the closed-form pass are queued first so that they run
+    # alongside the replicate fan-out.
+    exact_pending = exact_delta_sq(spec, cfg.t_grid, [cfg.n_max],
+                                   functools.partial(_submit, pool))
     vals, failures = _start_replicates(
         _delta_worker, (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed),
         cfg.replicates, cfg.n_max, pool, cfg.workers)()
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
+    exact_sq = exact_pending()[:, 0]
     rows, drows, worst = [], [], 0.0
     for i, t in enumerate(cfg.t_grid):
         sq = np.abs(np.array([v[i] for v in vals])) ** 2
         mc = float(sq.mean())
         se = float(sq.std(ddof=1) / math.sqrt(len(sq)))
-        exact = exact_pending[i]()
+        exact = float(exact_sq[i])
         z = 0.0 if se == 0.0 and mc == exact else (mc - exact) / se
         worst = max(worst, abs(z))
         rows.append({"t": t, "mc": mc, "exact": float(exact), "stderr": se, "z": float(z)})
@@ -1271,9 +1272,13 @@ def run(cfg: ExperimentConfig, echo=print) -> int:
         lines += [f"  failure: {f}" for f in artifacts.failures]
     lines.append(f"verdict: {artifacts.verdict}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    # Peak resident set sizes so far (Linux reports KiB): of this process,
+    # which includes anything it ran before, and of its largest finished child.
     meta = {
         "started_utc": started.isoformat(),
         "elapsed_seconds": elapsed,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         "out_dir": str(out),
         "workers": cfg.workers,
     }

@@ -21,6 +21,10 @@ same in a row of a block as in a single path (tests pin these NumPy facts).
 A row whose first polar block falls short continues from its own stream.
 The Cholesky route stays one matrix-vector product per row, because a
 block matrix product would sum in another order and round differently.
+A circulant block of more than one row works in a per-process workspace
+that the next block of the same shape reuses, so its arrays are not
+page-faulted in again for every block; the operations are the same, and so
+are the bits.
 """
 
 from __future__ import annotations
@@ -107,41 +111,98 @@ def _polar_pairs(shortfall: int) -> int:
     return max(_POLAR_MIN_PAIRS, (7 * shortfall) // 10 + 16)
 
 
-def _polar_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """The arrays one process reuses across its replicate blocks of one
+    shape (rows, M): the raw Philox words and the polar temporaries, the
+    draws, the half spectrum and the irfft output. Blocks that allocate
+    these afresh page-fault them in again each time, since glibc hands
+    large freed arrays back to the kernel."""
+
+    def __init__(self, rows: int, M: int):
+        pairs = _polar_pairs(M)
+        self.shape = (rows, M)
+        self.raw = np.empty((rows, 2 * pairs), dtype=np.uint64)
+        self.sq = np.empty((rows, pairs))
+        self.scratch = np.empty((rows, pairs))
+        self.keep = np.empty((rows, pairs), dtype=bool)
+        self.inside = np.empty((rows, pairs), dtype=bool)
+        self.accepted = np.empty(rows * pairs, dtype=complex)
+        self.draws = np.empty((rows, M))
+        self.xi = np.empty((rows, M // 2 + 1), dtype=complex)
+        self.x = np.empty((rows, M))
+
+
+_WORKSPACE: _Workspace | None = None
+
+
+def _workspace(rows: int, M: int) -> _Workspace | None:
+    """The process's workspace for blocks of rows paths at embedding size M:
+    the one the last block used if it has this shape, else a new one that
+    replaces it. A one-row block (one path of sample_stationary, and every
+    path longer than 2^14 points) gets none and keeps nothing, so a process
+    that samples long paths holds no more memory between them than before."""
+    global _WORKSPACE
+    if rows == 1:
+        return None
+    if _WORKSPACE is None or _WORKSPACE.shape != (rows, M):
+        _WORKSPACE = _Workspace(rows, M)
+    return _WORKSPACE
+
+
+def _flat(buf: np.ndarray | None, size: int) -> np.ndarray | None:
+    """The first size entries of a workspace array, or None (allocate)."""
+    return None if buf is None else buf.reshape(-1)[:size]
+
+
+def _polar_rows(raw: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Marsaglia polar transform of each row of raw Philox words, shape
-    (B, 2 * pairs), which it shifts in place. Returns the accepted normals of
-    all rows, row after row, and each row's count of them.
+    (B, 2 * pairs), worked in place through a float64 view of raw. Returns
+    the accepted normals of all rows, row after row, and each row's count of
+    them; with a workspace every temporary and the returned normals live in
+    its arrays, which the next block overwrites.
 
     A uniform is ((word >> 11) + 0.5) * 2^-53 and v = 2u - 1. The steps run
-    in place in that order, except that the scalings by 2^-53 and by 2 are
-    one multiplication by 2^-52, which is exact; so every value rounds as in
-    the formula, whatever the number of rows."""
+    in that order, except that the scalings by 2^-53 and by 2 are one
+    multiplication by 2^-52, which is exact; so every value rounds as in the
+    formula, whatever the number of rows. The accepted pairs are compressed
+    once and s = v1^2 + v2^2 is formed again from them, the same bits."""
+    sq, scratch, keep, inside, accepted = (
+        (None,) * 5 if ws is None else (ws.sq, ws.scratch, ws.keep, ws.inside, ws.accepted))
     np.right_shift(raw, np.uint64(11), out=raw)
-    v = raw + 0.5
+    v = raw.view(np.float64)
+    np.add(raw, 0.5, out=v)  # exact: the shifted words are below 2^53
     v *= 2.0**-52
     v -= 1.0
     pair = v.view(complex)  # (v1, v2) of each pair as one element
-    s = pair.real * pair.real
-    s += pair.imag * pair.imag
-    keep = (s > 0.0) & (s < 1.0)
-    s = s[keep]
-    f = np.log(s)
+    s = np.multiply(pair.real, pair.real, out=sq)
+    s += np.multiply(pair.imag, pair.imag, out=scratch)
+    keep = np.greater(s, 0.0, out=keep)
+    keep &= np.less(s, 1.0, out=inside)
+    counts = np.count_nonzero(keep, axis=1)
+    total = int(counts.sum())
+    acc = np.compress(keep.reshape(-1), pair.reshape(-1), out=_flat(accepted, total))
+    s = np.multiply(acc.real, acc.real, out=_flat(scratch, total))
+    s += np.multiply(acc.imag, acc.imag, out=_flat(sq, total))
+    f = np.log(s, out=_flat(sq, total))
     f *= -2.0
     f /= s
     np.sqrt(f, out=f)
-    out = pair[keep].view(np.float64)
+    out = acc.view(np.float64)
     out.reshape(-1, 2)[...] *= f[:, None]
-    return out, 2 * np.count_nonzero(keep, axis=1)
+    return out, 2 * counts
 
 
-def _block_normals(streams: list[NormalStream], count: int) -> np.ndarray:
+def _block_normals(streams: list[NormalStream], count: int,
+                   ws: _Workspace | None = None) -> np.ndarray:
     """(len(streams), count) array whose row i is streams[i].normals(count),
-    for fresh streams. The rows share one polar transform of their first
-    blocks; a row that falls short continues from its own stream."""
-    out = np.empty((len(streams), count))
+    for fresh streams, in the workspace's draws if one is given. The rows
+    share one polar transform of their first blocks; a row that falls short
+    continues from its own stream."""
+    out = np.empty((len(streams), count)) if ws is None else ws.draws
     words = 2 * _polar_pairs(count)
     raw = [stream._bg.random_raw(words) for stream in streams]
-    flat, accepted = _polar_rows(raw[0][None] if len(raw) == 1 else np.stack(raw))
+    raw = raw[0][None] if len(raw) == 1 else np.stack(raw, out=None if ws is None else ws.raw)
+    flat, accepted = _polar_rows(raw, ws)
     start = 0
     for row, stream, got in zip(out, streams, accepted.tolist()):
         block = flat[start:start + got]
@@ -149,7 +210,7 @@ def _block_normals(streams: list[NormalStream], count: int) -> np.ndarray:
         if got >= count:
             row[:] = block[:count]
         else:
-            stream._buf, stream._buffered = [block], got
+            stream._buf, stream._buffered = [block.copy()], got
             row[:] = stream.normals(count)
     return out
 
@@ -202,7 +263,6 @@ class FbmGrid:
         return np.diff(self.values[:: self.N // n])
 
 
-@byte_bounded_cache(CACHE_BYTES)
 def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
     # First row of the size-2(n-1) circulant:
     # rho(0), ..., rho(n-1), rho(n-2), ..., rho(1).
@@ -218,22 +278,30 @@ def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
     return lam
 
 
-def _synthesize_circulant(lam: np.ndarray, draws: np.ndarray, n: int, out=None) -> np.ndarray:
+@byte_bounded_cache(CACHE_BYTES)
+def _spectrum_root(model: CovarianceModel, n: int) -> np.ndarray:
+    """sqrt(lam_j) for j = 0..M/2, the half of the embedding spectrum that
+    the synthesis reads; M = 2(n - 1)."""
+    return np.sqrt(_embedding_eigenvalues(model, n)[:n])
+
+
+def _synthesize_circulant(root: np.ndarray, draws: np.ndarray, n: int, out=None,
+                          ws: _Workspace | None = None) -> np.ndarray:
     # Half of the Hermitian spectral noise of each row: d[0] -> xi_0,
     # d[1] -> xi_{M/2}, then pairs (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of
-    # xi_j, j = 1..M/2-1. irfft supplies the conjugate half
-    # xi_{M-j} = conj(xi_j) itself. draws is (M,) for one path or (B, M)
-    # for a block, one path per row.
-    M = lam.size
-    half = M // 2
-    xi = np.empty(draws.shape[:-1] + (half + 1,), dtype=complex)
+    # xi_j, j = 1..M/2-1, one complex copy of the contiguous pairs. irfft
+    # supplies the conjugate half xi_{M-j} = conj(xi_j) itself. draws is
+    # (M,) for one path or (B, M) for a block, one path per row; root is
+    # _spectrum_root, and a workspace holds the spectrum and the irfft output.
+    half = root.size - 1
+    M = 2 * half
+    xi = np.empty(draws.shape[:-1] + (half + 1,), dtype=complex) if ws is None else ws.xi
     xi[..., 0] = draws[..., 0]
     xi[..., half] = draws[..., 1]
-    xi[..., 1:half].real = draws[..., 2::2]
-    xi[..., 1:half].imag = draws[..., 3::2]
+    xi[..., 1:half] = draws[..., 2:].view(complex)
     xi[..., 1:half] /= math.sqrt(2.0)
-    xi *= np.sqrt(lam[: half + 1])
-    x = np.fft.irfft(xi, n=M)
+    xi *= root
+    x = np.fft.irfft(xi, n=M, out=None if ws is None else ws.x)
     return np.multiply(x[..., :n], math.sqrt(M), out=out)
 
 
@@ -258,13 +326,13 @@ def block_rows(n: int) -> int:
 
 
 def _route(model: CovarianceModel, n: int, method: str | None):
-    """("single" | "cholesky" | "circulant", the factor or eigenvalues)."""
+    """("single" | "cholesky" | "circulant", the Cholesky factor or the spectrum root)."""
     if n == 1:
         return "single", None
     if method == "cholesky":
         return "cholesky", _cholesky_factor(model, n)
     try:
-        return "circulant", _embedding_eigenvalues(model, n)
+        return "circulant", _spectrum_root(model, n)
     except EmbeddingError:
         if method == "circulant" or n > _CHOLESKY_MAX_N:
             raise
@@ -320,7 +388,9 @@ def _sample_block(route, factor, master_seed, ids, n, out=None):
         return np.empty((0, n))
     streams = [NormalStream(master_seed, r) for r in ids]
     if route == "circulant":
-        return _synthesize_circulant(factor, _block_normals(streams, factor.size), n, out)
+        M = 2 * (factor.size - 1)
+        ws = _workspace(len(ids), M)
+        return _synthesize_circulant(factor, _block_normals(streams, M, ws), n, out, ws)
     draws = _block_normals(streams, n)
     if route == "cholesky":
         draws = np.array([factor @ z for z in draws])

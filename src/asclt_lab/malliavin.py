@@ -284,8 +284,7 @@ def cf_gap_bound(spec: SequenceSpec, records: list[MalliavinSample], t: float) -
     gvals = np.array([r.g_n for r in records])
     phases = np.exp(1j * t * gvals)
     target = math.exp(-t * t / 2.0)
-    diff = phases.mean() - target
-    gap = abs(diff)
+    gap = float(abs(phases.mean() - target))
     m = len(records)
     se = math.sqrt(
         (phases.real.var(ddof=1) + phases.imag.var(ddof=1)) / m

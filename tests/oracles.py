@@ -1,6 +1,7 @@
 """Reference implementations the tests check the production evaluators
 against: math.fsum and exact-integer lag sums of rho^q, a Neumaier running
-sum, brute-force and dense quartic lag sums, the dense Gram-metric
+sum, the dense and math.fsum closed-form Delta second moment, brute-force
+and dense quartic lag sums, the dense Gram-metric
 kernel algebra, the design-matrix Hermite expansion, and pathwise and
 ensemble references. No run uses them."""
 
@@ -115,6 +116,42 @@ def neumaier_prefix_sums(x: np.ndarray) -> np.ndarray:
         total = t
         out[i] = total + carry
     return out
+
+
+# ---------------------------------------------------------------------------
+# The closed-form second moment E|delta_n(t)|^2 of the scaled fBm spec.
+
+FSUM_DELTA_MAX_N = 64
+
+
+def exact_delta_sq_dense(H: float, n: int, ts) -> list[float]:
+    """E|delta_n(t)|^2 for each t of ts as the lab first evaluated it: the
+    full n x n matrix of (e^{c_kl t^2} - 1)/(kl), 1024 rows at a time, with
+    pow per entry and NumPy's pairwise sums, times e^{-t^2}/log^2 n."""
+    l = np.arange(1.0, n + 1.0)
+    totals = [0.0] * len(ts)
+    for start in range(0, n, 1024):
+        k = l[start : start + 1024]
+        cov = 0.5 * (k[:, None] ** (2.0 * H) + l[None, :] ** (2.0 * H)
+                     - np.abs(k[:, None] - l[None, :]) ** (2.0 * H))
+        cov /= k[:, None] ** H * l[None, :] ** H
+        for i, t in enumerate(ts):
+            totals[i] += float((np.expm1(cov * (t * t)) / (k[:, None] * l[None, :])).sum())
+    return [math.exp(-t * t) * total / math.log(n) ** 2 for t, total in zip(ts, totals)]
+
+
+def exact_delta_sq_fsum(H: float, n: int, t: float) -> float:
+    """E|delta_n(t)|^2 by brute force: math.fsum of the n^2 summands
+    (e^{c_kl t^2} - 1)/(kl), each in Python floats, rounded once, then
+    times e^{-t^2}/log^2 n; n <= FSUM_DELTA_MAX_N."""
+    if n > FSUM_DELTA_MAX_N:
+        raise ValueError(f"brute force capped at n = {FSUM_DELTA_MAX_N}")
+    terms = []
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            c = 0.5 * (k ** (2 * H) + l ** (2 * H) - abs(k - l) ** (2 * H)) / (k**H * l**H)
+            terms.append(math.expm1(c * t * t) / (k * l))
+    return math.exp(-t * t) * math.fsum(terms) / math.log(n) ** 2
 
 
 # ---------------------------------------------------------------------------

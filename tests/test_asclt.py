@@ -1,8 +1,13 @@
 """Log-averaged measures, Kolmogorov distances, and summability diagnostics."""
 
+import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from asclt_lab.asclt import (
     delta_rows_to_csv,
     delta_stat,
     delta_stat_prefixes,
+    exact_delta_sq,
     exact_gaussian_delta_sq,
     harmonic_weighted_mean,
     il_delta_prefixes,
@@ -33,6 +39,8 @@ from asclt_lab.covariance import fgn
 from asclt_lab.gaussian_sim import sample_ensemble, sample_stationary
 from asclt_lab.hermite import expand
 from asclt_lab.sequences import FbmScaled, GeneralF, GSeries, HermiteVariation, build_gseries
+
+import oracles
 
 SEED = 20240821
 GRID16 = [2**8, 2**10, 2**12, 2**14, 2**16]
@@ -218,6 +226,81 @@ def test_delta_exact_validation():
         exact_gaussian_delta_sq(FbmScaled(0.8), 2**13, 1.0)
     with pytest.raises(ValueError):
         exact_gaussian_delta_sq(FbmScaled(0.8), 1, 1.0)
+    with pytest.raises(ValueError):
+        exact_delta_sq(FbmScaled(0.8), (1.0,), (16, 2**12 + 1))
+
+
+def test_exact_delta_matches_dense_and_fsum_oracles():
+    """The one-pass evaluator against the full-matrix evaluation it replaced
+    and, at n <= 64, a math.fsum brute force: relative 1e-13, a bound fixed
+    before the test was written."""
+    ns, ts = (2, 3, 64, 256, 1024, 4096), (0.0, 0.5, 1.0, 2.0)
+    for H in (0.2, 0.5, 0.8):
+        got = exact_delta_sq(FbmScaled(H), ts, ns)()
+        assert got.shape == (len(ts), len(ns))
+        for j, n in enumerate(ns):
+            dense = oracles.exact_delta_sq_dense(H, n, ts)
+            for i, t in enumerate(ts):
+                want = [dense[i]]
+                if n <= oracles.FSUM_DELTA_MAX_N:
+                    want.append(oracles.exact_delta_sq_fsum(H, n, t))
+                for w in want:
+                    if t == 0.0:
+                        assert got[i, j] == 0.0 == w
+                    else:
+                        assert abs(got[i, j] - w) <= 1e-13 * w, (H, n, t)
+
+
+def test_exact_delta_bits_do_not_depend_on_grid_or_block_split(monkeypatch):
+    """Each entry is the same bits asked alone, within any grid of n and t,
+    and whatever the row blocks, including blocks that straddle an n and
+    the column chunks."""
+    spec, ts, ns = FbmScaled(0.7), (0.5, 0.0, 2.0, 1.0), (300, 2, 129, 128, 3, 257)
+    alone = {(t, n): exact_gaussian_delta_sq(spec, n, t) for t in ts for n in ns}
+    for rows in (1, 7, 64, 100, 301):
+        monkeypatch.setattr(asclt, "_EXACT_DELTA_ROWS", rows)
+        for grid_t, grid_n in ((ts, ns), (ts[2:], ns[:3]), ((1.0,), (257, 300))):
+            got = exact_delta_sq(spec, grid_t, grid_n)()
+            for i, t in enumerate(grid_t):
+                for j, n in enumerate(grid_n):
+                    assert got[i, j] == alone[t, n], (rows, t, n)
+
+
+def test_exact_delta_blocks_run_through_submit():
+    """submit starts each row block (a pool task in a run) when the pass is
+    asked for, and the blocks are collected only when the result is."""
+    started = []
+
+    def submit(fn, *args):
+        started.append(args[3:])
+        return functools.partial(fn, *args)
+
+    pending = exact_delta_sq(FbmScaled(0.5), (1.0, 2.0), (100, 200), submit)
+    rows = asclt._EXACT_DELTA_ROWS
+    assert started == [(lo, min(lo + rows, 201)) for lo in range(1, 201, rows)]
+    assert np.array_equal(pending(), exact_delta_sq(FbmScaled(0.5), (1.0, 2.0), (100, 200))())
+    assert exact_delta_sq(FbmScaled(0.5), (0.0,), (100,), submit)()[0, 0] == 0.0
+    assert len(started) == len(range(1, 201, rows))  # t = 0 alone starts no block
+
+
+def test_exact_delta_memory_stays_small():
+    """The n = 4096 pass at three t grows the peak RSS of a fresh process by
+    at most 32 MB (the full-matrix evaluation took about 160 MB)."""
+    code = (
+        "import resource\n"
+        "from asclt_lab.asclt import exact_delta_sq\n"
+        "from asclt_lab.sequences import FbmScaled\n"
+        "exact_delta_sq(FbmScaled(0.8), (1.0,), (8,))()\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "exact_delta_sq(FbmScaled(0.8), (0.5, 1.0, 2.0), (256, 1024, 4096))()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+    )
+    src = str(Path(asclt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert int(out.stdout) <= 32 * 1024, out.stdout
 
 
 def test_delta_prefixes_match_direct():

@@ -308,6 +308,10 @@ def test_run_reports_identical_across_workers(tmp_path):
     meta1 = json.loads((out1 / "run_meta.json").read_text())
     meta2 = json.loads((out2 / "run_meta.json").read_text())
     assert meta1["workers"] == 1 and meta2["workers"] == 2
+    # Peak memory of the run process and of its pool workers (none at w1
+    # yet, so children may read 0 there).
+    assert meta1["peak_rss_mb"] > 0 and meta2["peak_rss_children_mb"] > 0
+    assert all(m["peak_rss_children_mb"] >= 0 for m in (meta1, meta2))
 
     report = json.loads(r1)
     assert report["verdict"] == "consistent"

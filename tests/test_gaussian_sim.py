@@ -17,6 +17,7 @@ from asclt_lab.gaussian_sim import (
     _cholesky_factor,
     _embedding_eigenvalues,
     _route,
+    _spectrum_root,
     _synthesize_circulant,
     block_rows,
     sample_ensemble,
@@ -70,12 +71,10 @@ def test_circulant_map_reproduces_toeplitz_covariance_exactly():
     """Probe the linear synthesis map with unit vectors: T T' = Toeplitz(rho)."""
     for model in (iid(), fgn(0.3), fgn(0.75), table({0: 1.0, 1: 0.25})):
         n = 9
-        lam = _embedding_eigenvalues(model, n)
-        M = lam.size
-        assert M == 2 * (n - 1)
-        T = np.column_stack(
-            [_synthesize_circulant(lam, np.eye(M)[:, j], n) for j in range(M)]
-        )
+        root = _spectrum_root(model, n)
+        M = _embedding_eigenvalues(model, n).size
+        assert M == 2 * (n - 1) == 2 * (root.size - 1)
+        T = np.column_stack([_synthesize_circulant(root, np.eye(M)[j], n) for j in range(M)])
         want = toeplitz(rho_many(model, np.arange(n)))
         assert np.allclose(T @ T.T, want, atol=1e-12)
 
@@ -99,7 +98,7 @@ def test_half_spectrum_synthesis_matches_full_spectrum_oracle(model):
         lam = _embedding_eigenvalues(model, n)
         draws = NormalStream(SEED, n).normals(lam.size)
         want = _synthesize_full_spectrum(lam, draws, n)
-        got = _synthesize_circulant(lam, draws, n)
+        got = _synthesize_circulant(_spectrum_root(model, n), draws, n)
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
@@ -250,16 +249,41 @@ def test_ensemble_rows_equal_single_paths(monkeypatch, model, method, ns):
     assert len(sample_ensemble(fgn(0.3), 16, SEED, 0)) == 0
 
 
+def test_workspace_blocks_equal_fresh_blocks(monkeypatch):
+    """Consecutive blocks through one process workspace are bit for bit the
+    blocks built in fresh arrays; the returned paths never alias it, and a
+    one-row block keeps none."""
+    model, n = fgn(0.8), 1024
+    cases = [(32, 0), (32, 32), (7, 64), (32, 71)]  # a new shape, then the first again
+    monkeypatch.setattr(gaussian_sim, "_workspace", lambda rows, M: None)
+    fresh = [sample_ensemble(model, n, SEED, rows, first).values for rows, first in cases]
+    monkeypatch.undo()
+    gaussian_sim._WORKSPACE = None
+    spaces = []
+    for (rows, first), want in zip(cases, fresh):
+        got = sample_ensemble(model, n, SEED, rows, first).values
+        assert np.array_equal(got, want), (rows, first)
+        ws = gaussian_sim._WORKSPACE
+        assert ws.shape == (rows, 2 * (n - 1))
+        assert not any(np.shares_memory(got, a) for a in vars(ws).values()
+                       if isinstance(a, np.ndarray))
+        spaces.append(ws)
+    assert spaces[0] is spaces[1] and spaces[2] is not spaces[1]
+    sample_stationary(model, 2**16, SEED, 0)
+    assert gaussian_sim._WORKSPACE is spaces[3]
+    assert gaussian_sim._workspace(1, 2 * (2**16 - 1)) is None
+
+
 def test_short_first_polar_block_continues_from_own_stream(monkeypatch):
     """A row whose first polar block has fewer normals than it needs draws
     the rest from its own stream, as NormalStream does for one path."""
     real = gaussian_sim._polar_rows
     short = []
 
-    def quarter(raw):
+    def quarter(raw, ws=None):
         # Keep the first quarter of each row's accepted normals, row-wise,
         # so one row and a block of rows see the same first blocks.
-        flat, accepted = real(raw)
+        flat, accepted = real(raw, ws)
         kept = 2 * (accepted // 8)
         starts = np.concatenate([[0], np.cumsum(accepted)[:-1]])
         short.append(raw.shape[0])

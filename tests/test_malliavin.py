@@ -340,6 +340,11 @@ def test_cf_rows_csv():
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "64" and float(first[1]) == 0.5
+    # Every cell is a plain number: the record holds Python floats, whose
+    # repr carries no NumPy type name.
+    assert all(type(getattr(rows[0], f)) is float
+               for f in ("t", "gap_mc", "gap_se", "bound", "dg4_mean", "d2g_mean"))
+    assert all(float(cell) == float(cell) for line in lines[1:] for cell in line.split(","))
 
 
 # Oracle: the path-based ensemble checks as they were before the per-path
