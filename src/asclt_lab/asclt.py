@@ -17,7 +17,6 @@ no compiled special-function library.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,8 +44,6 @@ __all__ = [
     "IlDiagnostic",
     "ConditionDiagnostic",
     "CriteriaReport",
-    "KsRow",
-    "DeltaRow",
     "DEFAULT_T_GRID",
     "log_average_measure",
     "ks_distance",
@@ -63,9 +60,6 @@ __all__ = [
     "contraction_keys",
     "contraction_values",
     "criteria_diagnostic",
-    "criteria_report_to_json",
-    "ks_rows_to_csv",
-    "delta_rows_to_csv",
 ]
 
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -784,58 +778,3 @@ def criteria_diagnostic(
     verdict = "consistent" if all(c.verdict == "consistent" for c in applicable) else "flagged"
     return CriteriaReport(n_max, tuple(conditions), verdict)
 
-
-def criteria_report_to_json(report: CriteriaReport) -> str:
-    return json.dumps(
-        {
-            "n_max": report.n_max,
-            "verdict": report.verdict,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "fitted_alpha": c.fitted_alpha,
-                    "fitted_C": c.fitted_C,
-                    "partial_sums": list(c.partial_sums),
-                    "verdict": c.verdict,
-                    "applicable": c.applicable,
-                    "detail": c.detail,
-                }
-                for c in report.conditions
-            ],
-        },
-        sort_keys=True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV outputs.
-
-
-@dataclass(frozen=True)
-class KsRow:
-    n: int
-    seed: int
-    ks: float
-
-
-@dataclass(frozen=True)
-class DeltaRow:
-    n: int
-    t: float
-    delta_sq_mc: float
-    delta_sq_exact: float
-    stderr: float
-
-
-def ks_rows_to_csv(rows: list[KsRow], fh) -> None:
-    fh.write("n,seed,ks_distance\n")
-    for r in rows:
-        fh.write(f"{r.n},{r.seed},{repr(r.ks)}\n")
-
-
-def delta_rows_to_csv(rows: list[DeltaRow], fh) -> None:
-    fh.write("n,t,delta_sq_mc,delta_sq_exact,stderr\n")
-    for r in rows:
-        fh.write(
-            f"{r.n},{repr(r.t)},{repr(r.delta_sq_mc)},{repr(r.delta_sq_exact)},{repr(r.stderr)}\n"
-        )

@@ -21,7 +21,6 @@ import concurrent.futures
 import contextlib
 import datetime
 import functools
-import io
 import itertools
 import json
 import math
@@ -29,7 +28,7 @@ import resource
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +38,10 @@ import scipy
 from . import __version__
 from .asclt import (
     EXACT_DELTA_MAX_N,
-    CriteriaReport,
-    DeltaRow,
     IlDiagnostic,
-    KsRow,
     contraction_keys,
     contraction_values,
     criteria_diagnostic,
-    criteria_report_to_json,
-    delta_rows_to_csv,
     delta_stat,
     exact_delta_sq,
     harmonic_weighted_mean,
@@ -55,7 +49,6 @@ from .asclt import (
     il_from_exact,
     il_from_prefixes,
     ks_distance,
-    ks_rows_to_csv,
     log_average_measure,
 )
 from .covariance import fgn
@@ -64,7 +57,6 @@ from .hermite import expand, resolve_test_function
 from .kernels import contraction_norm_sq
 from .malliavin import (
     cf_gap_bound,
-    cf_rows_to_csv,
     co1_check,
     co2_check,
     d2g_depends_on_path,
@@ -81,7 +73,6 @@ from .sequences import (
     regime_for,
     sigma_limit,
     sigma_n_squared,
-    spec_to_json,
     zn_dyadic,
     zn_limit_second_moment,
     zn_second_moment,
@@ -160,12 +151,27 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class Piece:
+    """One summary line and what it says about the verdict: ok is whether
+    its check holds, None for an informational line that never gates it."""
+
+    line: str
+    ok: bool | None = None
+
+
+@dataclass(frozen=True)
 class RunArtifacts:
     report: dict
     csvs: dict[str, str]
-    summary: list[str]
-    verdict: str
+    pieces: list[Piece]
     failures: list[str]
+
+    @property
+    def verdict(self) -> str:
+        """A run is consistent when every in-verdict piece holds and no
+        replicate failed."""
+        held = all(p.ok for p in self.pieces if p.ok is not None)
+        return "consistent" if held and not self.failures else "flagged"
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +587,9 @@ def _start_replicates(worker, head: tuple, replicates: int, n: int, pool, worker
     the run's pool (None: inline). Each item is the block (*head, first,
     count) of block_rows(n) ids, n the path length, and the worker returns
     one result per replicate. Returns a zero-argument callable giving
-    (results, failures), merged in replicate order; without a pool the
-    blocks run when it is called."""
+    (results, failures): results maps the id of each replicate that
+    succeeded to its result, in id order; without a pool the blocks run
+    when it is called."""
     fn = functools.partial(_guard, worker)
     step = block_rows(n)
     items = [(*head, first, min(step, replicates - first))
@@ -592,11 +599,14 @@ def _start_replicates(worker, head: tuple, replicates: int, n: int, pool, worker
         chunk = max(1, math.ceil(len(items) / (8 * workers)))
         queued = pool.map(fn, items, chunksize=chunk)  # submits every chunk now
 
-    def collect() -> tuple[list, list[str]]:
-        results, failures = [], []
-        for block in map(fn, items) if queued is None else queued:
-            for status, payload in block:
-                (results if status == "ok" else failures).append(payload)
+    def collect() -> tuple[dict, list[str]]:
+        results, failures = {}, []
+        for item, block in zip(items, map(fn, items) if queued is None else queued):
+            for rep, (status, payload) in enumerate(block, item[-2]):  # from its first id
+                if status == "ok":
+                    results[rep] = payload
+                else:
+                    failures.append(payload)
         return results, failures
 
     return collect
@@ -641,13 +651,33 @@ def _start_il_mc(cfg: ExperimentConfig, n_grid, pool):
 
     def collect() -> tuple[IlDiagnostic, list[str]]:
         prefixes, failures = pending()
-        return il_from_prefixes(cfg.t_grid, n_grid, prefixes), [f"il {f}" for f in failures]
+        return (il_from_prefixes(cfg.t_grid, n_grid, list(prefixes.values())),
+                [f"il {f}" for f in failures])
 
     return collect
 
 
 # ---------------------------------------------------------------------------
-# Shared report pieces.
+# Report pieces. This module alone decides the output format: report blocks
+# are plain dicts, and every CSV goes through _csv.
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: integer and bool cells as integers, every other cell as
+    repr(float(x))."""
+    def cell(x) -> str:
+        return str(int(x)) if isinstance(x, (int, np.integer, np.bool_)) else repr(float(x))
+    return header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def _spec_dict(spec) -> dict:
+    model = {k: v for k, v in asdict(spec.model).items() if v is not None}
+    if isinstance(spec, FbmScaled):
+        return {"variant": "fbm_scaled", "H": spec.H}
+    if isinstance(spec, HermiteVariation):
+        return {"variant": "hermite_variation", "model": model, "q": spec.q,
+                "regime": spec.regime}
+    return {"variant": "general_f", "model": model, "expansion": asdict(spec.expansion)}
 
 
 def _il_to_dict(il: IlDiagnostic) -> dict:
@@ -668,22 +698,14 @@ def _il_to_dict(il: IlDiagnostic) -> dict:
     }
 
 
-def _criteria_to_dict(rep: CriteriaReport) -> dict:
-    return json.loads(criteria_report_to_json(rep))
-
-
-def _ks_trend(cfg: ExperimentConfig, ks_matrix: np.ndarray) -> tuple[dict, bool, list[KsRow]]:
-    """Median trend over the grid; the verdict compares first to last and
-    checks the final level, which tolerates mid-grid median ties."""
-    medians = np.median(ks_matrix, axis=0)
+def _ks_trend(cfg: ExperimentConfig, ks: dict) -> tuple[dict, Piece]:
+    """Median trend over the grid of the replicates' KS rows; the verdict
+    compares first to last and checks the final level, which tolerates
+    mid-grid median ties."""
+    medians = np.median(np.array(list(ks.values())), axis=0)
     final_max = float(cfg.tolerances["ks_final_max"])
     decreasing_overall = bool(medians[-1] < medians[0])
     within_final = bool(medians[-1] <= final_max)
-    rows = [
-        KsRow(n=int(n), seed=rep, ks=float(ks_matrix[rep, i]))
-        for rep in range(ks_matrix.shape[0])
-        for i, n in enumerate(cfg.n_grid)
-    ]
     block = {
         "n_grid": list(cfg.n_grid),
         "medians": [float(v) for v in medians],
@@ -693,15 +715,14 @@ def _ks_trend(cfg: ExperimentConfig, ks_matrix: np.ndarray) -> tuple[dict, bool,
         "final_max": final_max,
         "within_final": within_final,
     }
-    return block, decreasing_overall and within_final, rows
-
-
-def _spec_dict(spec) -> dict:
-    return json.loads(spec_to_json(spec))
+    line = (f"ks medians {', '.join(f'{v:.4f}' for v in medians)} "
+            f"(final <= {final_max}: {'yes' if within_final else 'NO'})")
+    return block, Piece(line, decreasing_overall and within_final)
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.
+# Experiment runners. Each returns its report blocks, CSVs, summary pieces
+# and replicate failures; RunArtifacts.verdict reduces them.
 
 
 def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
@@ -724,50 +745,38 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         il_exact = exact_delta_sq(spec, cfg.t_grid, il_grid, functools.partial(_submit, pool))
     else:
         il_mc = _start_il_mc(cfg, il_grid, pool)
-    ks_rows, failures = _start_replicates(
+    ks, failures = _start_replicates(
         functools.partial(_each_replicate, _ks_prefix_worker),
         (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS),
         cfg.replicates, cfg.n_grid[-1], pool, cfg.workers)()
-    summary: list[str] = []
     report: dict = {"spec": _spec_dict(spec)}
-    pieces: list[bool] = []
-
-    if ks_rows:
-        block, ok, rows = _ks_trend(cfg, np.array(ks_rows))
-        report["ks"] = block
-        pieces.append(ok)
-        summary.append(
-            f"ks medians {', '.join(f'{v:.4f}' for v in block['medians'])} "
-            f"(final <= {block['final_max']}: {'yes' if block['within_final'] else 'NO'})"
-        )
+    if ks:
+        report["ks"], ks_piece = _ks_trend(cfg, ks)
     else:
-        rows = []
-        pieces.append(False)
-        summary.append("ks trend: no successful replicates")
+        ks_piece = Piece("ks trend: no successful replicates", False)
+    pieces = [ks_piece]
+    ks_csv = _csv("n,seed,ks_distance", [
+        (n, rep, v) for rep, row in ks.items() for n, v in zip(cfg.n_grid, row)])
 
     if exact_il:
         il = il_from_exact(cfg.t_grid, il_grid, il_exact())
     else:
         il, fail = il_mc()
         failures += fail
-    report["il"] = _il_to_dict(il)
     # The Monte Carlo decay-slope statistic sits within about one standard
     # error of its threshold at desk scale, so only the deterministic
     # closed-form reference participates in the verdict; the condition fits
     # below carry regime detection for the sampled cases.
-    il_in_verdict = exact_il
-    report["il"]["in_verdict"] = il_in_verdict
-    if il_in_verdict:
-        pieces.append(il.verdict == "consistent")
-    summary.append(
-        f"il summability ({'exact' if exact_il else 'mc'}): {il.verdict}"
-        + ("" if il_in_verdict else " [informational]")
-    )
+    report["il"] = {**_il_to_dict(il), "in_verdict": exact_il}
+    if exact_il:
+        pieces.append(Piece(f"il summability (exact): {il.verdict}", il.verdict == "consistent"))
+    else:
+        pieces.append(Piece(f"il summability (mc): {il.verdict} [informational]"))
 
     crit_report, vals = criteria_pending()
-    report["criteria"] = _criteria_to_dict(crit_report)
-    pieces.append(crit_report.verdict == "consistent")
-    summary.append(f"decay-condition fits: {crit_report.verdict}")
+    report["criteria"] = asdict(crit_report)
+    pieces.append(Piece(f"decay-condition fits: {crit_report.verdict}",
+                        crit_report.verdict == "consistent"))
 
     if kernel_grid:
         bounded = bool(max(vals) <= _KERNEL_BOUNDED_RATIO * min(vals))
@@ -777,24 +786,15 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
             "max_over_min": float(max(vals) / min(vals)),
             "bounded": bounded,
         }
-        pieces.append(bounded)
-        summary.append(
-            f"contraction * log n within ratio {max(vals) / min(vals):.3f} "
-            f"(bounded: {'yes' if bounded else 'NO'})"
-        )
-
-    verdict = "consistent" if all(pieces) else "flagged"
-    buf = io.StringIO()
-    ks_rows_to_csv(rows, buf)
-    return RunArtifacts(report, {"ks.csv": buf.getvalue()}, summary, verdict, failures)
+        pieces.append(Piece(f"contraction * log n within ratio {max(vals) / min(vals):.3f} "
+                            f"(bounded: {'yes' if bounded else 'NO'})", bounded))
+    return RunArtifacts(report, {"ks.csv": ks_csv}, pieces, failures)
 
 
 def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
     report: dict = {"spec": _spec_dict(spec)}
-    summary: list[str] = []
-    failures: list[str] = []
 
     # Every stage below is queued now and merged in report order.
     criteria_pending = _start_criteria(spec, cfg.n_max, (), pool)
@@ -824,18 +824,14 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
         "rel_gap": float(abs(exact / limit - 1.0)),
         "within": bool(moment_ok),
     }
-    summary.append(
-        f"E[Z^2] at n={cfg.n_max}: {exact:.6f} vs limit {limit:.6f} "
-        f"({'within' if moment_ok else 'OUTSIDE'} {rel_zn:.0%})"
-    )
+    pieces = [Piece(f"E[Z^2] at n={cfg.n_max}: {exact:.6f} vs limit {limit:.6f} "
+                    f"({'within' if moment_ok else 'OUTSIDE'} {rel_zn:.0%})", moment_ok)]
 
     # Pathwise Cauchy behaviour across dyadic levels, one fBm grid per seed.
-    zrows, fail = zn_pending()
-    failures += fail
-    zn_csv = "level_lo,level_hi,median_abs_diff\n"
-    cauchy_ok = False
+    zrows, failures = zn_pending()
+    med = []
     if zrows:
-        diffs = np.abs(np.diff(np.array(zrows), axis=1))
+        diffs = np.abs(np.diff(np.array(list(zrows.values())), axis=1))
         med = np.median(diffs, axis=0)
         cauchy_ok = bool(np.all(np.diff(med) < 0))
         report["zn_cauchy"] = {
@@ -843,14 +839,10 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
             "median_abs_diff": [float(v) for v in med],
             "decreasing": cauchy_ok,
         }
-        for i in range(len(med)):
-            zn_csv += f"{levels[i]},{levels[i + 1]},{repr(float(med[i]))}\n"
-        summary.append(
-            f"dyadic Cauchy medians {', '.join(f'{v:.5f}' for v in med)} "
-            f"(decreasing: {'yes' if cauchy_ok else 'NO'})"
-        )
+        pieces.append(Piece(f"dyadic Cauchy medians {', '.join(f'{v:.5f}' for v in med)} "
+                            f"(decreasing: {'yes' if cauchy_ok else 'NO'})", cauchy_ok))
     else:
-        summary.append("dyadic Cauchy: no successful replicates")
+        pieces.append(Piece("dyadic Cauchy: no successful replicates", False))
 
     # Across-seed spread of the log-averaged arctan mean, against the
     # subcritical twin; reported as evidence, not a verdict piece.
@@ -859,8 +851,8 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     sub_vals, fail = sub_pending()
     failures += fail
     if sup_vals and sub_vals:
-        sup_std = float(np.std(np.array(sup_vals), ddof=1))
-        sub_std = float(np.std(np.array(sub_vals), ddof=1))
+        sup_std = float(np.std(np.array(list(sup_vals.values())), ddof=1))
+        sub_std = float(np.std(np.array(list(sub_vals.values())), ddof=1))
         report["separation"] = {
             "n": sep_n,
             "sup_std": sup_std,
@@ -868,57 +860,47 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
             "sub_std": sub_std,
             "ratio": sup_std / sub_std,
         }
-        summary.append(
-            f"across-seed std of log-averaged arctan mean: {sup_std:.4f} vs "
-            f"subcritical {sub_std:.4f} (ratio {sup_std / sub_std:.2f})"
-        )
+        pieces.append(Piece(f"across-seed std of log-averaged arctan mean: {sup_std:.4f} vs "
+                            f"subcritical {sub_std:.4f} (ratio {sup_std / sub_std:.2f})"))
 
     il, fail = il_pending()
     failures += fail
-    report["il"] = _il_to_dict(il)
-    report["il"]["in_verdict"] = False
-    summary.append(f"il summability (mc): {il.verdict} [informational]")
+    report["il"] = {**_il_to_dict(il), "in_verdict": False}
+    pieces.append(Piece(f"il summability (mc): {il.verdict} [informational]"))
 
-    # Verdict rests on the deterministic condition fits: the contraction
+    # The deterministic condition fits gate the verdict too: the contraction
     # series here has no decaying envelope, so flagged is the expected
     # outcome, and the exit code reports it honestly.
     crit_report, _ = criteria_pending()
-    report["criteria"] = _criteria_to_dict(crit_report)
-    summary.append(f"decay-condition fits: {crit_report.verdict}")
-
-    verdict = "consistent"
-    if crit_report.verdict == "flagged" or not (moment_ok and cauchy_ok):
-        verdict = "flagged"
-    summary.append("expected outcome: flagged (limit law is random, not Gaussian)")
-    return RunArtifacts(report, {"zn_cauchy.csv": zn_csv}, summary, verdict, failures)
+    report["criteria"] = asdict(crit_report)
+    pieces += [
+        Piece(f"decay-condition fits: {crit_report.verdict}", crit_report.verdict == "consistent"),
+        Piece("expected outcome: flagged (limit law is random, not Gaussian)"),
+    ]
+    csv = _csv("level_lo,level_hi,median_abs_diff", zip(levels, levels[1:], med))
+    return RunArtifacts(report, {"zn_cauchy.csv": csv}, pieces, failures)
 
 
 def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
     H, q = cfg.model["H"], cfg.model["q"]
     model = fgn(H)
-    rows = []
-    csv = "n,r,contraction_norm_sq\n"
-    slopes = {}
+    rows, cells, pieces = [], [], []
     for r in range(1, q):
         # Largest n first: its lag-sum pass then serves the whole grid.
         vals = [contraction_norm_sq(model, q, r, n).value for n in cfg.n_grid[::-1]][::-1]
         slope = float(np.polyfit(np.log(cfg.n_grid), np.log(vals), 1)[0])
-        slopes[r] = slope
         rows.append({
             "r": r,
             "n_grid": list(cfg.n_grid),
             "values": [float(v) for v in vals],
             "fitted_slope": slope,
         })
-        for n, v in zip(cfg.n_grid, vals):
-            csv += f"{n},{r},{repr(float(v))}\n"
-    verdict = "consistent" if all(s < 0.0 for s in slopes.values()) else "flagged"
-    summary = [
-        f"r={r}: fitted decay slope {s:.4f} ({'negative' if s < 0 else 'NOT negative'})"
-        for r, s in slopes.items()
-    ]
+        cells += [(n, r, v) for n, v in zip(cfg.n_grid, vals)]
+        pieces.append(Piece(f"r={r}: fitted decay slope {slope:.4f} "
+                            f"({'negative' if slope < 0 else 'NOT negative'})", slope < 0.0))
     report = {"model": {"H": H, "q": q}, "contractions": rows}
-    return RunArtifacts(report, {"contractions.csv": csv}, summary, verdict, [])
+    return RunArtifacts(report, {"contractions.csv": _csv("n,r,contraction_norm_sq", cells)},
+                        pieces, [])
 
 
 def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
@@ -934,21 +916,17 @@ def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
     if not vals:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     exact_sq = exact_pending()[:, 0]
-    rows, drows, worst = [], [], 0.0
+    rows, pieces, worst = [], [], 0.0
     for i, t in enumerate(cfg.t_grid):
-        sq = np.abs(np.array([v[i] for v in vals])) ** 2
+        sq = np.abs(np.array([v[i] for v in vals.values()])) ** 2
         mc = float(sq.mean())
         se = float(sq.std(ddof=1) / math.sqrt(len(sq)))
         exact = float(exact_sq[i])
         z = 0.0 if se == 0.0 and mc == exact else (mc - exact) / se
         worst = max(worst, abs(z))
-        rows.append({"t": t, "mc": mc, "exact": float(exact), "stderr": se, "z": float(z)})
-        drows.append(DeltaRow(cfg.n_max, t, mc, float(exact), se))
-    verdict = "consistent" if worst <= z_max and not failures else "flagged"
-    summary = [
-        f"t={r['t']}: mc {r['mc']:.6f} vs exact {r['exact']:.6f} (z = {r['z']:+.2f})"
-        for r in rows
-    ] + [f"max |z| = {worst:.2f} (tolerance {z_max})"]
+        rows.append({"t": t, "mc": mc, "exact": exact, "stderr": se, "z": float(z)})
+        pieces.append(Piece(f"t={t}: mc {mc:.6f} vs exact {exact:.6f} (z = {z:+.2f})"))
+    pieces.append(Piece(f"max |z| = {worst:.2f} (tolerance {z_max})", worst <= z_max))
     report = {
         "spec": _spec_dict(spec),
         "n": cfg.n_max,
@@ -956,9 +934,9 @@ def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
         "rows": rows,
         "max_abs_z": float(worst),
     }
-    buf = io.StringIO()
-    delta_rows_to_csv(drows, buf)
-    return RunArtifacts(report, {"delta.csv": buf.getvalue()}, summary, verdict, failures)
+    csv = _csv("n,t,delta_sq_mc,delta_sq_exact,stderr",
+               [(cfg.n_max, r["t"], r["mc"], r["exact"], r["stderr"]) for r in rows])
+    return RunArtifacts(report, {"delta.csv": csv}, pieces, failures)
 
 
 def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
@@ -974,35 +952,29 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     geb_pending = _start_replicates(
         _gebelein_worker, (_GEBELEIN_H, geb_n, cfg.master_seed + _SEED_GEBELEIN),
         cfg.replicates, geb_n, pool, cfg.workers)
-    records, failures = pending()
+    by_id, failures = pending()
+    records = list(by_id.values())
     failures = [f"malliavin {f}" for f in failures]
     if not records:
         raise RuntimeError(f"all replicates failed; first: {failures[0]}")
     report: dict = {"spec": _spec_dict(spec), "n": cfg.n_max, "replicates": len(records)}
-    summary: list[str] = []
-    pieces: list[bool] = []
 
     dg = np.array([r.dg_norm_sq for r in records])
     mean = float(dg.mean() / q)
     se = float(dg.std(ddof=1) / q / math.sqrt(len(dg)))
     z = (mean - 1.0) / se
-    pieces.append(abs(z) <= z_max)
     report["dg_norm"] = {"mean_over_q": mean, "stderr": se, "z": float(z)}
-    summary.append(f"mean ||DG||^2 / q = {mean:.5f} (z = {z:+.2f})")
+    pieces = [Piece(f"mean ||DG||^2 / q = {mean:.5f} (z = {z:+.2f})", abs(z) <= z_max)]
 
     cf_rows = [cf_gap_bound(spec, records, t) for t in cfg.t_grid]
     holds = [r.gap_mc <= r.bound + 4.0 * r.gap_se for r in cf_rows]
-    pieces.append(all(holds))
     report["cf_gap"] = [
-        {
-            "t": r.t, "gap_mc": float(r.gap_mc), "gap_se": float(r.gap_se),
-            "bound": float(r.bound), "holds": bool(ok),
-        }
+        {"t": r.t, "gap_mc": r.gap_mc, "gap_se": r.gap_se, "bound": r.bound, "holds": ok}
         for r, ok in zip(cf_rows, holds)
     ]
-    summary += [
-        f"t={r.t}: cf gap {r.gap_mc:.5f} <= bound {r.bound:.5f} + 4se: "
-        f"{'yes' if ok else 'NO'}"
+    pieces += [
+        Piece(f"t={r.t}: cf gap {r.gap_mc:.5f} <= bound {r.bound:.5f} + 4se: "
+              f"{'yes' if ok else 'NO'}", ok)
         for r, ok in zip(cf_rows, holds)
     ]
 
@@ -1010,50 +982,25 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
     # first-power variant; printed-bound violations are findings, not run
     # failures, so they stay out of the verdict.
     for check in (co1_check(spec, records), co2_check(spec, records)):
-        report[check.name] = {
-            "mc_mean": float(check.mc_mean),
-            "mc_se": float(check.mc_se),
-            "bound_as_printed": float(check.bound_as_printed),
-            "bound_first_power": float(check.bound_first_power),
-            "violates_printed": bool(check.violates_printed),
-            "violates_first_power": bool(check.violates_first_power),
-        }
-        summary.append(
-            f"{check.name}: mc {check.mc_mean:.4f}, printed bound "
-            f"{check.bound_as_printed:.4f}"
-            + (" [VIOLATED as printed]" if check.violates_printed else "")
-        )
+        report[check.name] = {k: v for k, v in asdict(check).items() if k != "name"}
+        pieces.append(Piece(
+            f"{check.name}: mc {check.mc_mean:.4f}, printed bound {check.bound_as_printed:.4f}"
+            + (" [VIOLATED as printed]" if check.violates_printed else "")))
 
     geb_records, geb_failures = geb_pending()
     failures += [f"gebelein {f}" for f in geb_failures]
-    geb = gebelein_check(geb_records, np.arctan, range(_GEBELEIN_MAX_LAG + 1))
-    pieces.append(all(row.holds for row in geb))
-    report["gebelein"] = {
-        "H": _GEBELEIN_H,
-        "f": "arctan",
-        "rows": [
-            {"lag": row.lag, "cov_mc": float(row.cov_mc), "se": float(row.se),
-             "bound": float(row.bound), "holds": bool(row.holds)}
-            for row in geb
-        ],
-    }
-    summary.append(
-        f"gebelein holds at all lags 0..{_GEBELEIN_MAX_LAG}: "
-        f"{'yes' if all(row.holds for row in geb) else 'NO'}"
-    )
+    geb = gebelein_check(list(geb_records.values()), np.arctan, range(_GEBELEIN_MAX_LAG + 1))
+    geb_ok = all(row.holds for row in geb)
+    report["gebelein"] = {"H": _GEBELEIN_H, "f": "arctan", "rows": [asdict(row) for row in geb]}
+    pieces.append(Piece(f"gebelein holds at all lags 0..{_GEBELEIN_MAX_LAG}: "
+                        f"{'yes' if geb_ok else 'NO'}", geb_ok))
 
-    geb_csv = "lag,cov_mc,se,bound,holds\n" + "".join(
-        f"{row.lag},{repr(float(row.cov_mc))},{repr(float(row.se))},"
-        f"{repr(float(row.bound))},{int(row.holds)}\n"
-        for row in geb
-    )
-    buf = io.StringIO()
-    cf_rows_to_csv(cf_rows, buf)
-    verdict = "consistent" if all(pieces) and not failures else "flagged"
-    return RunArtifacts(
-        report, {"cf_gap.csv": buf.getvalue(), "gebelein.csv": geb_csv},
-        summary, verdict, failures,
-    )
+    csvs = {
+        "cf_gap.csv": _csv("n,t,cf_gap_mc,cf_gap_bound,dg4_mean,d2g_mean", [
+            (r.n, r.t, r.gap_mc, r.bound, r.dg4_mean, r.d2g_mean) for r in cf_rows]),
+        "gebelein.csv": _csv("lag,cov_mc,se,bound,holds", [astuple(row) for row in geb]),
+    }
+    return RunArtifacts(report, csvs, pieces, failures)
 
 
 def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
@@ -1067,10 +1014,6 @@ def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
     monotone = bool(np.all(np.diff(gaps) < 0))
     final_gap = abs(vals[-1] / lim.value - 1.0)
     within = final_gap <= rel
-    verdict = "consistent" if within and monotone else "flagged"
-    csv = "n,sigma_sq\n" + "".join(
-        f"{n},{repr(float(v))}\n" for n, v in zip(cfg.n_grid, vals)
-    )
     report = {
         "model": {"H": H, "q": q},
         "regime": regime,
@@ -1083,15 +1026,14 @@ def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
         "monotone_approach": monotone,
         "within": bool(within),
     }
-    summary = [
-        f"sigma_n^2 at n={n}: {v:.6f}" for n, v in zip(cfg.n_grid, vals)
-    ] + [
-        f"certified limit {lim.value:.6f} (remainder <= {lim.remainder_bound:.2e})",
-        f"final rel gap {final_gap:.4f} vs tolerance {rel} "
-        f"({'within' if within else 'OUTSIDE'}), monotone approach: "
-        f"{'yes' if monotone else 'NO'}",
+    pieces = [Piece(f"sigma_n^2 at n={n}: {v:.6f}") for n, v in zip(cfg.n_grid, vals)] + [
+        Piece(f"certified limit {lim.value:.6f} (remainder <= {lim.remainder_bound:.2e})"),
+        Piece(f"final rel gap {final_gap:.4f} vs tolerance {rel} "
+              f"({'within' if within else 'OUTSIDE'}), monotone approach: "
+              f"{'yes' if monotone else 'NO'}", within and monotone),
     ]
-    return RunArtifacts(report, {"sigma.csv": csv}, summary, verdict, [])
+    return RunArtifacts(report, {"sigma.csv": _csv("n,sigma_sq", zip(cfg.n_grid, vals))},
+                        pieces, [])
 
 
 _GRID_DEFAULT = [256, 1024, 4096, 16384, 65536]
@@ -1267,7 +1209,7 @@ def run(cfg: ExperimentConfig, echo=print) -> int:
     for name, text in artifacts.csvs.items():
         (out / name).write_text(text)
     lines = [f"{cfg.experiment}:"]
-    lines += [f"  {s}" for s in artifacts.summary]
+    lines += [f"  {p.line}" for p in artifacts.pieces]
     if artifacts.failures:
         lines += [f"  failure: {f}" for f in artifacts.failures]
     lines.append(f"verdict: {artifacts.verdict}")

@@ -19,7 +19,6 @@ few ulp out to arbitrarily large ``|r|``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "abs_rho_power_sum",
     "signed_rho_power_sum",
     "power_tail_summable",
-    "model_to_json",
     "symmetric_toeplitz",
 ]
 
@@ -260,13 +258,3 @@ def signed_rho_power_sum(model: CovarianceModel, q: int) -> TailSum:
         return TailSum(0.0, 0.0, 0)
     t = _summed_fgn_tail(model, q, 0, _TAIL_TOL, _TAIL_CUTOFF_MAX, signed=True)
     return TailSum(t.value + 1.0, t.remainder_bound, t.cutoff)
-
-
-def model_to_json(model: CovarianceModel) -> str:
-    if model.kind == "fgn":
-        obj = {"kind": "fgn", "H": model.H}
-    elif model.kind == "iid":
-        obj = {"kind": "iid"}
-    else:
-        obj = {"kind": "table", "values": [[k, v] for k, v in model.values]}
-    return json.dumps(obj, sort_keys=True)

@@ -9,7 +9,6 @@ integrands up to the node budget.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +27,6 @@ __all__ = [
     "derivative_coeffs",
     "evaluate_expansion",
     "resolve_test_function",
-    "expansion_to_json",
 ]
 
 MAX_ORDER = 60
@@ -191,16 +189,3 @@ def resolve_test_function(name: str) -> Callable[[np.ndarray], np.ndarray]:
         q = int(name.split(":", 1)[1])
         return lambda x: hermite_eval(q, x)
     raise ValueError(f"unknown test function {name!r}")
-
-
-def expansion_to_json(exp: HermiteExpansion) -> str:
-    return json.dumps(
-        {
-            "coeffs": list(exp.coeffs),
-            "qmax": exp.qmax,
-            "rank": exp.rank,
-            "var_fN": exp.var_fN,
-            "tail_bound": exp.tail_bound,
-        },
-        sort_keys=True,
-    )

@@ -66,7 +66,6 @@ __all__ = [
     "co1_check",
     "co2_check",
     "gebelein_check",
-    "cf_rows_to_csv",
 ]
 
 _MIN_CF_REPLICATES = 100
@@ -447,12 +446,3 @@ def gebelein_check(records: list[LagCovariances], f, lags) -> list[GebeleinRow]:
             )
         )
     return rows
-
-
-def cf_rows_to_csv(rows: list[CfGap], fh) -> None:
-    fh.write("n,t,cf_gap_mc,cf_gap_bound,dg4_mean,d2g_mean\n")
-    for row in rows:
-        fh.write(
-            f"{row.n},{repr(row.t)},{repr(row.gap_mc)},{repr(row.bound)},"
-            f"{repr(row.dg4_mean)},{repr(row.d2g_mean)}\n"
-        )

@@ -12,7 +12,6 @@ Indexing convention: partial sums are 1-based, and grid increment number i
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +21,6 @@ from .covariance import (
     CovarianceModel,
     DivergentTailError,
     fgn,
-    model_to_json,
     power_tail_summable,
     signed_rho_power_sum,
 )
@@ -31,7 +29,6 @@ from .hermite import (
     ConstantFunctionError,
     HermiteExpansion,
     evaluate_expansion,
-    expansion_to_json,
     hermite_eval,
 )
 from .kernels import _lag_weighted_prefix, _powers, hermite_sum_variance, pair_lag_sum, v2_prefix
@@ -454,24 +451,3 @@ def geometric_grid(n: int) -> np.ndarray:
             ks.append(k)
         v *= 1.25
     return np.array(ks, dtype=np.int64)
-
-
-def spec_to_json(spec: SequenceSpec) -> str:
-    if isinstance(spec, FbmScaled):
-        obj: dict = {"variant": "fbm_scaled", "H": spec.H}
-    elif isinstance(spec, HermiteVariation):
-        obj = {
-            "variant": "hermite_variation",
-            "model": json.loads(model_to_json(spec.model)),
-            "q": spec.q,
-            "regime": spec.regime,
-        }
-    elif isinstance(spec, GeneralF):
-        obj = {
-            "variant": "general_f",
-            "model": json.loads(model_to_json(spec.model)),
-            "expansion": json.loads(expansion_to_json(spec.expansion)),
-        }
-    else:
-        raise TypeError(f"unknown sequence spec: {type(spec).__name__}")
-    return json.dumps(obj, sort_keys=True)

@@ -1,8 +1,6 @@
 """Log-averaged measures, Kolmogorov distances, and summability diagnostics."""
 
 import functools
-import io
-import json
 import math
 import os
 import subprocess
@@ -15,14 +13,10 @@ from scipy.special import ndtr
 
 from asclt_lab import asclt, cli
 from asclt_lab.asclt import (
-    DeltaRow,
-    KsRow,
     LogAveragedMeasure,
     contraction_keys,
     contraction_values,
     criteria_diagnostic,
-    criteria_report_to_json,
-    delta_rows_to_csv,
     delta_stat,
     delta_stat_prefixes,
     exact_delta_sq,
@@ -32,7 +26,6 @@ from asclt_lab.asclt import (
     il_from_prefixes,
     il_series_diagnostic,
     ks_distance,
-    ks_rows_to_csv,
     log_average_measure,
 )
 from asclt_lab.covariance import fgn
@@ -465,31 +458,3 @@ def test_criteria_general_f():
     assert not by_name["kernel_contraction"].applicable
     assert by_name["cross_covariance"].verdict == "consistent"
     assert by_name["second_derivative_contraction"].verdict == "consistent"
-
-
-def test_criteria_report_json():
-    rep = criteria_diagnostic(FbmScaled(0.5), n_max=256)
-    doc = json.loads(criteria_report_to_json(rep))
-    assert doc["n_max"] == 256
-    assert len(doc["conditions"]) == 4
-    names = {c["name"] for c in doc["conditions"]}
-    assert names == {
-        "second_derivative_contraction",
-        "cross_covariance",
-        "kernel_contraction",
-        "kernel_inner",
-    }
-    for c in doc["conditions"]:
-        assert isinstance(c["partial_sums"], list)
-        assert c["verdict"] in ("consistent", "flagged")
-
-
-def test_csv_writers():
-    buf = io.StringIO()
-    ks_rows_to_csv([KsRow(64, 3, 0.25)], buf)
-    assert buf.getvalue().splitlines() == ["n,seed,ks_distance", "64,3,0.25"]
-    buf = io.StringIO()
-    delta_rows_to_csv([DeltaRow(64, 1.0, 0.5, 0.4, 0.01)], buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,t,delta_sq_mc,delta_sq_exact,stderr"
-    assert lines[1] == "64,1.0,0.5,0.4,0.01"

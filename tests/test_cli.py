@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -739,7 +740,7 @@ def test_d2g_trace_runs_once_per_path(monkeypatch):
     assert calls == [256] * 100
 
 
-def test_il_replicate_failures_are_collected(monkeypatch):
+def test_il_replicate_failures_are_collected(monkeypatch, tmp_path):
     cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2})
 
     def fail_odd(spec, t_grid, n_grid, seed, rep):
@@ -757,6 +758,33 @@ def test_il_replicate_failures_are_collected(monkeypatch):
     expect = cli._il_to_dict(il_from_prefixes(cfg.t_grid, cfg.n_grid, survivors))
     assert {k: v for k, v in art.report["il"].items() if k != "in_verdict"} == expect
     assert art.report["ks"]["n_grid"] == [16, 64, 256]
+    # Every in-verdict piece holds here, but failed replicates flag the run.
+    assert all(p.ok is not False for p in art.pieces) and art.verdict == "flagged"
+    assert cli.run(dataclasses.replace(cfg, out_dir=str(tmp_path)), echo=lambda line: None) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "flagged"
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[-4:] == [f"  failure: il replicate {r}: RuntimeError: boom" for r in (1, 3, 5)] + [
+        "verdict: flagged"]
+
+
+def test_ks_csv_names_replicate_ids_when_one_fails(monkeypatch, tmp_path):
+    real = cli._ks_prefix_worker
+
+    def fail_1(args):
+        if args[-1] == 1:
+            raise RuntimeError("boom")
+        return real(args)
+
+    monkeypatch.setattr(cli, "_ks_prefix_worker", fail_1)
+    cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2}, replicates=4)
+    assert cli.run(dataclasses.replace(cfg, out_dir=str(tmp_path)), echo=lambda line: None) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["failures"] == [
+        "replicate 1: RuntimeError: boom"]
+    rows = (tmp_path / "ks.csv").read_text().splitlines()
+    assert rows[0] == "n,seed,ks_distance"
+    assert rows[1:] == [
+        f"{n},{rep},{ks!r}" for rep in (0, 2, 3)
+        for n, ks in zip(cfg.n_grid, real((*cli._spec_args(cfg), cfg.n_grid, SEED, rep)))]
 
 
 def test_all_il_replicates_failing_reports_flagged_without_rows(monkeypatch, tmp_path):
@@ -901,3 +929,99 @@ def test_runs_import_no_scipy_special_or_linalg(tmp_path):
     assert out["import"] == [] and out["runs"] == []
     assert out["new_numpy"] == []
     assert all(code in (0, 2) for code in out["codes"])
+
+
+# Every output file of all nine experiments at small sizes, pinned by sha256.
+# Together with the across-worker tests above, this fixes the report format:
+# the spec, model and expansion blocks, the criteria block, every CSV and the
+# summary lines.
+_PINNED_RUNS = {
+    "asclt_fbm": dict(model={"H": 0.7}, n_max=256, n_grid=[16, 64, 256],
+                      seeds={"master_seed": SEED, "replicates": 6}, t_grid=[0.0, 0.5, 1.0]),
+    "asclt_hermite_sub": dict(model={"H": 0.3, "q": 2}, n_max=256, n_grid=[16, 64, 256],
+                              seeds={"master_seed": SEED, "replicates": 6},
+                              t_grid=[0.0, 0.5, 1.0]),
+    "asclt_hermite_crit": dict(model={"H": 0.75, "q": 2}, n_max=256, n_grid=[16, 64, 256],
+                               seeds={"master_seed": SEED, "replicates": 6},
+                               t_grid=[0.0, 0.5, 1.0]),
+    "asclt_general_f": dict(model={"H": 0.3, "f": "arctan", "expansion_order": 9}, n_max=256,
+                            n_grid=[16, 64, 256], seeds={"master_seed": SEED, "replicates": 6},
+                            t_grid=[0.0, 0.5, 1.0]),
+    "non_gaussian": dict(model={"H": 0.9, "q": 2}, n_max=256, n_grid=[16, 64, 256],
+                         seeds={"master_seed": SEED, "replicates": 10}, t_grid=[1.0]),
+    "kernels_decay": dict(model={"H": 0.3, "q": 3}, n_max=1024, n_grid=[64, 256, 1024]),
+    "delta_exactness": dict(model={"H": 0.8}, n_max=128, n_grid=[128], t_grid=[0.5, 1.0],
+                            seeds={"master_seed": SEED, "replicates": 200}),
+    "malliavin_bounds": dict(model={"H": 0.3, "q": 2}, n_max=256, n_grid=[256],
+                             seeds={"master_seed": SEED, "replicates": 100},
+                             t_grid=[0.5, 1.0]),
+    "sigma_limits": dict(model={"H": 0.75, "q": 2}, n_max=10000, n_grid=[1000, 10000]),
+}
+
+
+def _pinned_outputs(tmp_path, workers: int) -> dict:
+    """{experiment: (exit code, {file: sha256})} of one run per experiment."""
+    got = {}
+    for experiment, overrides in _PINNED_RUNS.items():
+        cfg_path = _write_config(tmp_path, f"{experiment}.json", _doc(experiment, **overrides))
+        out = tmp_path / f"{experiment}-w{workers}"
+        code = main(["run", "--config", cfg_path, "--out", str(out), "--workers", str(workers)])
+        got[experiment] = (code, {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "run_meta.json"})
+    return got
+
+
+_PINNED_BYTES = {
+    "asclt_fbm": (2, {
+        "ks.csv": "4fa8f3221e5c9b554b9ba5c7052d95b33ae443fabe1412180f739500a47c96a0",
+        "report.json": "442a42861b959b9d8403d70a3621db8b443fefad0fe2f0afca434fc22f14b071",
+        "summary.txt": "535a2343d6b2061cf817393525b40907e1da261df9cc550c38f671c07fe13e31",
+    }),
+    "asclt_hermite_sub": (0, {
+        "ks.csv": "e2942ead0a50cf0132339eeb860da823c59424e2b595d1f7e8d94e96589c5e7d",
+        "report.json": "b09007e2de8840b344c658f2f5a25fa6f3f74b8083e34ec1828b2fff59737b16",
+        "summary.txt": "228cc5bc2d91d7d2ff3c1e7ae514d05306a0a1ab8f9b9eda5a8a1fde9f8a9ec0",
+    }),
+    "asclt_hermite_crit": (0, {
+        "ks.csv": "9d995562082814e53216398a0ec1d6f0bd8a9553a8880387037256033157cbf6",
+        "report.json": "d0b8cc277dd208f6116f22a9a5c8fcc5ca629becdf934ba83d047ad850c75188",
+        "summary.txt": "d3a7c51cb1d64985c6ee679bdffe4b67fb715d60dc166d6d9ed01ff03139f7eb",
+    }),
+    "asclt_general_f": (2, {
+        "ks.csv": "ff5a9051fe6ccad699d437f3e0f8abee6eac87bd45b420daa6015340f2c1cbec",
+        "report.json": "05fa812106ea2fb1d7f02f8f52a1ebadb1baad5694371a026da8ca6f3e8a73b4",
+        "summary.txt": "8c0545bf43f35fd4688613f4c6cf57e946a96aae08c52cfcdcb228ad72face3b",
+    }),
+    "non_gaussian": (2, {
+        "report.json": "0944af661419b97a4cad4f5832f98c55d2a06abbd693b9b829d044b8de37ef5b",
+        "summary.txt": "00cf6728bdc6dfd30d98d964c1f41d850f114a705502afde0daeecb4fa3c92dc",
+        "zn_cauchy.csv": "ce6c87677b3be7ad3ba7f254c26a1d9fa0071200d858aeaecd8dc280b8147988",
+    }),
+    "kernels_decay": (0, {
+        "contractions.csv": "6111c22dffd9d5e42e7b18ee51e5e3ce26665d1f3bf429ece1cce3e234af0de2",
+        "report.json": "0eff36c304cbece2120180718d24edd40ca14a9caad1b38e31fb4b7cb95a175f",
+        "summary.txt": "810aafcbad3a65cd2a1a659df18723d04fe1259ac2de34aa804dc0fb28cc78b4",
+    }),
+    "delta_exactness": (0, {
+        "delta.csv": "9940fd95697d6c9c6aff00853e0c88ee3fcfa443d8ae018e2974e308c8fd8fb0",
+        "report.json": "f6079ff692cbcca8a9f49d87cb6ca8f9609febd3acb7bbe217fb818c5c37f08b",
+        "summary.txt": "194bfcc2fdf3fdf16d73a5eef629443539f0955162f4d33935a097e005c88304",
+    }),
+    "malliavin_bounds": (0, {
+        "cf_gap.csv": "7cc0e7cd797ecdd916c0227fe0c55e2916a3bf1d55546c2a9bd98e935013c890",
+        "gebelein.csv": "7b95510a3627d5d1069361239207954928b77e01bfa8d6bf217a9df1b93de3dc",
+        "report.json": "48a2a124ade423b746fa0dd935aa164442d4d173787f0f04b7b200c418fb1813",
+        "summary.txt": "8ffba13264a76a201fe0e98e46fac1bc44bb26cf5665bc3bee30e81e21110491",
+    }),
+    "sigma_limits": (2, {
+        "report.json": "a849ef2ca8a76737a33af10bcbe431190517853e98e1201e717309cba1cdabae",
+        "sigma.csv": "1595f5676a372e47e263701b66e713d12b22e0d61a2c973da0915bd626ac40af",
+        "summary.txt": "f3cc814b4b74be1a49e5cdcc796f39bd951c9f380ea17b2d09ad030585609feb",
+    }),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_output_bytes_are_pinned(tmp_path, workers):
+    assert _pinned_outputs(tmp_path, workers) == _PINNED_BYTES

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import decimal
-import json
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from asclt_lab.covariance import (
     abs_rho_power_tail,
     fgn,
     iid,
-    model_to_json,
     power_tail_summable,
     rho_many,
     signed_rho_power_sum,
@@ -253,19 +251,6 @@ def test_table_model_validation():
         CovarianceModel(kind="fgn", H=1.0)
     with pytest.raises(ValueError):
         CovarianceModel(kind="sparse")
-
-
-def test_json_round_trip():
-    # The report's model echo names the model exactly: reading it back with
-    # the constructors gives the same model.
-    for model in (fgn(0.7), iid(), table({0: 1.0, 1: 0.25})):
-        obj = json.loads(model_to_json(model))
-        rebuilt = {"fgn": lambda: fgn(obj["H"]), "iid": iid,
-                   "table": lambda: table(obj["values"])}[obj["kind"]]()
-        assert rebuilt == model
-    assert json.loads(model_to_json(fgn(0.7))) == {"kind": "fgn", "H": 0.7}
-    assert json.loads(model_to_json(table({0: 1.0, 1: 0.25}))) == {
-        "kind": "table", "values": [[0, 1.0], [1, 0.25]]}
 
 
 def test_symmetric_toeplitz_matches_scipy():

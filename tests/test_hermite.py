@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -11,13 +10,11 @@ import pytest
 from asclt_lab.covariance import fgn
 from asclt_lab.hermite import (
     ConstantFunctionError,
-    HermiteExpansion,
     _first_active_order,
     _quad_rule,
     derivative_coeffs,
     evaluate_expansion,
     expand,
-    expansion_to_json,
     hermite_design_matrix,
     hermite_eval,
     resolve_test_function,
@@ -211,10 +208,3 @@ def test_resolve_test_function():
     )
     with pytest.raises(ValueError):
         resolve_test_function("cubic")
-
-
-def test_json_round_trip():
-    # The report's expansion echo holds every field of the expansion.
-    exp = expand(np.arctan, qmax=8)
-    obj = json.loads(expansion_to_json(exp))
-    assert HermiteExpansion(**{**obj, "coeffs": tuple(obj["coeffs"])}) == exp

@@ -1,6 +1,5 @@
 """Pathwise Malliavin functionals: oracles, identities, and bound checks."""
 
-import io
 import math
 
 import numpy as np
@@ -24,7 +23,6 @@ from asclt_lab.malliavin import (
     _second_derivative_constant,
     _weighted_quartic_trace,
     cf_gap_bound,
-    cf_rows_to_csv,
     co1_check,
     co2_check,
     d2g_contraction_norm_sq,
@@ -327,24 +325,6 @@ def test_malliavin_sample_wiring():
     assert s.d2g_contraction_norm_sq == d2g_contraction_norm_sq(p, spec)
     lean = malliavin_sample(p, spec, with_d2g=False)
     assert lean.d2g_contraction_norm_sq is None
-
-
-def test_cf_rows_csv():
-    spec = HermiteVariation(iid(), 2)
-    records = _records(sample_ensemble(iid(), 64, SEED, 100), spec)
-    rows = [cf_gap_bound(spec, records, t) for t in (0.5, 1.0)]
-    buf = io.StringIO()
-    cf_rows_to_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,t,cf_gap_mc,cf_gap_bound,dg4_mean,d2g_mean"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "64" and float(first[1]) == 0.5
-    # Every cell is a plain number: the record holds Python floats, whose
-    # repr carries no NumPy type name.
-    assert all(type(getattr(rows[0], f)) is float
-               for f in ("t", "gap_mc", "gap_se", "bound", "dg4_mean", "d2g_mean"))
-    assert all(float(cell) == float(cell) for line in lines[1:] for cell in line.split(","))
 
 
 # Oracle: the path-based ensemble checks as they were before the per-path

@@ -39,3 +39,18 @@ def test_leaf_moves_flags_text_changes_and_large_moves(tmp_path, capsys):
     same = _run(tmp_path, "d", {"x": 1.0}, "n,v\n1,np.float64(0.5)\n2,0.250\n3,1.0\n")
     assert leaf_moves.main(str(parent), str(same)) == 1
     assert "(same number, other text)" in capsys.readouterr().out
+
+
+def test_leaf_moves_fails_on_summary_lines_and_one_sided_files(tmp_path, capsys):
+    parent = _run(tmp_path, "a", {"x": 1.0}, "n,v\n1,0.5\n")
+    change = _run(tmp_path, "b", {"x": 1.0}, "n,v\n1,0.5\n")
+    for side, verdict in ((parent, "consistent"), (change, "flagged")):
+        (side / "exp" / "summary.txt").write_text(f"exp:\n  check: yes\nverdict: {verdict}\n")
+    assert leaf_moves.main(str(parent), str(change)) == 1
+    assert "summary.txt line 3: 'verdict: consistent' -> 'verdict: flagged'" in (
+        capsys.readouterr().out)
+    (change / "exp" / "summary.txt").write_text("exp:\n  check: yes\nverdict: consistent\n")
+    assert leaf_moves.main(str(parent), str(change)) == 0
+    (change / "exp" / "extra.csv").write_text("n,v\n1,0.5\n")
+    assert leaf_moves.main(str(parent), str(change)) == 1
+    assert f"exp/extra.csv: only in {change}" in capsys.readouterr().out

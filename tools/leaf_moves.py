@@ -1,18 +1,21 @@
-"""Report leaves and CSV cells that moved between two runs of the same configs.
+"""Report leaves, CSV cells and summary lines that moved between two runs of
+the same configs.
 
     python3 tools/leaf_moves.py PARENT_DIR CHANGE_DIR
 
-Each directory holds one subdirectory per experiment with its report.json
-and CSVs, as `asclt-lab run --out DIR/<experiment>` writes them. For every
-report.json under PARENT_DIR this prints each leaf whose value differs in
-CHANGE_DIR, with its relative move, and the largest relative move of the
-report. For every CSV next to it, it prints the rows that moved, the
-largest relative move of a cell, and each cell that changed but is not a
-number on both sides. It exits 1 if a report or CSV is missing, a leaf other
-than a float or a cell other than a number changed, or a value moved by
-more than 1e-9 relative (the benchmark's gate), else 0.
+Each directory holds one subdirectory per experiment with its report.json,
+CSVs and summary.txt, as `asclt-lab run --out DIR/<experiment>` writes them.
+For every report.json this prints each leaf whose value differs between the
+two sides, with its relative move, and the largest relative move of the
+report. For every CSV it prints the rows that moved, the largest relative
+move of a cell, and each cell that changed but is not a number on both
+sides. For every summary.txt it prints each line that changed. It exits 1
+if one of these files is present on one side only, a leaf other than a
+float or a cell other than a number changed, a value moved by more than
+1e-9 relative (the benchmark's gate), or a summary line changed, else 0.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -38,8 +41,8 @@ def _number(cell: str) -> float | None:
 def report_moves(path: Path, other: Path) -> bool:
     """Print the moved leaves of one report; True if the pair fails."""
     old = flatten(json.loads(path.read_text()))
-    new = flatten(json.loads(other.read_text())) if other.exists() else {}
-    failed, worst, moved = not other.exists(), 0.0, 0
+    new = flatten(json.loads(other.read_text()))
+    failed, worst, moved = False, 0.0, 0
     for leaf in sorted(old.keys() | new.keys()):
         a, b = old.get(leaf), new.get(leaf)
         if type(a) is type(b) and (a == b or a != a and b != b):
@@ -59,7 +62,7 @@ def report_moves(path: Path, other: Path) -> bool:
 def csv_moves(path: Path, other: Path) -> bool:
     """Print the moved rows of one CSV; True if the pair fails."""
     old = path.read_text().splitlines()
-    new = other.read_text().splitlines() if other.exists() else []
+    new = other.read_text().splitlines()
     failed, worst, moved = len(old) != len(new), 0.0, 0
     for i, (a_row, b_row) in enumerate(zip(old, new)):
         if a_row == b_row:
@@ -81,17 +84,40 @@ def csv_moves(path: Path, other: Path) -> bool:
             else:
                 worst = max(worst, _relative(x, y))
     print(f"{path.parent.name}/{path.name}: {moved} of {len(old) - 1} rows moved, "
-          f"largest relative move {worst:.2g}" + ("" if other.exists() else " (missing)"))
+          f"largest relative move {worst:.2g}")
     return failed or worst > BOUND or math.isnan(worst)
 
 
+def summary_moves(path: Path, other: Path) -> bool:
+    """Print the changed lines of one summary.txt; True if any changed."""
+    old, new = path.read_text().splitlines(), other.read_text().splitlines()
+    changed = [(i, a, b) for i, (a, b) in enumerate(itertools.zip_longest(old, new), 1)
+               if a != b]
+    for i, a, b in changed:
+        print(f"  {path.name} line {i}: {a!r} -> {b!r}")
+    print(f"{path.parent.name}/{path.name}: {len(changed)} of {len(old)} lines changed")
+    return bool(changed)
+
+
+def _outputs(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.glob("*/*")
+            if p.name in ("report.json", "summary.txt") or p.suffix == ".csv"}
+
+
 def main(parent: str, change: str) -> int:
-    failed = False
-    for path in sorted(Path(parent).glob("*/report.json")):
-        target = Path(change) / path.parent.name
-        failed |= report_moves(path, target / "report.json")
-        for csv in sorted(path.parent.glob("*.csv")):
-            failed |= csv_moves(csv, target / csv.name)
+    roots = Path(parent), Path(change)
+    old, new = map(_outputs, roots)
+    for rel in sorted(old ^ new):
+        print(f"{rel}: only in {parent if rel in old else change}")
+    failed = bool(old ^ new)
+    for rel in sorted(old & new):
+        pair = (roots[0] / rel, roots[1] / rel)
+        if rel.name == "report.json":
+            failed |= report_moves(*pair)
+        elif rel.name == "summary.txt":
+            failed |= summary_moves(*pair)
+        else:
+            failed |= csv_moves(*pair)
     return int(failed)
 
 
