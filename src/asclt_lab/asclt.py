@@ -64,6 +64,9 @@ __all__ = [
 
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 EXACT_DELTA_MAX_N = 1 << 12
+# Sorted atoms per step of ks_distance: long enough that _ndtr's fixed cost
+# per call stays small, short enough that no temporary is path-length.
+_KS_CHUNK = 1 << 14
 # Rows per block of the exact Delta pass (at most 2^18 entries at the cap),
 # and the width of the fixed column chunks its row sums are built from.
 _EXACT_DELTA_ROWS = (1 << 18) // EXACT_DELTA_MAX_N
@@ -106,18 +109,6 @@ def log_average_measure(g: GSeries) -> LogAveragedMeasure:
     values.flags.writeable = False
     weights.flags.writeable = False
     return LogAveragedMeasure(values, weights, n)
-
-
-def _grouped_cdf(values: np.ndarray, weights: np.ndarray):
-    """Jump points of sorted `values` with the CDF just after and just
-    before each jump; each run of ties is one jump, as in `np.unique`."""
-    first = np.empty(values.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    # A run ends where the next one starts; the last run ends at the end.
-    hi = np.cumsum(weights)[np.roll(first, -1)]
-    lo = np.concatenate(([0.0], hi[:-1]))
-    return values[first], hi, lo
 
 
 # Cephes ndtr.c coefficients: erfc = exp(-x^2) P(x)/Q(x) for 1 <= x < 8 and
@@ -224,11 +215,42 @@ def ks_distance(m: LogAveragedMeasure) -> float:
 
     The weighted empirical CDF is a step function, so the sup is attained
     at a jump point, approached from the left or the right; both one-sided
-    values are compared at every jump.
+    values are compared at every jump. Each run of ties is one jump, at the
+    end of the run, where the CDF is the running sum of the weights; just
+    before the jump it is the CDF after the previous one.
+
+    The atoms are read _KS_CHUNK at a time, so no temporary is longer than a
+    chunk. The running sum carries over from chunk to chunk in the order of
+    one np.cumsum of all the weights, so every value is the same bits as in
+    one pass over the whole measure.
     """
-    uniq, hi, lo = _grouped_cdf(m.values, m.weights)
-    phi = _ndtr(uniq)
-    return float(np.maximum(np.abs(hi - phi), np.abs(lo - phi)).max())
+    values, weights = m.values, m.weights
+    size = values.size
+    below = 0.0  # the CDF just before the chunk's first jump
+    total = 0.0  # the running sum of the weights before the chunk
+    gaps = []
+    for start in range(0, size, _KS_CHUNK):
+        stop = min(start + _KS_CHUNK, size)
+        cdf = weights[start:stop].copy()
+        cdf[0] += total
+        np.cumsum(cdf, out=cdf)
+        total = float(cdf[-1])
+        # A run ends where the next atom differs; the last run at the end.
+        ends = np.empty(stop - start, dtype=bool)
+        np.not_equal(values[start:stop - 1], values[start + 1:stop], out=ends[:-1])
+        ends[-1] = stop == size or values[stop - 1] != values[stop]
+        hi = cdf[ends]
+        if not hi.size:
+            continue
+        phi = _ndtr(values[start:stop][ends])
+        gap = np.subtract(phi, hi, out=cdf[:hi.size])  # against the CDF after
+        np.abs(gap, out=gap)
+        gap[0] = np.maximum(gap[0], abs(phi[0] - below))  # and before each jump
+        lo = np.subtract(phi[1:], hi[:-1], out=phi[1:])
+        np.maximum(gap[1:], np.abs(lo, out=lo), out=gap[1:])
+        below = float(hi[-1])
+        gaps.append(gap.max())
+    return float(np.max(gaps))
 
 
 def harmonic_weighted_mean(values: np.ndarray) -> float:

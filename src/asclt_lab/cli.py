@@ -32,7 +32,6 @@ from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.median loads it on first use)
 import scipy
 
 from . import __version__
@@ -698,11 +697,25 @@ def _il_to_dict(il: IlDiagnostic) -> dict:
     }
 
 
+def _column_median(rows: np.ndarray) -> np.ndarray:
+    """np.median(rows, axis=0) from one sort: the middle entry of an odd
+    count, the mean (a + b) / 2.0 of the two middle entries of an even one,
+    NaN where a column holds one. The same bits for rows without -0.0, whose
+    order against +0.0 the sort and np.median's partition may choose apart;
+    the callers pass distances and absolute differences. np.median would
+    load numpy.ma on its first call, a module no run needs otherwise."""
+    s = np.sort(rows, axis=0)
+    m = s.shape[0] // 2
+    med = s[m] if s.shape[0] % 2 else (s[m - 1] + s[m]) / 2.0
+    med[np.isnan(s[-1])] = np.nan  # the sort puts NaN last
+    return med
+
+
 def _ks_trend(cfg: ExperimentConfig, ks: dict) -> tuple[dict, Piece]:
     """Median trend over the grid of the replicates' KS rows; the verdict
     compares first to last and checks the final level, which tolerates
     mid-grid median ties."""
-    medians = np.median(np.array(list(ks.values())), axis=0)
+    medians = _column_median(np.array(list(ks.values())))
     final_max = float(cfg.tolerances["ks_final_max"])
     decreasing_overall = bool(medians[-1] < medians[0])
     within_final = bool(medians[-1] <= final_max)
@@ -832,7 +845,7 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
     med = []
     if zrows:
         diffs = np.abs(np.diff(np.array(list(zrows.values())), axis=1))
-        med = np.median(diffs, axis=0)
+        med = _column_median(diffs)
         cauchy_ok = bool(np.all(np.diff(med) < 0))
         report["zn_cauchy"] = {
             "levels": levels,

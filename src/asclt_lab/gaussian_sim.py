@@ -12,19 +12,26 @@ bit-identical paths on any platform and under any call order.
 
 Replicates are sampled in blocks: `sample_ensemble` draws block_rows(n)
 paths at a time as the rows of one C-contiguous (B, n) array, with one
-row-wise polar transform and one 2-D `irfft` per block, so the per-call
-overhead of NumPy is paid once per block instead of once per path. Every
-row is bit-identical to `sample_stationary` of its replicate id, which is
-the one-row case: each row draws its own Philox words under the pinned
-block schedule, and the elementwise steps and the row transforms round the
-same in a row of a block as in a single path (tests pin these NumPy facts).
-A row whose first polar block falls short continues from its own stream.
-The Cholesky route stays one matrix-vector product per row, because a
-block matrix product would sum in another order and round differently.
-A circulant block of more than one row works in a per-process workspace
-that the next block of the same shape reuses, so its arrays are not
-page-faulted in again for every block; the operations are the same, and so
-are the bits.
+row-wise polar transform per step and one 2-D `irfft` per block, so the
+per-call overhead of NumPy is paid once per block instead of once per path.
+Every row is bit-identical to `sample_stationary` of its replicate id,
+which is the one-row case: each row draws its own Philox words under the
+pinned block schedule, and the elementwise steps and the row transforms
+round the same in a row of a block as in a single path (tests pin these
+NumPy facts). A row whose first polar block falls short continues from its
+own stream. The Cholesky route stays one matrix-vector product per row,
+because a block matrix product would sum in another order and round
+differently.
+
+The working set of a block is bounded: the polar transform draws and
+transforms each row's words _POLAR_CHUNK pairs at a time, writing the
+accepted normals into the draws buffer, and a fresh row stops drawing once
+it holds the normals it needs (its stream is thrown away, so the words it
+skips were never used). The draws buffer has two spare entries per row, so
+the half spectrum is formed in place of the draws. A circulant block of more
+than one row works in a per-process workspace that the next block of the
+same shape reuses, so its arrays are not page-faulted in again for every
+block; the operations are the same, and so are the bits.
 """
 
 from __future__ import annotations
@@ -57,6 +64,10 @@ __all__ = [
 # schedule is a deterministic function of the request sizes, so it is part
 # of the reproducibility contract; do not change without versioning.
 _POLAR_MIN_PAIRS = 256
+# Pairs of raw words one polar step draws and transforms per row. Each
+# element is transformed on its own, so the step width moves no bits; it
+# only bounds the raw words and the polar temporaries.
+_POLAR_CHUNK = 1 << 13
 _CHOLESKY_MAX_N = 2048
 _EIGEN_CLAMP = -1e-10
 # Points per replicate block: B = max(1, 2^16 // M) rows for the embedding
@@ -75,7 +86,9 @@ class NormalStream:
     """Deterministic standard-normal stream for one (master_seed, replicate_id).
 
     Uniforms are built from the raw Philox 64-bit output as
-    ((word >> 11) + 0.5) * 2^-53, strictly inside (0, 1), and turned into
+    ((word >> 11) + 0.5) * 2^-53, rounded as that float64 formula: they lie
+    in (0, 1], and the words whose top 53 bits are all set give u = 1
+    exactly, whose pair the polar test rejects (s >= 1). They are turned into
     normals by Marsaglia polar rejection in blocks sized by the remaining
     request; leftovers are buffered, never discarded.
     """
@@ -88,7 +101,8 @@ class NormalStream:
         self._buffered = 0
 
     def _polar_block(self, pairs: int) -> np.ndarray:
-        return _polar_rows(self._bg.random_raw(2 * pairs)[None, :])[0]
+        out = np.empty((1, 2 * pairs))
+        return out[0, :_polar_fill([self._bg], out, pairs)[0]]
 
     def normals(self, n: int) -> np.ndarray:
         if n < 0:
@@ -113,22 +127,22 @@ def _polar_pairs(shortfall: int) -> int:
 
 class _Workspace:
     """The arrays one process reuses across its replicate blocks of one
-    shape (rows, M): the raw Philox words and the polar temporaries, the
-    draws, the half spectrum and the irfft output. Blocks that allocate
-    these afresh page-fault them in again each time, since glibc hands
-    large freed arrays back to the kernel."""
+    shape (rows, M): the raw Philox words and the polar temporaries of one
+    polar step, the draws (M + 2 per row, the half spectrum in place) and
+    the irfft output. Blocks that allocate these afresh page-fault them in
+    again each time, since glibc hands large freed arrays back to the
+    kernel."""
 
     def __init__(self, rows: int, M: int):
-        pairs = _polar_pairs(M)
+        pairs = rows * min(_POLAR_CHUNK, _polar_pairs(M))
         self.shape = (rows, M)
-        self.raw = np.empty((rows, 2 * pairs), dtype=np.uint64)
-        self.sq = np.empty((rows, pairs))
-        self.scratch = np.empty((rows, pairs))
-        self.keep = np.empty((rows, pairs), dtype=bool)
-        self.inside = np.empty((rows, pairs), dtype=bool)
-        self.accepted = np.empty(rows * pairs, dtype=complex)
-        self.draws = np.empty((rows, M))
-        self.xi = np.empty((rows, M // 2 + 1), dtype=complex)
+        self.raw = np.empty(2 * pairs, dtype=np.uint64)
+        self.sq = np.empty(pairs)
+        self.scratch = np.empty(pairs)
+        self.keep = np.empty(pairs, dtype=bool)
+        self.inside = np.empty(pairs, dtype=bool)
+        self.accepted = np.empty(pairs, dtype=complex)
+        self.draws = np.empty((rows, M + 2))
         self.x = np.empty((rows, M))
 
 
@@ -149,9 +163,9 @@ def _workspace(rows: int, M: int) -> _Workspace | None:
     return _WORKSPACE
 
 
-def _flat(buf: np.ndarray | None, size: int) -> np.ndarray | None:
-    """The first size entries of a workspace array, or None (allocate)."""
-    return None if buf is None else buf.reshape(-1)[:size]
+def _part(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading entries of a flat workspace array, as an array of shape."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def _polar_rows(raw: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -159,31 +173,35 @@ def _polar_rows(raw: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarr
     (B, 2 * pairs), worked in place through a float64 view of raw. Returns
     the accepted normals of all rows, row after row, and each row's count of
     them; with a workspace every temporary and the returned normals live in
-    its arrays, which the next block overwrites.
+    its arrays, which the next step overwrites.
 
     A uniform is ((word >> 11) + 0.5) * 2^-53 and v = 2u - 1. The steps run
     in that order, except that the scalings by 2^-53 and by 2 are one
     multiplication by 2^-52, which is exact; so every value rounds as in the
     formula, whatever the number of rows. The accepted pairs are compressed
     once and s = v1^2 + v2^2 is formed again from them, the same bits."""
-    sq, scratch, keep, inside, accepted = (
-        (None,) * 5 if ws is None else (ws.sq, ws.scratch, ws.keep, ws.inside, ws.accepted))
+    def temp(name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+        return None if ws is None else _part(getattr(ws, name), shape)
+
+    half = (raw.shape[0], raw.shape[1] // 2)
     np.right_shift(raw, np.uint64(11), out=raw)
     v = raw.view(np.float64)
-    np.add(raw, 0.5, out=v)  # exact: the shifted words are below 2^53
+    # Rounds as the formula: a shifted word of 2^52 or more plus 0.5 rounds
+    # to even, and the top word gives u = 1, v = 1 and a rejected pair.
+    np.add(raw, 0.5, out=v)
     v *= 2.0**-52
     v -= 1.0
     pair = v.view(complex)  # (v1, v2) of each pair as one element
-    s = np.multiply(pair.real, pair.real, out=sq)
-    s += np.multiply(pair.imag, pair.imag, out=scratch)
-    keep = np.greater(s, 0.0, out=keep)
-    keep &= np.less(s, 1.0, out=inside)
+    s = np.multiply(pair.real, pair.real, out=temp("sq", half))
+    s += np.multiply(pair.imag, pair.imag, out=temp("scratch", half))
+    keep = np.greater(s, 0.0, out=temp("keep", half))
+    keep &= np.less(s, 1.0, out=temp("inside", half))
     counts = np.count_nonzero(keep, axis=1)
-    total = int(counts.sum())
-    acc = np.compress(keep.reshape(-1), pair.reshape(-1), out=_flat(accepted, total))
-    s = np.multiply(acc.real, acc.real, out=_flat(scratch, total))
-    s += np.multiply(acc.imag, acc.imag, out=_flat(sq, total))
-    f = np.log(s, out=_flat(sq, total))
+    total = (int(counts.sum()),)
+    acc = np.compress(keep.reshape(-1), pair.reshape(-1), out=temp("accepted", total))
+    s = np.multiply(acc.real, acc.real, out=temp("scratch", total))
+    s += np.multiply(acc.imag, acc.imag, out=temp("sq", total))
+    f = np.log(s, out=temp("sq", total))
     f *= -2.0
     f /= s
     np.sqrt(f, out=f)
@@ -192,26 +210,45 @@ def _polar_rows(raw: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarr
     return out, 2 * counts
 
 
-def _block_normals(streams: list[NormalStream], count: int,
+def _polar_fill(gens: list[np.random.Philox], out: np.ndarray, pairs: int,
+                ws: _Workspace | None = None) -> list[int]:
+    """Normals from up to `pairs` pairs of raw words of each Philox
+    generator, into its row of out: each step draws _POLAR_CHUNK pairs of
+    the rows that are not full, transforms them in one _polar_rows call and
+    appends each row's accepted normals, as many as still fit. A row stops
+    drawing once it is full. Returns each row's count of normals."""
+    width = out.shape[1]
+    got = [0] * len(gens)
+    live = list(range(len(gens)))
+    for start in range(0, pairs, _POLAR_CHUNK):
+        words = 2 * min(_POLAR_CHUNK, pairs - start)
+        raw = [gens[i].random_raw(words) for i in live]
+        raw = (raw[0][None] if len(raw) == 1 else
+               np.stack(raw, out=None if ws is None else _part(ws.raw, (len(raw), words))))
+        flat, accepted = _polar_rows(raw, ws)
+        at = 0
+        for i, count in zip(live, accepted.tolist()):
+            take = min(count, width - got[i])
+            out[i, got[i]:got[i] + take] = flat[at:at + take]
+            got[i] += take
+            at += count
+        live = [i for i in live if got[i] < width]
+        if not live:
+            break
+    return got
+
+
+def _block_normals(streams: list[NormalStream], count: int, out: np.ndarray,
                    ws: _Workspace | None = None) -> np.ndarray:
-    """(len(streams), count) array whose row i is streams[i].normals(count),
-    for fresh streams, in the workspace's draws if one is given. The rows
-    share one polar transform of their first blocks; a row that falls short
-    continues from its own stream."""
-    out = np.empty((len(streams), count)) if ws is None else ws.draws
-    words = 2 * _polar_pairs(count)
-    raw = [stream._bg.random_raw(words) for stream in streams]
-    raw = raw[0][None] if len(raw) == 1 else np.stack(raw, out=None if ws is None else ws.raw)
-    flat, accepted = _polar_rows(raw, ws)
-    start = 0
-    for row, stream, got in zip(out, streams, accepted.tolist()):
-        block = flat[start:start + got]
-        start += got
-        if got >= count:
-            row[:] = block[:count]
-        else:
-            stream._buf, stream._buffered = [block.copy()], got
-            row[:] = stream.normals(count)
+    """Row i of out[:, :count] becomes streams[i].normals(count), for fresh
+    streams: the rows share the polar steps of their first blocks, and a row
+    that falls short continues from its own stream. Returns out."""
+    got = _polar_fill([stream._bg for stream in streams], out[:, :count],
+                      _polar_pairs(count), ws)
+    for row, stream, have in zip(out, streams, got):
+        if have < count:
+            stream._buf, stream._buffered = [row[:have].copy()], have
+            row[:count] = stream.normals(count)
     return out
 
 
@@ -285,20 +322,21 @@ def _spectrum_root(model: CovarianceModel, n: int) -> np.ndarray:
     return np.sqrt(_embedding_eigenvalues(model, n)[:n])
 
 
-def _synthesize_circulant(root: np.ndarray, draws: np.ndarray, n: int, out=None,
+def _synthesize_circulant(root: np.ndarray, buf: np.ndarray, n: int, out=None,
                           ws: _Workspace | None = None) -> np.ndarray:
-    # Half of the Hermitian spectral noise of each row: d[0] -> xi_0,
-    # d[1] -> xi_{M/2}, then pairs (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of
-    # xi_j, j = 1..M/2-1, one complex copy of the contiguous pairs. irfft
-    # supplies the conjugate half xi_{M-j} = conj(xi_j) itself. draws is
-    # (M,) for one path or (B, M) for a block, one path per row; root is
-    # _spectrum_root, and a workspace holds the spectrum and the irfft output.
+    # Half of the Hermitian spectral noise of each row, formed in place of
+    # its draws: buf is (M + 2,) for one path or (B, M + 2) for a block, one
+    # path per row, with the M draws first. d[0] -> xi_0, d[1] -> xi_{M/2},
+    # then pairs (d[2j], d[2j+1]) -> (Re, Im)/sqrt(2) of xi_j, j = 1..M/2-1,
+    # which already sit where the complex view of buf holds xi_j. irfft
+    # supplies the conjugate half xi_{M-j} = conj(xi_j) itself. root is
+    # _spectrum_root, and a workspace holds the irfft output.
     half = root.size - 1
     M = 2 * half
-    xi = np.empty(draws.shape[:-1] + (half + 1,), dtype=complex) if ws is None else ws.xi
-    xi[..., 0] = draws[..., 0]
-    xi[..., half] = draws[..., 1]
-    xi[..., 1:half] = draws[..., 2:].view(complex)
+    buf[..., M] = buf[..., 1]
+    buf[..., M + 1] = 0.0
+    buf[..., 1] = 0.0
+    xi = buf.view(complex)
     xi[..., 1:half] /= math.sqrt(2.0)
     xi *= root
     x = np.fft.irfft(xi, n=M, out=None if ws is None else ws.x)
@@ -390,8 +428,9 @@ def _sample_block(route, factor, master_seed, ids, n, out=None):
     if route == "circulant":
         M = 2 * (factor.size - 1)
         ws = _workspace(len(ids), M)
-        return _synthesize_circulant(factor, _block_normals(streams, M, ws), n, out, ws)
-    draws = _block_normals(streams, n)
+        draws = np.empty((len(ids), M + 2)) if ws is None else ws.draws
+        return _synthesize_circulant(factor, _block_normals(streams, M, draws, ws), n, out, ws)
+    draws = _block_normals(streams, n, np.empty((len(ids), n)))
     if route == "cholesky":
         draws = np.array([factor @ z for z in draws])
     if out is None:

@@ -31,7 +31,14 @@ from .hermite import (
     evaluate_expansion,
     hermite_eval,
 )
-from .kernels import _lag_weighted_prefix, _powers, hermite_sum_variance, pair_lag_sum, v2_prefix
+from .kernels import (
+    _lag_weighted_prefix,
+    _powers,
+    _v2_build,
+    hermite_sum_variance,
+    pair_lag_sum,
+    v2_prefix,
+)
 from .memo import CACHE_BYTES, prefix_cache
 
 REGIMES = ("subcritical", "critical", "supercritical")
@@ -157,11 +164,16 @@ def _check_normalizers(v2: np.ndarray, scale: np.ndarray) -> None:
 
 @prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable, like v2_prefix
 def _general_f_prefix_var(model, expansion, n):
+    """sum_q c_q^2 E[V_k^2] of order q, for k = 1..n. Each order's table is
+    built, added and dropped: only the sum is kept, since no run reads the
+    tables of single orders of a GeneralF."""
     c = expansion.coeffs
     v2 = np.zeros(n)
     for order in range(1, expansion.qmax + 1):
         if c[order] != 0.0:
-            v2 += c[order] ** 2 * v2_prefix(model, order, n)
+            term = _v2_build(model, order, n)
+            term *= c[order] ** 2
+            v2 += term
     return v2
 
 

@@ -2,8 +2,9 @@
 against: math.fsum and exact-integer lag sums of rho^q, a Neumaier running
 sum, the dense and math.fsum closed-form Delta second moment, brute-force
 and dense quartic lag sums, the dense Gram-metric
-kernel algebra, the design-matrix Hermite expansion, and pathwise and
-ensemble references. No run uses them."""
+kernel algebra, the design-matrix Hermite expansion, a full-width polar
+stream and half-spectrum synthesis, the one-pass KS distance, and pathwise
+and ensemble references. No run uses them."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from asclt_lab.covariance import CovarianceModel, rho_many, symmetric_toeplitz
-from asclt_lab.gaussian_sim import GaussianPath
+from asclt_lab.asclt import LogAveragedMeasure, _ndtr
+from asclt_lab.gaussian_sim import GaussianPath, _spectrum_root
 from asclt_lab.hermite import evaluate_expansion, hermite_design_matrix
 from asclt_lab.kernels import (
     ContractionResult,
@@ -342,3 +344,62 @@ def empirical_autocovariance(paths: list[GaussianPath], r: int) -> tuple[float, 
     est = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(per.size)) if per.size > 1 else math.inf
     return est, se
+
+
+def polar_normals_full_width(master_seed: int, replicate_id: int, count: int) -> np.ndarray:
+    """NormalStream(master_seed, replicate_id).normals(count) of a fresh
+    stream, written out plainly: each polar block draws all its raw words at
+    once, u = ((word >> 11) + 0.5) * 2^-53, v = 2u - 1, and an accepted pair
+    (0 < s < 1) gives v sqrt(-2 log(s) / s), blocks of
+    max(256, 7 * shortfall // 10 + 16) pairs until count normals are in."""
+    bg = np.random.Philox(np.random.SeedSequence([int(master_seed), int(replicate_id)]))
+    blocks, have = [], 0
+    while have < count:
+        pairs = max(256, (7 * (count - have)) // 10 + 16)
+        u = ((bg.random_raw(2 * pairs) >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+        v = (2.0 * u - 1.0).reshape(-1, 2)
+        s = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+        ok = (s > 0.0) & (s < 1.0)
+        v, s = v[ok], s[ok]
+        blocks.append((v * np.sqrt(-2.0 * np.log(s) / s)[:, None]).reshape(-1))
+        have += blocks[-1].size
+    return np.concatenate(blocks)[:count]
+
+
+def sample_stationary_full_width(model: CovarianceModel, n: int, master_seed: int,
+                                 replicate_id: int) -> np.ndarray:
+    """The circulant path of (master_seed, replicate_id) from full-width
+    draws and a half spectrum built in a fresh array: xi_0 = d[0],
+    xi_{M/2} = d[1], xi_j = (d[2j] + i d[2j+1]) / sqrt(2) scaled by
+    sqrt(lam_j), then irfft; n >= 2 on the circulant route."""
+    root = _spectrum_root(model, n)
+    half = root.size - 1
+    M = 2 * half
+    d = polar_normals_full_width(master_seed, replicate_id, M)
+    xi = np.empty(half + 1, dtype=complex)
+    xi[0] = d[0]
+    xi[half] = d[1]
+    xi[1:half] = d[2:].view(complex)
+    xi[1:half] /= math.sqrt(2.0)
+    xi *= root
+    return np.fft.irfft(xi, n=M)[:n] * math.sqrt(M)
+
+
+def grouped_cdf(values: np.ndarray, weights: np.ndarray):
+    """Jump points of sorted `values` with the CDF just after and just
+    before each jump; each run of ties is one jump, as in `np.unique`."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    # A run ends where the next one starts; the last run ends at the end.
+    hi = np.cumsum(weights)[np.roll(first, -1)]
+    lo = np.concatenate(([0.0], hi[:-1]))
+    return values[first], hi, lo
+
+
+def ks_distance_one_pass(m: LogAveragedMeasure) -> float:
+    """The KS distance of a log-averaged measure in one pass over full-length
+    arrays: both one-sided gaps at every jump point of grouped_cdf."""
+    uniq, hi, lo = grouped_cdf(m.values, m.weights)
+    phi = _ndtr(uniq)
+    return float(np.maximum(np.abs(hi - phi), np.abs(lo - phi)).max())

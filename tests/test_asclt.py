@@ -93,10 +93,42 @@ def test_grouped_cdf_matches_unique_with_ties():
         uniq, counts = np.unique(values, return_counts=True)
         cum = np.cumsum(weights)
         want_hi = cum[np.cumsum(counts) - 1]
-        got_uniq, got_hi, got_lo = asclt._grouped_cdf(values, weights)
+        got_uniq, got_hi, got_lo = oracles.grouped_cdf(values, weights)
         assert np.array_equal(got_uniq, uniq)
         assert np.array_equal(got_hi, want_hi)
         assert np.array_equal(got_lo, np.concatenate(([0.0], want_hi[:-1])))
+
+
+def _ks_cases(rng):
+    """(values, weights) of sorted atoms: sizes around multiples of the KS
+    chunk, runs of ties straddling a chunk boundary, one run spanning a whole
+    chunk, all atoms tied, and rounded draws with many ties."""
+    K = asclt._KS_CHUNK
+    for n in (1, 2, 3, 1000, K - 1, K, K + 1, 2 * K + 5, 3 * K + 777):
+        yield np.sort(rng.standard_normal(n)), rng.random(n)
+        yield np.sort(np.round(rng.standard_normal(n), 1)), rng.random(n)
+    for lo, hi in ((K - 3, K + 5), (K - 1, K + 1), (K, K + 2), (K - 1, 2 * K + 1), (1, 3 * K)):
+        values = np.sort(rng.standard_normal(3 * K + 10))
+        values[lo:hi] = values[lo]
+        yield values, rng.random(values.size)
+    yield np.full(2 * K + 3, 0.25), rng.random(2 * K + 3)
+    yield np.sort(np.round(rng.standard_normal(4 * K), 0)), rng.random(4 * K)
+
+
+def test_ks_chunks_match_one_pass_oracle():
+    """The chunked KS distance is bit for bit the one-pass oracle's, on
+    harmonic and on random weights, and on the prefixes of a 2^16 series."""
+    rng = np.random.default_rng(31)
+    for values, weights in _ks_cases(rng):
+        inverse_k = 1.0 / np.arange(1.0, values.size + 1.0)
+        for w in (weights / weights.sum(), rng.permutation(inverse_k) / inverse_k.sum()):
+            m = LogAveragedMeasure(values, w, values.size)
+            assert ks_distance(m) == oracles.ks_distance_one_pass(m), values.size
+    path = sample_stationary(fgn(0.8), 2**16, SEED, 4)
+    spec = HermiteVariation(fgn(0.8), 2)
+    for n in (2**16 - 1, 2**16):
+        m = log_average_measure(build_gseries(path, spec, n))
+        assert ks_distance(m) == oracles.ks_distance_one_pass(m), n
 
 
 def _ulps(got, want):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,25 @@ def _small_asclt(experiment, model, workers=1, replicates=6):
     return cfg
 
 
+@pytest.mark.parametrize("rows", [1, 2, 5, 24, 120])
+def test_column_median_equals_numpy_median(rows):
+    """The sort-based median is np.median(axis=0) bit for bit, for odd and
+    even counts, with ties (zeros included), values of mixed scales and a
+    NaN column. No -0.0: the sort and np.median's partition may order it
+    and +0.0 apart, and both callers pass distances or absolute values."""
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-8, 8, size=(rows, 6))
+    a[:, 4] = np.round(np.abs(a[:, 4]))
+    a[:, 5] = a[0, 5]
+    want = np.median(a, axis=0)
+    assert cli._column_median(a).tobytes() == want.tobytes()
+    a[rows // 2, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        want = np.median(a, axis=0)
+    assert np.isnan(want[2])
+    assert cli._column_median(a).tobytes() == want.tobytes()
+
+
 def test_kernel_scan_is_a_registry_field(monkeypatch):
     # The critical boundedness scan runs where the registry entry asks for
     # it, whatever the experiment's name.
@@ -541,6 +561,31 @@ def test_ks_worker_builds_one_series_per_replicate(monkeypatch, args):
     for rep in range(3):
         assert len(cli._ks_prefix_worker((*args, n_grid, SEED, rep))) == len(n_grid)
     assert calls == [4096] * 3
+
+
+@pytest.mark.parametrize("args", [
+    ("hermite", 0.8, 2, None, None),
+    ("general_f", 0.3, None, "arctan", 9),
+], ids=["hermite", "general_f"])
+def test_warm_replicates_stay_within_bytes_per_point(args):
+    """A warm KS replicate and a warm il replicate at n = 2^16 allocate at
+    most 80 and 56 bytes per point at their peak (traced by tracemalloc,
+    which sees NumPy's array buffers): the path, its series and the measure,
+    with the sampler's and the KS distance's temporaries bounded by their
+    chunks."""
+    n = 2**16
+    n_grid = tuple(n >> k for k in range(5, -1, -1))
+    cases = ((cli._ks_prefix_worker, (*args, n_grid, SEED), 80),
+             (cli._il_worker, (*args, (0.0, 0.5, 1.0, 2.0), n_grid, SEED), 56))
+    for worker, head, bound in cases:
+        worker((*head, 0))  # warm: normalizer tables, spectrum root, plans
+        tracemalloc.start()
+        try:
+            worker((*head, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound, (worker.__name__, peak / n)
 
 
 @pytest.mark.parametrize("experiment,model,spec", [
@@ -898,7 +943,7 @@ _FOOTPRINT_SCRIPT = """
 import json, sys
 import asclt_lab.cli as cli
 
-heavy = ("scipy.special", "scipy.linalg")
+heavy = ("scipy.special", "scipy.linalg", "numpy.ma")
 out = {"import": [m for m in heavy if m in sys.modules]}
 loaded = set(sys.modules)
 codes = [cli.main(["run", "--config", c, "--out", c + ".out", "--workers", "1"])
@@ -911,13 +956,17 @@ print(json.dumps(out))
 
 
 def test_runs_import_no_scipy_special_or_linalg(tmp_path):
-    # A fresh interpreter: the test process itself has imported scipy.
+    # A fresh interpreter: the test process itself has imported scipy. Nor
+    # numpy.ma, which np.median would load: an asclt and a non_gaussian run
+    # take their medians without it.
     seeds = {"master_seed": SEED, "replicates": 100}
     docs = {
         "f.json": _doc("asclt_general_f", n_max=256, n_grid=[16, 64, 256], t_grid=[1.0],
                        seeds={"master_seed": SEED, "replicates": 10}),
         "m.json": _doc("malliavin_bounds", n_max=256, n_grid=[256], t_grid=[0.5], seeds=seeds),
         "d.json": _doc("delta_exactness", n_max=256, n_grid=[256], t_grid=[1.0], seeds=seeds),
+        "n.json": _doc("non_gaussian", n_max=256, n_grid=[16, 64, 256], t_grid=[1.0],
+                       seeds={"master_seed": SEED, "replicates": 10}),
     }
     configs = [_write_config(tmp_path, name, doc) for name, doc in docs.items()]
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -24,7 +24,11 @@ from asclt_lab.gaussian_sim import (
     sample_fbm_grid,
     sample_stationary,
 )
-from oracles import empirical_autocovariance
+from oracles import (
+    empirical_autocovariance,
+    polar_normals_full_width,
+    sample_stationary_full_width,
+)
 
 SEED = 20240817
 
@@ -74,7 +78,9 @@ def test_circulant_map_reproduces_toeplitz_covariance_exactly():
         root = _spectrum_root(model, n)
         M = _embedding_eigenvalues(model, n).size
         assert M == 2 * (n - 1) == 2 * (root.size - 1)
-        T = np.column_stack([_synthesize_circulant(root, np.eye(M)[j], n) for j in range(M)])
+        # Each unit vector in a draws buffer with the two spare entries.
+        T = np.column_stack([_synthesize_circulant(root, np.eye(M, M + 2)[j], n)
+                             for j in range(M)])
         want = toeplitz(rho_many(model, np.arange(n)))
         assert np.allclose(T @ T.T, want, atol=1e-12)
 
@@ -98,7 +104,9 @@ def test_half_spectrum_synthesis_matches_full_spectrum_oracle(model):
         lam = _embedding_eigenvalues(model, n)
         draws = NormalStream(SEED, n).normals(lam.size)
         want = _synthesize_full_spectrum(lam, draws, n)
-        got = _synthesize_circulant(_spectrum_root(model, n), draws, n)
+        buf = np.empty(lam.size + 2)
+        buf[:lam.size] = draws
+        got = _synthesize_circulant(_spectrum_root(model, n), buf, n)
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
@@ -276,7 +284,8 @@ def test_workspace_blocks_equal_fresh_blocks(monkeypatch):
 
 def test_short_first_polar_block_continues_from_own_stream(monkeypatch):
     """A row whose first polar block has fewer normals than it needs draws
-    the rest from its own stream, as NormalStream does for one path."""
+    the rest from its own stream, as NormalStream does for one path; also
+    when that block takes several polar steps (n = 70,000)."""
     real = gaussian_sim._polar_rows
     short = []
 
@@ -286,17 +295,66 @@ def test_short_first_polar_block_continues_from_own_stream(monkeypatch):
         flat, accepted = real(raw, ws)
         kept = 2 * (accepted // 8)
         starts = np.concatenate([[0], np.cumsum(accepted)[:-1]])
-        short.append(raw.shape[0])
+        short.append(raw.shape)
         return np.concatenate([flat[a:a + k] for a, k in zip(starts, kept)]), kept
 
     plain = sample_stationary(fgn(0.7), 1024, SEED, 3).values
     monkeypatch.setattr(gaussian_sim, "_polar_rows", quarter)
-    for n in (1024, 2049):
-        ens = sample_ensemble(fgn(0.7), n, SEED, 9, 3)
+    for n, rows, count in ((1024, None, 9), (2049, None, 9), (70_000, 3, 4)):
+        if rows:
+            monkeypatch.setattr(gaussian_sim, "block_rows", lambda n, rows=rows: rows)
+        ens = sample_ensemble(fgn(0.7), n, SEED, count, 3)
         for i, path in enumerate(ens):
             assert np.array_equal(path.values, sample_stationary(fgn(0.7), n, SEED, 3 + i).values)
-    assert short and max(short) == 9
+    assert max(r for r, _ in short) == 9
+    assert (3, 2 * gaussian_sim._POLAR_CHUNK) in short  # a long block's full step
     assert not np.array_equal(sample_stationary(fgn(0.7), 1024, SEED, 3).values, plain)
+
+
+def test_long_paths_equal_full_width_oracle(monkeypatch):
+    """Paths longer than one polar step are bit for bit the paths of the
+    full-width stream and synthesis oracle: one-row paths, rows of blocks of
+    two and three paths, and the same blocks built in fresh arrays."""
+    model = fgn(0.8)
+    for n in (2**14 + 1, 70_000, 2**16):
+        for rep in (0, 5):
+            got = sample_stationary(model, n, SEED, rep).values
+            assert np.array_equal(got, sample_stationary_full_width(model, n, SEED, rep)), (n, rep)
+    for n, rows in ((20_000, 2), (70_000, 3)):
+        monkeypatch.setattr(gaussian_sim, "block_rows", lambda n, rows=rows: rows)
+        gaussian_sim._WORKSPACE = None
+        block = sample_ensemble(model, n, SEED, rows + 1, 2).values
+        assert gaussian_sim._WORKSPACE.shape == (rows, 2 * (n - 1))
+        monkeypatch.setattr(gaussian_sim, "_workspace", lambda rows, M: None)
+        fresh = sample_ensemble(model, n, SEED, rows + 1, 2).values
+        monkeypatch.undo()
+        assert np.array_equal(block, fresh), n
+        for i, row in enumerate(block):
+            assert np.array_equal(row, sample_stationary(model, n, SEED, 2 + i).values), (n, i)
+            assert np.array_equal(row, sample_stationary_full_width(model, n, SEED, 2 + i))
+
+
+def test_stream_equals_full_width_oracle():
+    """NormalStream draws as the full-width polar oracle, for requests of
+    one and of many polar steps."""
+    for count in (1, 513, 2 * gaussian_sim._POLAR_CHUNK + 7, 200_000):
+        got = NormalStream(SEED, count).normals(count)
+        assert np.array_equal(got, polar_normals_full_width(SEED, count, count)), count
+
+
+def test_polar_rejects_the_top_word():
+    """u = ((word >> 11) + 0.5) * 2^-53 rounds as float64: the top word
+    gives u = 1 exactly, so v = 1 and its pair has s >= 1 and is rejected.
+    With v2 = 0 (word 2^63: 2^52 + 0.5 rounds to even), s is exactly 1."""
+    top = np.uint64(2**64 - 1)
+    assert ((top >> np.uint64(11)) + 0.5) * 2.0**-53 == 1.0
+    raw = np.array([[top, 2**63, 2**63, 2**62]], dtype=np.uint64)
+    normals, counts = gaussian_sim._polar_rows(raw.copy())
+    assert counts.tolist() == [2]
+    v2 = -0.5 + 2.0**-53  # the accepted pair is (0, v2)
+    s = v2 * v2
+    f = math.sqrt(-2.0 * math.log(s) / s)
+    assert normals.tolist() == [0.0, v2 * f]
 
 
 @pytest.mark.parametrize("M", [2046, 4094, 8190, 131070])
