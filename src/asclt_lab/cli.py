@@ -27,12 +27,13 @@ import math
 import resource
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from . import __version__
 from .asclt import (
@@ -164,6 +165,7 @@ class RunArtifacts:
     csvs: dict[str, str]
     pieces: list[Piece]
     failures: list[str]
+    stages: list[dict]  # run_meta.json's stage log
 
     @property
     def verdict(self) -> str:
@@ -186,7 +188,7 @@ class Experiment:
 
     description: str
     defaults: dict
-    runner: Callable[[ExperimentConfig, object], RunArtifacts]
+    runner: Callable[[ExperimentConfig, _Executor], tuple[dict, dict, list[Piece]]]
     spec: str = "hermite"  # the _build_spec kind of the model
     gate: Callable[[float, int | None], str | None] | None = None  # (H, q) -> why refused
     min_replicates: int = 0
@@ -501,27 +503,6 @@ def _spec_args(cfg: ExperimentConfig) -> tuple:
             m.get("expansion_order"))
 
 
-def _guard(fn, args):
-    """fn over the replicate block (..., first, count) of args, as one
-    (status, payload) per replicate. A block that raises is re-run one
-    replicate at a time, so each failure names its own replicate id, the
-    same whatever the worker count."""
-    *head, first, count = args
-    try:
-        return [("ok", result) for result in fn(args)]
-    except Exception as exc:  # noqa: BLE001 - reported per replicate
-        if count == 1:
-            return [("err", f"replicate {first}: {type(exc).__name__}: {exc}")]
-    return [row for rep in range(first, first + count) for row in _guard(fn, (*head, rep, 1))]
-
-
-def _each_replicate(worker, args):
-    """A one-replicate worker (args ending in the replicate id) over the
-    block (..., first, count)."""
-    *head, first, count = args
-    return [worker((*head, rep)) for rep in range(first, first + count)]
-
-
 def _ks_prefix_worker(args):
     kind, H, q, fname, order, n_grid, seed, rep = args
     spec = _build_spec(kind, H, q, fname, order)
@@ -573,87 +554,172 @@ def _sep_worker(args):
     return harmonic_weighted_mean(np.arctan(g.values))
 
 
-def _submit(pool, fn, *args):
-    """A zero-argument callable giving fn(*args): started now in the pool, or
-    run inline when called if there is no pool."""
-    if pool is None:
-        return functools.partial(fn, *args)
-    return pool.submit(fn, *args).result
+# ---------------------------------------------------------------------------
+# Stage records and the executor. A runner declares its pool work as stages;
+# the run's executor alone queues them, collects them and blames failures.
 
 
-def _start_replicates(worker, head: tuple, replicates: int, n: int, pool, workers: int):
-    """Queue a guarded block worker over replicate ids 0..replicates-1 in
-    the run's pool (None: inline). Each item is the block (*head, first,
-    count) of block_rows(n) ids, n the path length, and the worker returns
-    one result per replicate. Returns a zero-argument callable giving
-    (results, failures): results maps the id of each replicate that
-    succeeded to its result, in id order; without a pool the blocks run
-    when it is called."""
-    fn = functools.partial(_guard, worker)
-    step = block_rows(n)
-    items = [(*head, first, min(step, replicates - first))
-             for first in range(0, replicates, step)]
-    queued = None
-    if pool is not None and len(items) > 1:
-        chunk = max(1, math.ceil(len(items) / (8 * workers)))
-        queued = pool.map(fn, items, chunksize=chunk)  # submits every chunk now
+@dataclass(frozen=True)
+class Replicates:
+    """A replicate map: the worker named `worker` over replicate ids
+    0..count-1 in blocks of block_rows(n) ids, n the path length. The worker
+    takes (*head, first, count) and returns one result per replicate, or with
+    each=True takes (*head, id) and runs once per id. It is looked up in this
+    module when a block runs, so a block pickles as plain data. `name`
+    prefixes each failure; with required=True the run raises when every
+    replicate fails."""
 
-    def collect() -> tuple[dict, list[str]]:
-        results, failures = {}, []
-        for item, block in zip(items, map(fn, items) if queued is None else queued):
-            for rep, (status, payload) in enumerate(block, item[-2]):  # from its first id
-                if status == "ok":
-                    results[rep] = payload
-                else:
-                    failures.append(payload)
-        return results, failures
-
-    return collect
+    name: str
+    worker: str
+    head: tuple
+    count: int
+    n: int
+    each: bool = False
+    required: bool = False
 
 
-def _start_criteria(spec, n_max: int, scan_ns, pool):
-    """Queue the criteria stage at min(n_max, _CRITERIA_N_CAP) in the run's
-    pool (None: inline). A HermiteVariation spec is a map over the (a, b)
-    groups of its quartic lag-sum keys, one contraction_values task each:
-    the task runs one bordering pass to the group's largest n and reads
-    every key of the group from it. criteria_diagnostic reduces the values
-    in the parent, and the contraction * log n scan over scan_ns (empty
-    unless critical) reads the same values. Other specs have no
-    contractions and run as one task. Returns a zero-argument callable
-    giving (CriteriaReport, scan values). A task's error is raised from it
-    as the run's error, not collected as a replicate failure."""
+@dataclass(frozen=True)
+class Tasks:
+    """A deterministic group: start(submit) queues its tasks through
+    submit(fn, *args), which returns a zero-argument callable giving that
+    task's result, and returns the reducer, a zero-argument callable run in
+    the parent. An error in a task or the reducer is the run's error."""
+
+    name: str
+    start: Callable
+
+
+def _run_block(stage: Replicates, first: int, count: int) -> list[tuple[str, object]]:
+    """stage's worker over replicate ids first..first+count-1, as one
+    (status, payload) per replicate. A block that raises is re-run one
+    replicate at a time, so each failure names its stage and its own
+    replicate id, the same whatever the worker count."""
+    worker = globals()[stage.worker]
+    try:
+        if stage.each:
+            return [("ok", worker((*stage.head, rep))) for rep in range(first, first + count)]
+        return [("ok", result) for result in worker((*stage.head, first, count))]
+    except Exception as exc:  # noqa: BLE001 - reported per replicate
+        if count == 1:
+            return [("err", f"{stage.name} replicate {first}: {type(exc).__name__}: {exc}")]
+    return [row for rep in range(first, first + count) for row in _run_block(stage, rep, 1)]
+
+
+class _Executor:
+    """Runs a run's stages. At workers > 1 one pool opens with the first
+    stages and serves them all; at workers == 1, and for a replicate map of
+    one block, a stage runs in the parent when it is collected. `failures`
+    gathers every stage's failed replicates in queue order, and `log` holds
+    one run_meta.json entry per stage: its name and kind, when it was queued
+    and collected (seconds since the executor started), and its ok and
+    failed counts (replicates of a map; tasks of a group, none failed)."""
+
+    def __init__(self, workers: int):
+        self.workers, self.pool, self.t0 = workers, None, time.monotonic()
+        self.failures: list[str] = []
+        self.log: list[dict] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def run(self, *stages) -> Iterator:
+        """Queue every stage now, in order. Returns an iterator that collects
+        each stage when its result is read, in queue order, so the parent
+        can reduce one stage while the pool runs the next. A result is
+        {replicate id: result} in id order for a map, the reducer's value
+        for a group."""
+        if self.workers > 1 and self.pool is None:
+            self.pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
+        pending = []
+        for stage in stages:
+            entry = {"name": stage.name, "kind": type(stage).__name__.lower(), "ok": 0, "failed": 0,
+                     "queued_s": time.monotonic() - self.t0}
+            self.log.append(entry)
+            queue = self._queue_tasks if isinstance(stage, Tasks) else self._queue_map
+            pending.append((entry, queue(stage, entry)))
+        return self._collect(pending)
+
+    def _collect(self, pending) -> Iterator:
+        for entry, collect in pending:
+            result = collect()
+            entry["collected_s"] = time.monotonic() - self.t0
+            yield result
+
+    def _queue_tasks(self, stage: Tasks, entry: dict) -> Callable:
+        def submit(fn, *args):
+            entry["ok"] += 1
+            if self.pool is None:
+                return functools.partial(fn, *args)
+            return self.pool.submit(fn, *args).result
+
+        return stage.start(submit)
+
+    def _queue_map(self, stage: Replicates, entry: dict) -> Callable:
+        step = block_rows(stage.n)
+        firsts = range(0, stage.count, step)
+        counts = [min(step, stage.count - first) for first in firsts]
+        block = functools.partial(_run_block, stage)
+        if self.pool is None or len(firsts) <= 1:
+            blocks = map(block, firsts, counts)  # runs when collected
+        else:
+            chunk = max(1, math.ceil(len(firsts) / (8 * self.workers)))
+            # Submits every chunk now.
+            blocks = self.pool.map(block, firsts, counts, chunksize=chunk)
+
+        def collect() -> dict:
+            results, failed = {}, []
+            for first, rows in zip(firsts, blocks):
+                for rep, (status, payload) in enumerate(rows, first):
+                    if status == "ok":
+                        results[rep] = payload
+                    else:
+                        failed.append(payload)
+            entry.update(ok=len(results), failed=len(failed))
+            if stage.required and not results:
+                raise RuntimeError(f"all replicates failed; first: {failed[0]}")
+            self.failures += failed
+            return results
+
+        return collect
+
+
+def _il_stage(cfg: ExperimentConfig, n_grid) -> Replicates:
+    """The Monte-Carlo il map: il_delta_prefixes of each replicate at seed
+    offset _SEED_IL, which il_from_prefixes reduces."""
+    return Replicates("il", "_il_worker", (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid),
+                                           cfg.master_seed + _SEED_IL),
+                      cfg.replicates, n_grid[-1], each=True)
+
+
+def _criteria_tasks(spec, n_max: int, scan_ns, submit):
+    """The criteria group's start at min(n_max, _CRITERIA_N_CAP). A
+    HermiteVariation spec queues one contraction_values task per (a, b)
+    group of its quartic lag-sum keys: the task runs one bordering pass to
+    the group's largest n and reads every key of the group from it.
+    criteria_diagnostic reduces the values in the parent, and the
+    contraction * log n scan over scan_ns (empty unless critical) reads the
+    same values. Other specs have no contractions and run as one task. The
+    reducer gives (CriteriaReport, scan values)."""
     n_max = min(n_max, _CRITERIA_N_CAP)
     keys = contraction_keys(spec, n_max, scan_ns)
     if not keys:
-        pending = _submit(pool, criteria_diagnostic, spec, n_max)
+        pending = submit(criteria_diagnostic, spec, n_max)
         return lambda: (pending(), [])
     groups = [tuple(group) for _, group in itertools.groupby(keys, key=lambda key: key[:2])]
-    values = [(group, _submit(pool, contraction_values, spec.model, group)) for group in groups]
+    values = [(group, submit(contraction_values, spec.model, group)) for group in groups]
 
-    def collect():
+    def reduce():
         contractions = {}
         for group, pending in values:
             contractions.update(zip(group, pending()))
         scan = [contractions[(1, spec.q - 1, n)] * math.log(n) for n in scan_ns]
         return criteria_diagnostic(spec, n_max, contractions), scan
 
-    return collect
-
-
-def _start_il_mc(cfg: ExperimentConfig, n_grid, pool):
-    """The Monte-Carlo il diagnostic: one il_delta_prefixes per replicate id
-    0..replicates-1 at seed offset _SEED_IL, reduced by il_from_prefixes.
-    Returns a zero-argument callable giving (IlDiagnostic, failures)."""
-    head = (*_spec_args(cfg), tuple(cfg.t_grid), tuple(n_grid), cfg.master_seed + _SEED_IL)
-    pending = _start_replicates(functools.partial(_each_replicate, _il_worker), head,
-                                cfg.replicates, n_grid[-1], pool, cfg.workers)
-
-    def collect() -> tuple[IlDiagnostic, list[str]]:
-        prefixes, failures = pending()
-        return (il_from_prefixes(cfg.t_grid, n_grid, list(prefixes.values())),
-                [f"il {f}" for f in failures])
-
-    return collect
+    return reduce
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +804,7 @@ def _ks_trend(cfg: ExperimentConfig, ks: dict) -> tuple[dict, Piece]:
 # and replicate failures; RunArtifacts.verdict reduces them.
 
 
-def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
+def _run_asclt_family(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, dict, list[Piece]]:
     spec = _build_spec(*_spec_args(cfg))
     # FbmScaled uses the closed-form second moment, which is capped; the il
     # grid is trimmed to the cap there while KS keeps the full grid.
@@ -750,18 +816,16 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         if not kernel_grid:
             kernel_grid = [min(cfg.n_grid[-1], _KERNEL_BOUNDED_MAX_N)]
 
-    # The deterministic stages are queued first so that they run alongside
-    # the replicate fan-out; results merge below in the report's fixed order.
-    criteria_pending = _start_criteria(spec, cfg.n_max, kernel_grid, pool)
-    if exact_il:
-        # One task per row block of the exact pass, which bounds the fbm run.
-        il_exact = exact_delta_sq(spec, cfg.t_grid, il_grid, functools.partial(_submit, pool))
-    else:
-        il_mc = _start_il_mc(cfg, il_grid, pool)
-    ks, failures = _start_replicates(
-        functools.partial(_each_replicate, _ks_prefix_worker),
-        (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS),
-        cfg.replicates, cfg.n_grid[-1], pool, cfg.workers)()
+    # The deterministic stages go first so that they run alongside the
+    # replicate fan-out; the exact il pass is one task per row block, which
+    # bounds the fbm run.
+    (crit_report, vals), il_out, ks = ex.run(
+        Tasks("criteria", functools.partial(_criteria_tasks, spec, cfg.n_max, kernel_grid)),
+        Tasks("exact_delta", functools.partial(exact_delta_sq, spec, cfg.t_grid, il_grid))
+        if exact_il else _il_stage(cfg, il_grid),
+        Replicates("ks", "_ks_prefix_worker",
+                   (*_spec_args(cfg), tuple(cfg.n_grid), cfg.master_seed + _SEED_KS),
+                   cfg.replicates, cfg.n_grid[-1], each=True))
     report: dict = {"spec": _spec_dict(spec)}
     if ks:
         report["ks"], ks_piece = _ks_trend(cfg, ks)
@@ -772,10 +836,9 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         (n, rep, v) for rep, row in ks.items() for n, v in zip(cfg.n_grid, row)])
 
     if exact_il:
-        il = il_from_exact(cfg.t_grid, il_grid, il_exact())
+        il = il_from_exact(cfg.t_grid, il_grid, il_out)
     else:
-        il, fail = il_mc()
-        failures += fail
+        il = il_from_prefixes(cfg.t_grid, il_grid, list(il_out.values()))
     # The Monte Carlo decay-slope statistic sits within about one standard
     # error of its threshold at desk scale, so only the deterministic
     # closed-form reference participates in the verdict; the condition fits
@@ -786,7 +849,6 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
     else:
         pieces.append(Piece(f"il summability (mc): {il.verdict} [informational]"))
 
-    crit_report, vals = criteria_pending()
     report["criteria"] = asdict(crit_report)
     pieces.append(Piece(f"decay-condition fits: {crit_report.verdict}",
                         crit_report.verdict == "consistent"))
@@ -801,29 +863,27 @@ def _run_asclt_family(cfg: ExperimentConfig, pool) -> RunArtifacts:
         }
         pieces.append(Piece(f"contraction * log n within ratio {max(vals) / min(vals):.3f} "
                             f"(bounded: {'yes' if bounded else 'NO'})", bounded))
-    return RunArtifacts(report, {"ks.csv": ks_csv}, pieces, failures)
+    return report, {"ks.csv": ks_csv}, pieces
 
 
-def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
+def _run_non_gaussian(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, dict, list[Piece]]:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
     report: dict = {"spec": _spec_dict(spec)}
-
-    # Every stage below is queued now and merged in report order.
-    criteria_pending = _start_criteria(spec, cfg.n_max, (), pool)
     top = int(math.log2(cfg.n_max))
     levels = list(range(max(6, top - 6), top + 1, 2))
-    zn_pending = _start_replicates(
-        functools.partial(_each_replicate, _zn_worker),
-        (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN),
-        cfg.replicates, cfg.n_max, pool, cfg.workers)
     sep_n = min(cfg.n_max, cfg.n_grid[-1])
-    sep = functools.partial(_each_replicate, _sep_worker)
-    sup_pending = _start_replicates(sep, (H, q, sep_n, cfg.master_seed + _SEED_SEP_SUP),
-                                    cfg.replicates, sep_n, pool, cfg.workers)
-    sub_pending = _start_replicates(sep, (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB),
-                                    cfg.replicates, sep_n, pool, cfg.workers)
-    il_pending = _start_il_mc(cfg, cfg.n_grid, pool)
+    # Every stage is queued up front; the results merge below in report order.
+    (crit_report, _), zrows, sup_vals, sub_vals, il_prefixes = ex.run(
+        Tasks("criteria", functools.partial(_criteria_tasks, spec, cfg.n_max, ())),
+        Replicates("zn", "_zn_worker", (H, q, cfg.n_max, tuple(levels), cfg.master_seed + _SEED_ZN),
+                   cfg.replicates, cfg.n_max, each=True),
+        Replicates("separation_sup", "_sep_worker", (H, q, sep_n, cfg.master_seed + _SEED_SEP_SUP),
+                   cfg.replicates, sep_n, each=True),
+        Replicates("separation_sub", "_sep_worker",
+                   (_SEP_TWIN_H, q, sep_n, cfg.master_seed + _SEED_SEP_SUB),
+                   cfg.replicates, sep_n, each=True),
+        _il_stage(cfg, cfg.n_grid))
 
     # Deterministic second-moment convergence of the dyadic-level statistic.
     rel_zn = float(cfg.tolerances["rel_zn"])
@@ -841,7 +901,6 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
                     f"({'within' if moment_ok else 'OUTSIDE'} {rel_zn:.0%})", moment_ok)]
 
     # Pathwise Cauchy behaviour across dyadic levels, one fBm grid per seed.
-    zrows, failures = zn_pending()
     med = []
     if zrows:
         diffs = np.abs(np.diff(np.array(list(zrows.values())), axis=1))
@@ -859,10 +918,6 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
 
     # Across-seed spread of the log-averaged arctan mean, against the
     # subcritical twin; reported as evidence, not a verdict piece.
-    sup_vals, fail = sup_pending()
-    failures += fail
-    sub_vals, fail = sub_pending()
-    failures += fail
     if sup_vals and sub_vals:
         sup_std = float(np.std(np.array(list(sup_vals.values())), ddof=1))
         sub_std = float(np.std(np.array(list(sub_vals.values())), ddof=1))
@@ -876,25 +931,23 @@ def _run_non_gaussian(cfg: ExperimentConfig, pool) -> RunArtifacts:
         pieces.append(Piece(f"across-seed std of log-averaged arctan mean: {sup_std:.4f} vs "
                             f"subcritical {sub_std:.4f} (ratio {sup_std / sub_std:.2f})"))
 
-    il, fail = il_pending()
-    failures += fail
+    il = il_from_prefixes(cfg.t_grid, cfg.n_grid, list(il_prefixes.values()))
     report["il"] = {**_il_to_dict(il), "in_verdict": False}
     pieces.append(Piece(f"il summability (mc): {il.verdict} [informational]"))
 
     # The deterministic condition fits gate the verdict too: the contraction
     # series here has no decaying envelope, so flagged is the expected
     # outcome, and the exit code reports it honestly.
-    crit_report, _ = criteria_pending()
     report["criteria"] = asdict(crit_report)
     pieces += [
         Piece(f"decay-condition fits: {crit_report.verdict}", crit_report.verdict == "consistent"),
         Piece("expected outcome: flagged (limit law is random, not Gaussian)"),
     ]
     csv = _csv("level_lo,level_hi,median_abs_diff", zip(levels, levels[1:], med))
-    return RunArtifacts(report, {"zn_cauchy.csv": csv}, pieces, failures)
+    return report, {"zn_cauchy.csv": csv}, pieces
 
 
-def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
+def _run_kernels_decay(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, dict, list[Piece]]:
     H, q = cfg.model["H"], cfg.model["q"]
     model = fgn(H)
     rows, cells, pieces = [], [], []
@@ -912,29 +965,25 @@ def _run_kernels_decay(cfg: ExperimentConfig, pool) -> RunArtifacts:
         pieces.append(Piece(f"r={r}: fitted decay slope {slope:.4f} "
                             f"({'negative' if slope < 0 else 'NOT negative'})", slope < 0.0))
     report = {"model": {"H": H, "q": q}, "contractions": rows}
-    return RunArtifacts(report, {"contractions.csv": _csv("n,r,contraction_norm_sq", cells)},
-                        pieces, [])
+    return report, {"contractions.csv": _csv("n,r,contraction_norm_sq", cells)}, pieces
 
 
-def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
+def _run_delta_exactness(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, dict, list[Piece]]:
     spec = FbmScaled(cfg.model["H"])
     z_max = float(cfg.tolerances["z_max"])
     # The blocks of the closed-form pass are queued first so that they run
     # alongside the replicate fan-out.
-    exact_pending = exact_delta_sq(spec, cfg.t_grid, [cfg.n_max],
-                                   functools.partial(_submit, pool))
-    vals, failures = _start_replicates(
-        _delta_worker, (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed),
-        cfg.replicates, cfg.n_max, pool, cfg.workers)()
-    if not vals:
-        raise RuntimeError(f"all replicates failed; first: {failures[0]}")
-    exact_sq = exact_pending()[:, 0]
+    exact_sq, vals = ex.run(
+        Tasks("exact_delta", functools.partial(exact_delta_sq, spec, cfg.t_grid, [cfg.n_max])),
+        Replicates("delta", "_delta_worker",
+                   (*_spec_args(cfg), cfg.n_max, tuple(cfg.t_grid), cfg.master_seed),
+                   cfg.replicates, cfg.n_max, required=True))
     rows, pieces, worst = [], [], 0.0
     for i, t in enumerate(cfg.t_grid):
         sq = np.abs(np.array([v[i] for v in vals.values()])) ** 2
         mc = float(sq.mean())
         se = float(sq.std(ddof=1) / math.sqrt(len(sq)))
-        exact = float(exact_sq[i])
+        exact = float(exact_sq[i, 0])
         z = 0.0 if se == 0.0 and mc == exact else (mc - exact) / se
         worst = max(worst, abs(z))
         rows.append({"t": t, "mc": mc, "exact": exact, "stderr": se, "z": float(z)})
@@ -949,27 +998,24 @@ def _run_delta_exactness(cfg: ExperimentConfig, pool) -> RunArtifacts:
     }
     csv = _csv("n,t,delta_sq_mc,delta_sq_exact,stderr",
                [(cfg.n_max, r["t"], r["mc"], r["exact"], r["stderr"]) for r in rows])
-    return RunArtifacts(report, {"delta.csv": csv}, pieces, failures)
+    return report, {"delta.csv": csv}, pieces
 
 
-def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
+def _run_malliavin_bounds(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, dict, list[Piece]]:
     H, q = cfg.model["H"], cfg.model["q"]
     spec = HermiteVariation(fgn(H), q)
     z_max = float(cfg.tolerances["z_max"])
     # Both fan-outs are queued up front; each worker reduces its path to
-    # scalars, which merge below in replicate order.
-    pending = _start_replicates(
-        _malliavin_worker, (H, q, cfg.n_max, cfg.master_seed + _SEED_PATHS),
-        cfg.replicates, cfg.n_max, pool, cfg.workers)
+    # scalars, which merge below in replicate order. The Malliavin records
+    # are reduced while the pool still runs the Gebelein map.
     geb_n = min(cfg.n_max, 2048)
-    geb_pending = _start_replicates(
-        _gebelein_worker, (_GEBELEIN_H, geb_n, cfg.master_seed + _SEED_GEBELEIN),
-        cfg.replicates, geb_n, pool, cfg.workers)
-    by_id, failures = pending()
-    records = list(by_id.values())
-    failures = [f"malliavin {f}" for f in failures]
-    if not records:
-        raise RuntimeError(f"all replicates failed; first: {failures[0]}")
+    results = ex.run(
+        Replicates("malliavin", "_malliavin_worker",
+                   (H, q, cfg.n_max, cfg.master_seed + _SEED_PATHS), cfg.replicates, cfg.n_max,
+                   required=True),
+        Replicates("gebelein", "_gebelein_worker",
+                   (_GEBELEIN_H, geb_n, cfg.master_seed + _SEED_GEBELEIN), cfg.replicates, geb_n))
+    records = list(next(results).values())
     report: dict = {"spec": _spec_dict(spec), "n": cfg.n_max, "replicates": len(records)}
 
     dg = np.array([r.dg_norm_sq for r in records])
@@ -1000,9 +1046,7 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
             f"{check.name}: mc {check.mc_mean:.4f}, printed bound {check.bound_as_printed:.4f}"
             + (" [VIOLATED as printed]" if check.violates_printed else "")))
 
-    geb_records, geb_failures = geb_pending()
-    failures += [f"gebelein {f}" for f in geb_failures]
-    geb = gebelein_check(list(geb_records.values()), np.arctan, range(_GEBELEIN_MAX_LAG + 1))
+    geb = gebelein_check(list(next(results).values()), np.arctan, range(_GEBELEIN_MAX_LAG + 1))
     geb_ok = all(row.holds for row in geb)
     report["gebelein"] = {"H": _GEBELEIN_H, "f": "arctan", "rows": [asdict(row) for row in geb]}
     pieces.append(Piece(f"gebelein holds at all lags 0..{_GEBELEIN_MAX_LAG}: "
@@ -1013,10 +1057,10 @@ def _run_malliavin_bounds(cfg: ExperimentConfig, pool) -> RunArtifacts:
             (r.n, r.t, r.gap_mc, r.bound, r.dg4_mean, r.d2g_mean) for r in cf_rows]),
         "gebelein.csv": _csv("lag,cov_mc,se,bound,holds", [astuple(row) for row in geb]),
     }
-    return RunArtifacts(report, csvs, pieces, failures)
+    return report, csvs, pieces
 
 
-def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
+def _run_sigma_limits(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, dict, list[Piece]]:
     H, q = cfg.model["H"], cfg.model["q"]
     model = fgn(H)
     regime = regime_for(model, q)
@@ -1045,8 +1089,7 @@ def _run_sigma_limits(cfg: ExperimentConfig, pool) -> RunArtifacts:
               f"({'within' if within else 'OUTSIDE'}), monotone approach: "
               f"{'yes' if monotone else 'NO'}", within and monotone),
     ]
-    return RunArtifacts(report, {"sigma.csv": _csv("n,sigma_sq", zip(cfg.n_grid, vals))},
-                        pieces, [])
+    return report, {"sigma.csv": _csv("n,sigma_sq", zip(cfg.n_grid, vals))}, pieces
 
 
 _GRID_DEFAULT = [256, 1024, 4096, 16384, 65536]
@@ -1201,13 +1244,11 @@ def render_report(artifacts: RunArtifacts, cfg: ExperimentConfig) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunArtifacts:
-    """Run one experiment. At workers > 1 the run opens one process pool and
-    every stage shares it; at workers == 1 everything runs inline."""
-    runner = _EXPERIMENTS[cfg.experiment].runner
-    if cfg.workers <= 1:
-        return runner(cfg, None)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return runner(cfg, pool)
+    """Run one experiment. Its runner hands every stage to one executor,
+    which at workers > 1 opens one process pool that all of them share."""
+    with _Executor(cfg.workers) as ex:
+        report, csvs, pieces = _EXPERIMENTS[cfg.experiment].runner(cfg, ex)
+    return RunArtifacts(report, csvs, pieces, ex.failures, ex.log)
 
 
 def run(cfg: ExperimentConfig, echo=print) -> int:
@@ -1236,6 +1277,11 @@ def run(cfg: ExperimentConfig, echo=print) -> int:
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         "out_dir": str(out),
         "workers": cfg.workers,
+        "stages": artifacts.stages,
+        "numpy": np.__version__,
+        # NumPy's baseline SIMD targets and the dispatch targets this CPU runs.
+        "simd_baseline": list(__cpu_baseline__),
+        "simd_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
     }
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 

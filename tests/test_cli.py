@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -595,14 +596,17 @@ def test_warm_replicates_stay_within_bytes_per_point(args):
 ])
 def test_pooled_il_matches_serial_diagnostic(experiment, model, spec):
     t_grid, n_grid = (0.0, 0.5, 1.0), [16, 64, 256]
-    expect = il_from_prefixes(t_grid, n_grid, [
-        il_delta_prefixes(spec, t_grid, n_grid, SEED + cli._SEED_IL, rep) for rep in range(6)])
-    il, failures = cli._start_il_mc(_small_asclt(experiment, model), [16, 64, 256], None)()
-    assert failures == [] and il == expect
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        pending = cli._start_il_mc(_small_asclt(experiment, model, 2), [16, 64, 256], pool)
-        il, failures = pending()
-    assert failures == [] and il == expect
+    # 6 replicates at n = 256 are one block (run in the parent), 300 are three.
+    for replicates in (6, 300):
+        expect = il_from_prefixes(t_grid, n_grid, [
+            il_delta_prefixes(spec, t_grid, n_grid, SEED + cli._SEED_IL, rep)
+            for rep in range(replicates)])
+        for workers in (1, 2):
+            cfg = _small_asclt(experiment, model, workers, replicates)
+            with cli._Executor(workers) as ex:
+                (prefixes,) = ex.run(cli._il_stage(cfg, n_grid))
+            assert ex.failures == [] and list(prefixes) == list(range(replicates))
+            assert il_from_prefixes(t_grid, n_grid, list(prefixes.values())) == expect
 
 
 def _assert_same_outputs(out1, out2):
@@ -654,13 +658,15 @@ def test_pooled_criteria_matches_inline():
         expect[spec] = (criteria_diagnostic(spec, 256, values),
                         [contraction_norm_sq(spec.model, spec.q, 1, n).value * math.log(n)
                          for n in scan_ns])
-    for spec in _CRITERIA_SPECS:
-        assert cli._start_criteria(spec, 256, scan_ns, None)() == expect[spec]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        pending = {spec: cli._start_criteria(spec, 256, scan_ns, pool)
-                   for spec in _CRITERIA_SPECS}
-        for spec, collect in pending.items():
-            assert collect() == expect[spec]
+    stages = [cli.Tasks(f"criteria {i}", functools.partial(cli._criteria_tasks, spec, 256, scan_ns))
+              for i, spec in enumerate(_CRITERIA_SPECS)]
+    # One task per (a, b) group of the spec's lag-sum keys.
+    tasks = [len({key[:2] for key in contraction_keys(spec, 256, scan_ns)})
+             for spec in _CRITERIA_SPECS]
+    for workers in (1, 2):
+        with cli._Executor(workers) as ex:
+            assert list(ex.run(*stages)) == [expect[spec] for spec in _CRITERIA_SPECS]
+        assert [entry["ok"] for entry in ex.log] == tasks
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -824,7 +830,7 @@ def test_ks_csv_names_replicate_ids_when_one_fails(monkeypatch, tmp_path):
     cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2}, replicates=4)
     assert cli.run(dataclasses.replace(cfg, out_dir=str(tmp_path)), echo=lambda line: None) == 1
     assert json.loads((tmp_path / "report.json").read_text())["failures"] == [
-        "replicate 1: RuntimeError: boom"]
+        "ks replicate 1: RuntimeError: boom"]
     rows = (tmp_path / "ks.csv").read_text().splitlines()
     assert rows[0] == "n,seed,ks_distance"
     assert rows[1:] == [
@@ -864,17 +870,100 @@ def _count_pools(monkeypatch) -> list:
     return made
 
 
+def _small(experiment, workers, **overrides):
+    cfg, errors = validate_config(_doc(experiment, workers=workers, **overrides))
+    assert not errors
+    return cfg
+
+
 def test_one_pool_per_run(monkeypatch):
+    """Every runner with stages opens one pool at workers > 1 and none at 1;
+    kernels_decay and sigma_limits run inline and open none."""
     made = _count_pools(monkeypatch)
     general_f = {"H": 0.3, "f": "arctan", "expansion_order": 9}
+    seeds = {"master_seed": SEED, "replicates": 100}
+    runs = [  # (config at a worker count, whether the run has pool stages)
+        (lambda w: _small_asclt("asclt_general_f", general_f, w), True),
+        (lambda w: _small("non_gaussian", w, n_max=256, n_grid=[16, 64, 256], seeds=seeds,
+                          t_grid=[1.0]), True),
+        (lambda w: _small("delta_exactness", w, n_max=128, n_grid=[128], seeds=seeds,
+                          t_grid=[0.5]), True),
+        (lambda w: _small_malliavin(workers=w), True),
+        (lambda w: _small("kernels_decay", w, n_max=256, n_grid=[64, 256]), False),
+        (lambda w: _small("sigma_limits", w, n_max=1000, n_grid=[100, 1000]), False),
+    ]
+    runners = {cli._EXPERIMENTS[make(1).experiment].runner for make, _ in runs}
+    assert runners == {entry.runner for entry in cli._EXPERIMENTS.values()}
+    for make, pooled in runs:
+        for workers in (1, 2):
+            made.clear()
+            art = cli.run_experiment(make(workers))
+            assert art.failures == []
+            assert made == ([2] if workers == 2 and pooled else []), (make(1).experiment, workers)
+            assert bool(art.stages) == pooled
+
+
+def test_non_gaussian_failures_name_their_stage(monkeypatch, tmp_path):
+    # Replicate 2 fails in zn and replicate 3 in both separation stages, in
+    # blocks of 128 replicates (three per stage, so pooled at w2).
+    real_zn, real_sep = cli._zn_worker, cli._sep_worker
+
+    def zn(args):
+        if args[-1] == 2:
+            raise RuntimeError("boom")
+        return real_zn(args)
+
+    def sep(args):
+        if args[-1] == 3:
+            raise RuntimeError("boom")
+        return real_sep(args)
+
+    monkeypatch.setattr(cli, "_zn_worker", zn)
+    monkeypatch.setattr(cli, "_sep_worker", sep)
+    doc = _doc("non_gaussian", n_max=256, n_grid=[16, 64, 256], t_grid=[1.0],
+               seeds={"master_seed": SEED, "replicates": 300})
+    cfg_path = _write_config(tmp_path, "ng.json", doc)
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    codes = [main(["run", "--config", cfg_path, "--out", str(out), "--workers", str(w)])
+             for w, out in zip((1, 2), outs)]
+    assert codes == [1, 1]
+    failures = json.loads((outs[0] / "report.json").read_text())["failures"]
+    assert failures == ["zn replicate 2: RuntimeError: boom",
+                        "separation_sup replicate 3: RuntimeError: boom",
+                        "separation_sub replicate 3: RuntimeError: boom"]
+    _assert_same_outputs(*outs)
+
+
+def test_run_meta_logs_each_stage(monkeypatch, tmp_path):
+    real = cli._ks_prefix_worker
+
+    def fail_1(args):
+        if args[-1] == 1:
+            raise RuntimeError("boom")
+        return real(args)
+
+    monkeypatch.setattr(cli, "_ks_prefix_worker", fail_1)
+    reports = []
     for workers in (1, 2):
-        made.clear()
-        cli.run_experiment(_small_asclt("asclt_general_f", general_f, workers))
-        assert made == ([2] if workers == 2 else [])
-        made.clear()
-        art = cli.run_experiment(_small_malliavin(workers=workers))
-        assert art.failures == [] and art.report["replicates"] == 100
-        assert made == ([2] if workers == 2 else [])
+        # 300 replicates at n = 256 are three blocks, pooled at w2.
+        cfg = _small_asclt("asclt_hermite_sub", {"H": 0.3, "q": 2}, workers, replicates=300)
+        out = tmp_path / f"w{workers}"
+        assert cli.run(dataclasses.replace(cfg, out_dir=str(out)), echo=lambda line: None) == 1
+        meta = json.loads((out / "run_meta.json").read_text())
+        stages = meta["stages"]
+        # Queue order: the criteria group (one (a, b) group of lag-sum keys),
+        # then the il and KS maps.
+        assert [(s["name"], s["kind"], s["ok"], s["failed"]) for s in stages] == [
+            ("criteria", "tasks", 1, 0), ("il", "replicates", 300, 0), ("ks", "replicates", 299, 1)]
+        assert all(set(s) == {"name", "kind", "queued_s", "collected_s", "ok", "failed"}
+                   for s in stages)
+        queued = [s["queued_s"] for s in stages]
+        assert queued == sorted(queued) and queued[0] >= 0
+        assert all(s["queued_s"] <= s["collected_s"] <= meta["elapsed_seconds"] for s in stages)
+        assert meta["numpy"] == np.__version__
+        assert meta["simd_baseline"] and all(isinstance(t, str) for t in meta["simd_dispatch"])
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] and b"stages" not in reports[0]
 
 
 def test_block_failure_is_reported_per_replicate_alike_across_workers(monkeypatch, tmp_path):
@@ -896,13 +985,16 @@ def test_block_failure_is_reported_per_replicate_alike_across_workers(monkeypatc
              for w, out in zip((1, 2), outs)]
     assert codes == [1, 1]
     reports = [json.loads((out / "report.json").read_text()) for out in outs]
-    assert reports[0]["failures"] == ["replicate 37: RuntimeError: boom"]
+    assert reports[0]["failures"] == ["delta replicate 37: RuntimeError: boom"]
     _assert_same_outputs(*outs)
     cfg = load_config(cfg_path)
-    pending = cli._start_replicates(cli._delta_worker,
-                                    (*cli._spec_args(cfg), 1024, (0.5, 1.0), SEED),
-                                    100, 1024, None, 1)
-    assert pending()[1] == ["replicate 37: RuntimeError: boom"]
+    stage = cli.Replicates("delta", "_delta_worker", (*cli._spec_args(cfg), 1024, (0.5, 1.0), SEED),
+                           100, 1024)
+    for workers in (1, 2):
+        with cli._Executor(workers) as ex:
+            (results,) = ex.run(stage)
+        assert ex.failures == ["delta replicate 37: RuntimeError: boom"]
+        assert list(results) == [rep for rep in range(100) if rep != 37]
 
 
 def test_criteria_error_is_reported_alike_across_workers(monkeypatch, tmp_path, capsys):
