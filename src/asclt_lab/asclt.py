@@ -26,7 +26,7 @@ from .covariance import CovarianceModel, abs_rho_power_sum
 from .gaussian_sim import sample_stationary
 from .kernels import contraction_norm_sq
 from .malliavin import _normalizer_sq, _quad_fourth_moment
-from .memo import CACHE_BYTES, prefix_cache
+from .memo import prefix_cache
 from .sequences import (
     FbmScaled,
     GeneralF,
@@ -264,7 +264,7 @@ def harmonic_weighted_mean(values: np.ndarray) -> float:
 # The log-averaged characteristic-function statistic.
 
 
-@prefix_cache(CACHE_BYTES)
+@prefix_cache
 def _inverse_k(n: int) -> np.ndarray:
     """1/k for k = 1..n."""
     return 1.0 / np.arange(1.0, n + 1.0)

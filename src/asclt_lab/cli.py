@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
-from . import __version__
+from . import __version__, memo
 from .asclt import (
     EXACT_DELTA_MAX_N,
     IlDiagnostic,
@@ -992,7 +992,7 @@ def _run_delta_exactness(cfg: ExperimentConfig, ex: _Executor) -> tuple[dict, di
     report = {
         "spec": _spec_dict(spec),
         "n": cfg.n_max,
-        "replicates": cfg.replicates,
+        "replicates": len(vals),
         "rows": rows,
         "max_abs_z": float(worst),
     }
@@ -1275,6 +1275,7 @@ def run(cfg: ExperimentConfig, echo=print) -> int:
         "elapsed_seconds": elapsed,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "cache_held_mb": memo.held_bytes() / 2.0**20,  # the memo store of this process
         "out_dir": str(out),
         "workers": cfg.workers,
         "stages": artifacts.stages,

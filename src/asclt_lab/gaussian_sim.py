@@ -45,7 +45,7 @@ import numpy.fft  # noqa: F401  (loaded at import, not on the first path)
 import numpy.random  # noqa: F401  (loaded at import, not on the first path)
 
 from .covariance import CovarianceModel, rho_many, symmetric_toeplitz
-from .memo import CACHE_BYTES, byte_bounded_cache
+from .memo import cache
 
 __all__ = [
     "EmbeddingError",
@@ -315,7 +315,7 @@ def _embedding_eigenvalues(model: CovarianceModel, n: int) -> np.ndarray:
     return lam
 
 
-@byte_bounded_cache(CACHE_BYTES)
+@cache
 def _spectrum_root(model: CovarianceModel, n: int) -> np.ndarray:
     """sqrt(lam_j) for j = 0..M/2, the half of the embedding spectrum that
     the synthesis reads; M = 2(n - 1)."""
@@ -343,7 +343,7 @@ def _synthesize_circulant(root: np.ndarray, buf: np.ndarray, n: int, out=None,
     return np.multiply(x[..., :n], math.sqrt(M), out=out)
 
 
-@byte_bounded_cache(CACHE_BYTES)
+@cache
 def _cholesky_factor(model: CovarianceModel, n: int) -> np.ndarray:
     sigma = symmetric_toeplitz(rho_many(model, np.arange(n)))
     for jitter in (0.0, 1e-12):

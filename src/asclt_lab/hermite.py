@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import numpy.polynomial  # noqa: F401  (loaded at import, not on the first call)
+
+from .memo import cache
 
 __all__ = [
     "MAX_ORDER",
@@ -66,15 +67,13 @@ def hermite_design_matrix(qmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _quad_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # hermegauss integrates against e^{-x^2/2} with total mass sqrt(2*pi);
-    # renormalize to the standard normal density.
+@cache
+def _quad_rule(nodes: int) -> np.ndarray:
+    # Rows: the nodes and the weights. hermegauss integrates against
+    # e^{-x^2/2} with total mass sqrt(2*pi); renormalize to the standard
+    # normal density.
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / math.sqrt(2.0 * math.pi)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return np.stack([x, w / math.sqrt(2.0 * math.pi)])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ dense matmul. Bad arguments raise ValueError before any pass runs, and a
 pass that raises caches nothing, so every call that needs it raises alike.
 
 The normalizer E[V_k^2] = q! sum_{|r|<k} (k - |r|) rho(r)^q has one
-evaluator, the prefix-stable table v2_prefix: D_m = 1 + 2 sum_{0<r<m}
+evaluator, a stream of chunks that the prefix-stable table v2_prefix and
+the single read hermite_sum_variance both consume: D_m = 1 + 2 sum_{0<r<m}
 rho(r)^q, then E[V_k^2] = q! sum_{m<=k} D_m. Both sums, and the bordering
 increments, go through one vectorized compensated prefix sum (np.cumsum
 plus the cumsum of each step's exact TwoSum error; Ogita, Rump and Oishi
@@ -43,20 +44,19 @@ plus the cumsum of each step's exact TwoSum error; Ogita, Rump and Oishi
 against a once-rounded math.fsum of its terms (every k <= 4096 and sampled
 k <= 2^20, fgn H in 0.3..0.9 and q up to 9, iid, an MA table) is within
 1e-14 relative; 2.2e-16 was the largest error seen. rho^q is built in one
-place, _powers, by a fixed square-and-multiply chain rather than pow.
+place, _power_chunks, by a fixed square-and-multiply chain rather than pow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not on the first call)
 
 from .covariance import CovarianceModel, rho_many
-from .memo import CACHE_BYTES, byte_bounded_cache, prefix_cache
+from .memo import cache, prefix_cache
 
 __all__ = [
     "ContractionResult",
@@ -75,48 +75,57 @@ _POWER_CHUNK = 1 << 16
 
 def hermite_sum_variance(model: CovarianceModel, q: int, n: int) -> float:
     """E[V_n^2] = q! sum_{|r|<n} (n - |r|) rho(r)^q: entry n of the v2_prefix
-    table, built to n and not kept, so a single read at a large n (up to
-    2^24 in sigma_limits) holds no table after it returns."""
-    return float(_v2_build(model, q, n)[n - 1])
+    table, read from the end of its chunk stream, so a single read at a large
+    n (up to 2^24 in sigma_limits) holds O(_POWER_CHUNK) memory."""
+    for chunk in _v2_chunks(model, q, n):
+        pass
+    return float(chunk[-1])
 
 
-@prefix_cache(CACHE_BYTES)
+@prefix_cache
 def v2_prefix(model: CovarianceModel, q: int, n: int) -> np.ndarray:
     """E[V_k^2] for k = 1..n in one O(n) pass, read-only, since every
     replicate shares the same normalizers. Entry k does not depend on n, so
     one table per (model, q) answers every n up to its length."""
-    return _v2_build(model, q, n)
+    return np.concatenate([*_v2_chunks(model, q, n)])
 
 
-def _v2_build(model: CovarianceModel, q: int, n: int) -> np.ndarray:
+def _v2_chunks(model: CovarianceModel, q: int, n: int):
+    """E[V_k^2] for k = 1..n, _POWER_CHUNK entries at a time: the one
+    evaluator, read whole by the tables and at its end by a single read."""
     if q < 1 or n < 1:
         raise ValueError("q and n must be >= 1")
-    return math.factorial(q) * _lag_weighted_prefix(_powers(model, q, n))
+    return (math.factorial(q) * w for w in _lag_weighted_chunks(_power_chunks(model, q, n)))
 
 
-def _lag_weighted_prefix(p: np.ndarray) -> np.ndarray:
-    """W(k) = sum_{|r|<k} (k - |r|) p(|r|) for k = 1..n, from p(0..n-1),
-    which it overwrites: the prefix sums of D_m = p(0) + 2 sum_{0<r<m} p(r),
-    both compensated."""
-    p0 = p[0]
-    p *= 2.0
-    p[0] = p0
-    return _prefix_sums(_prefix_sums(p))
+def _lag_weighted_chunks(chunks):
+    """W(k) = sum_{|r|<k} (k - |r|) p(|r|) for k = 1..n, chunk by chunk, from
+    the chunks of p(0..n-1), which it overwrites: the prefix sums of D_m =
+    p(0) + 2 sum_{0<r<m} p(r), both compensated and carried across chunks."""
+    d = w = (0.0, 0.0)
+    for i, p in enumerate(chunks):
+        p[int(i == 0):] *= 2.0  # lag 0 enters D_m once, every other lag twice
+        D, d = _prefix_sums(p, d)
+        W, w = _prefix_sums(D, w)
+        yield W
 
 
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
+def _prefix_sums(x: np.ndarray, carry=(0.0, 0.0)) -> tuple[np.ndarray, tuple]:
     """Compensated prefix sums of x (Ogita, Rump and Oishi's Sum2): np.cumsum,
     whose steps are the sequential roundings s_i = fl(s_{i-1} + x_i), plus the
-    cumsum of each step's exact TwoSum error. Bit-equal to a Neumaier running
-    sum, and entry i depends on x[:i+1] alone. A plain cumsum of 2^14 like-
-    sized terms drifts by about 3e-13 relative; this stays near one rounding."""
-    s = np.cumsum(x)
-    prev = np.concatenate(([0.0], s[:-1]))
+    cumsum of each step's exact TwoSum error, both continued from carry (the
+    two running sums after the entries before x), and the carry after x; so
+    chunks give the bits of one call on the whole. Bit-equal to a Neumaier
+    running sum, and entry i depends on x[:i+1] alone. A plain cumsum of 2^14
+    like-sized terms drifts by about 3e-13 relative; this stays near one
+    rounding."""
+    s = np.cumsum(np.concatenate(([carry[0]], x)))
+    prev, s = s[:-1], s[1:]
     part = s - prev  # the part of x that s took; the TwoSum error follows
-    err = np.subtract(prev, s - part, out=prev)
-    err += np.subtract(x, part, out=part)
-    s += np.cumsum(err, out=err)
-    return s
+    err = np.concatenate(([carry[1]], prev - (s - part)))
+    err[1:] += np.subtract(x, part, out=part)
+    np.cumsum(err, out=err)
+    return s + err[1:], (s[-1], err[-1])
 
 
 @dataclass(frozen=True)
@@ -126,12 +135,15 @@ class ContractionResult:
 
 
 def _powers(model, q: int, n: int) -> np.ndarray:
-    """rho(m)^q for m = 0..n-1 by square and multiply over the bits of q, low
-    to high: a fixed chain of products for each q, not pow, which costs
+    return np.concatenate([*_power_chunks(model, q, n)])
+
+
+def _power_chunks(model, q: int, n: int):
+    """rho(m)^q for m = 0..n-1, _POWER_CHUNK lags at a time, which keeps the
+    temporaries of rho_many small, by square and multiply over the bits of q,
+    low to high: a fixed chain of products for each q, not pow, which costs
     about 9 ms per order at n = 65,536 against well under 1 ms. Every step is
-    elementwise, so lags are taken _POWER_CHUNK at a time to keep the
-    temporaries of rho_many small."""
-    out = np.empty(n)
+    elementwise, so the bits do not depend on the chunking."""
     for lo in range(0, n, _POWER_CHUNK):
         base = rho_many(model, np.arange(lo, min(lo + _POWER_CHUNK, n)))
         part, bits = None, q
@@ -142,11 +154,10 @@ def _powers(model, q: int, n: int) -> np.ndarray:
             if not bits:
                 break
             base = base * base
-        out[lo: lo + part.size] = part
-    return out
+        yield part
 
 
-@byte_bounded_cache(CACHE_BYTES)
+@cache
 def _lag_power_table(model: CovarianceModel, q: int, size: int) -> np.ndarray:
     """rho(m)^q for m = 0..size-1, shared by every pair_lag_sum whose lags
     fit; sizes are powers of two so the criteria pair grids need few."""
@@ -198,11 +209,9 @@ def _windows(x: np.ndarray, start: int, rows: int, width: int, step: int) -> np.
                       (step * x.itemsize, x.itemsize))
 
 
-@lru_cache(maxsize=_PASS_BLOCK_ROWS)
+@cache
 def _strictly_lower(rows: int) -> np.ndarray:
-    mask = np.tri(rows, rows, -1)
-    mask.setflags(write=False)
-    return mask
+    return np.tri(rows, rows, -1)
 
 
 def _bordering_pass(p: np.ndarray, q: np.ndarray | None, n: int) -> np.ndarray:
@@ -252,10 +261,10 @@ def _bordering_pass(p: np.ndarray, q: np.ndarray | None, n: int) -> np.ndarray:
     cb = np.zeros(n)
     np.cumsum(p[1:n] * q[1:n], out=cb[1:])
     inc = 2.0 * dots[0, :n] + cb * cb + 2.0 * dots[1, :n] + (cb + p[0] * q[0]) ** 2
-    return _prefix_sums(inc)
+    return _prefix_sums(inc)[0]
 
 
-@prefix_cache(CACHE_BYTES)
+@prefix_cache
 def _lag_sum_prefix(model: CovarianceModel, a: int, b: int, n: int) -> np.ndarray:
     """S(1..n) for P = Toeplitz(rho^a), Q = Toeplitz(rho^b), a <= b, read-only.
 

@@ -7,8 +7,8 @@ and ||D^2G_n (x)_1 D^2G_n||^2 is a quartic lag sum weighted by f''(X_k),
     tr((TR)^2) = sum_{k,j} b_k b_j (R D R)_{kj}^2,
     T = D R D, D = diag(b), b_k = f''(X_k), R = Toeplitz(rho),
 
-evaluated exactly by dense matmul for small n and by blocked FFT Toeplitz
-applies beyond. When f'' is constant (b = c), the trace is c^4 tr(R^4), the
+evaluated exactly by blocked FFT Toeplitz applies (the dense matmul is the
+test oracle). When f'' is constant (b = c), the trace is c^4 tr(R^4), the
 kernel quartic lag sum, read at n from the bordering pass of `kernels`,
 which runs once per model. The fourth-moment inequalities are evaluated
 exactly as printed (fractional exponents included) alongside the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceModel, abs_rho_power_sum, rho_many, symmetric_toeplitz
+from .covariance import CovarianceModel, abs_rho_power_sum, rho_many
 from .gaussian_sim import GaussianPath
 from .hermite import _quad_rule, derivative_coeffs, evaluate_expansion, hermite_eval
 from .kernels import (
@@ -41,7 +41,7 @@ from .kernels import (
     _toeplitz_columns,
     _toeplitz_spectrum,
 )
-from .memo import CACHE_BYTES, byte_bounded_cache
+from .memo import cache
 from .sequences import (
     FbmScaled,
     HermiteVariation,
@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 _MIN_CF_REPLICATES = 100
-_DENSE_TRACE_MAX_N = 1 << 9
 _TRACE_BLOCK_COLS = 128
 _QUAD_NODES = 200
 
@@ -97,7 +96,7 @@ def _normalizer_sq(spec: SequenceSpec, n: int) -> float:
     return float(_v2_table(spec, n)[n - 1])
 
 
-@byte_bounded_cache(CACHE_BYTES)  # path-independent: once per (model, n)
+@cache  # path-independent: once per (model, n)
 def _covariance_spectrum(model: CovarianceModel, n: int) -> np.ndarray:
     """Size-2n circulant spectrum of Toeplitz(rho(0..n-1)), for ||DG||^2."""
     return _toeplitz_spectrum(rho_many(model, np.arange(n)), n)
@@ -162,11 +161,8 @@ def dg_norm_sq(path: GaussianPath, spec: SequenceSpec) -> float:
 
 
 def _weighted_quartic_trace(g: np.ndarray, b: np.ndarray, n: int) -> float:
-    # tr((TR)^2) = sum_{k,j} b_k b_j (RDR)_{kj}^2 with T = D R D.
-    if n <= _DENSE_TRACE_MAX_N:
-        R = symmetric_toeplitz(g)
-        M = R @ (b[:, None] * R)
-        return float(b @ (M * M) @ b)
+    # tr((TR)^2) = sum_{k,j} b_k b_j (RDR)_{kj}^2 with T = D R D, a block of
+    # _TRACE_BLOCK_COLS columns of R D R at a time by FFT Toeplitz applies.
     spec = _toeplitz_spectrum(g, n)
     total = 0.0
     for start in range(0, n, _TRACE_BLOCK_COLS):

@@ -1,106 +1,102 @@
-"""Memoization of path-independent arrays, bounded by the bytes they hold.
+"""One store of path-independent arrays, bounded by the bytes they hold.
 
-Covariance eigenvalues, Cholesky factors, variance normalizers and lag-power
-tables depend only on their arguments, never on a path, so every replicate
-after the first can reuse them. An entry-count bound is no bound on memory
-when one entry at the 2^24 grid cap is hundreds of megabytes, so these
-caches count bytes instead. Prefix-stable tables (normalizers and weights
-indexed k = 1..n, whose first m entries do not depend on n) keep one table
-per argument tuple, the longest, and answer every shorter n by a slice.
+Covariance eigenvalues, Cholesky factors, variance normalizers, lag-power
+tables and quadrature rules depend only on their arguments, never on a path,
+so every replicate after the first can reuse them. Every memoized function
+of the package keeps its tables in this one store, under one byte budget
+per process: an entry-count bound is no bound on memory when one entry at
+the 2^24 grid cap is hundreds of megabytes. Two decorators front the store:
+`cache` keeps one result per argument tuple, and `prefix_cache` keeps one
+table per argument tuple for prefix-stable tables (normalizers and weights
+indexed k = 1..n, whose first m entries do not depend on n), the longest,
+and answers every shorter n by a slice.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["CACHE_BYTES", "byte_bounded_cache", "prefix_cache"]
+__all__ = ["CACHE_BYTES", "cache", "prefix_cache", "clear", "held_bytes"]
 
-# Per-cache budget: one entry at the 2^24 grid cap fits (the size-2(n-1)
-# embedding spectrum is the largest, just under 256 MiB).
-CACHE_BYTES = 1 << 28
+# The budget of the whole store: 64 bytes per point at the 2^24 grid cap,
+# where the largest single table, the Malliavin covariance spectrum, takes 16.
+CACHE_BYTES = 1 << 30
 
-
-def byte_bounded_cache(max_bytes: int):
-    """Memoize a function of hashable positional arguments returning an ndarray.
-
-    Results are made read-only, since every caller shares them. Entries are
-    kept in least-recently-used order and the oldest are dropped while their
-    total nbytes exceeds max_bytes; a result larger than the whole budget is
-    returned without being kept.
-    """
-
-    def decorate(fn):
-        entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        held = 0
-
-        @functools.wraps(fn)
-        def cached(*args):
-            nonlocal held
-            value = entries.get(args)
-            if value is not None:
-                entries.move_to_end(args)
-                return value
-            value = fn(*args)
-            value.setflags(write=False)
-            if value.nbytes <= max_bytes:
-                entries[args] = value
-                held += value.nbytes
-                while held > max_bytes:
-                    _, old = entries.popitem(last=False)
-                    held -= old.nbytes
-            return value
-
-        return cached
-
-    return decorate
+# (function, key) -> (read-only table, {n: view}); the dict's order is the
+# least-recently-used order, oldest first.
+_store: dict[tuple, tuple[np.ndarray, dict]] = {}
+_held = 0
 
 
-def prefix_cache(max_bytes: int):
+def clear() -> None:
+    """Drop every held table."""
+    global _held
+    _store.clear()
+    _held = 0
+
+
+def held_bytes() -> int:
+    """Total nbytes of the tables held."""
+    return _held
+
+
+def _fetch(slot: tuple, compute, size: int = 0) -> tuple[np.ndarray, dict]:
+    """The entry held in slot, now the most recently used, if its table has
+    at least size entries. Else compute()'s table, made read-only, replaces
+    it, and the least recently used tables are dropped while the store holds
+    more than CACHE_BYTES; a table larger than the whole budget is not held,
+    and a compute that raises leaves the held tables as they were."""
+    global _held
+    entry = _store.pop(slot, None)
+    if entry is not None:
+        _store[slot] = entry
+        if entry[0].size >= size:
+            return entry
+    table = compute()
+    table.setflags(write=False)
+    old = _store.pop(slot, None)
+    if old is not None:
+        _held -= old[0].nbytes
+    entry = (table, {})
+    if table.nbytes <= CACHE_BYTES:
+        _store[slot] = entry
+        _held += table.nbytes
+        while _held > CACHE_BYTES:
+            _held -= _store.pop(next(iter(_store)))[0].nbytes
+    return entry
+
+
+def cache(fn):
+    """Memoize a function of hashable positional arguments returning an
+    ndarray, which is made read-only, since every caller shares it."""
+
+    @functools.wraps(fn)
+    def cached(*args):
+        return _fetch((fn, args), lambda: fn(*args))[0]
+
+    return cached
+
+
+def prefix_cache(fn):
     """Memoize fn(*key, n), a prefix-stable function: its result is an ndarray
     of length n whose first m entries are the same bits for every n >= m.
 
-    One read-only table is kept per key, the longest computed so far, and
+    One read-only table is held per key, the longest computed so far, and
     every n up to its length gets a view of its first n entries (the same
     view object for the same n). A longer n computes a new table that
     replaces the old one, so callers that need several n ask for the largest
-    first. Tables are dropped oldest first while their total nbytes exceeds
-    max_bytes; a table larger than the whole budget is not kept.
+    first. A call that raises leaves the held table as it was.
     """
 
-    def decorate(fn):
-        entries: OrderedDict[tuple, tuple[np.ndarray, dict]] = OrderedDict()
-        held = 0
+    @functools.wraps(fn)
+    def cached(*args):
+        *key, n = args
+        table, views = _fetch((fn, tuple(key)), lambda: fn(*key, n), n)
+        view = views.get(n)
+        if view is None:
+            view = views[n] = table[:n]
+        return view
 
-        @functools.wraps(fn)
-        def cached(*args):
-            nonlocal held
-            *key, n = args
-            key = tuple(key)
-            entry = entries.get(key)
-            if entry is not None and entry[0].size >= n:
-                entries.move_to_end(key)
-            else:
-                table = fn(*key, n)
-                table.setflags(write=False)
-                if entry is not None:
-                    del entries[key]
-                    held -= entry[0].nbytes
-                entry = (table, {})
-                if table.nbytes <= max_bytes:
-                    entries[key] = entry
-                    held += table.nbytes
-                    while held > max_bytes:
-                        _, (old, _) = entries.popitem(last=False)
-                        held -= old.nbytes
-            table, views = entry
-            view = views.get(n)
-            if view is None:
-                view = views[n] = table[:n]
-            return view
-
-        return cached
-
-    return decorate
+    return cached

@@ -32,14 +32,14 @@ from .hermite import (
     hermite_eval,
 )
 from .kernels import (
-    _lag_weighted_prefix,
-    _powers,
-    _v2_build,
+    _lag_weighted_chunks,
+    _power_chunks,
+    _v2_chunks,
     hermite_sum_variance,
     pair_lag_sum,
     v2_prefix,
 )
-from .memo import CACHE_BYTES, prefix_cache
+from .memo import prefix_cache
 
 REGIMES = ("subcritical", "critical", "supercritical")
 
@@ -162,7 +162,7 @@ def _check_normalizers(v2: np.ndarray, scale: np.ndarray) -> None:
         )
 
 
-@prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable, like v2_prefix
+@prefix_cache  # path-independent and prefix-stable, like v2_prefix
 def _general_f_prefix_var(model, expansion, n):
     """sum_q c_q^2 E[V_k^2] of order q, for k = 1..n. Each order's table is
     built, added and dropped: only the sum is kept, since no run reads the
@@ -171,9 +171,7 @@ def _general_f_prefix_var(model, expansion, n):
     v2 = np.zeros(n)
     for order in range(1, expansion.qmax + 1):
         if c[order] != 0.0:
-            term = _v2_build(model, order, n)
-            term *= c[order] ** 2
-            v2 += term
+            v2 += c[order] ** 2 * np.concatenate([*_v2_chunks(model, order, n)])
     return v2
 
 
@@ -185,16 +183,16 @@ def _v2_table(spec: HermiteVariation | GeneralF, n: int) -> np.ndarray:
     return _general_f_prefix_var(spec.model, spec.expansion, n)
 
 
-@prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable
+@prefix_cache  # path-independent and prefix-stable
 def _k_power(H: float, n: int) -> np.ndarray:
     """k^H for k = 1..n, the FbmScaled divisors."""
     return np.arange(1, n + 1, dtype=np.float64) ** H
 
 
-@prefix_cache(CACHE_BYTES)  # path-independent and prefix-stable
+@prefix_cache  # path-independent and prefix-stable
 def _tail_window(model: CovarianceModel, q: int, n: int) -> np.ndarray:
     """sum_{|r|<k} (k - |r|) |rho(r)|^q for k = 1..n."""
-    return _lag_weighted_prefix(np.abs(_powers(model, q, n)))
+    return np.concatenate([*_lag_weighted_chunks(np.abs(p) for p in _power_chunks(model, q, n))])
 
 
 def _tail_rel(spec: SequenceSpec, n: int) -> float:

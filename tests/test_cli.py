@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asclt_lab import asclt, cli, kernels, malliavin, sequences
+from asclt_lab import asclt, cli, kernels, malliavin, memo, sequences
 from asclt_lab.asclt import (
     contraction_keys,
     contraction_values,
@@ -34,7 +34,7 @@ from asclt_lab.cli import (
     validate_config,
 )
 from asclt_lab.covariance import fgn
-from asclt_lab.gaussian_sim import sample_stationary
+from asclt_lab.gaussian_sim import MAX_N, sample_stationary
 from asclt_lab.hermite import expand
 from asclt_lab.kernels import contraction_norm_sq
 from asclt_lab.malliavin import (
@@ -45,7 +45,6 @@ from asclt_lab.malliavin import (
     lag_covariances,
     malliavin_sample,
 )
-from asclt_lab.memo import CACHE_BYTES, prefix_cache
 from asclt_lab.sequences import (
     FbmScaled,
     GeneralF,
@@ -686,9 +685,8 @@ def test_each_lag_sum_key_is_evaluated_once(monkeypatch, q):
 
     monkeypatch.setattr(asclt, "contraction_norm_sq", counting)
     monkeypatch.setattr(kernels, "_bordering_pass", counting_pass)
-    # A fresh pass cache, so that every pass of the run is counted.
-    monkeypatch.setattr(kernels, "_lag_sum_prefix",
-                        prefix_cache(CACHE_BYTES)(kernels._lag_sum_prefix.__wrapped__))
+    # An empty store, so that every pass of the run is counted.
+    memo.clear()
     H = 1 - 1 / (2 * q)
     cfg, errors = validate_config(_doc(
         "asclt_hermite_crit", model={"H": H, "q": q}, n_max=256, n_grid=[16, 69, 211, 256],
@@ -995,6 +993,43 @@ def test_block_failure_is_reported_per_replicate_alike_across_workers(monkeypatc
             (results,) = ex.run(stage)
         assert ex.failures == ["delta replicate 37: RuntimeError: boom"]
         assert list(results) == [rep for rep in range(100) if rep != 37]
+
+
+def test_delta_exactness_counts_surviving_replicates(monkeypatch):
+    # Replicate 5 fails: the report's count and every row average the 99
+    # replicates that succeeded, at one worker and with a pool alike.
+    real = cli._delta_worker
+
+    def fail_5(args):
+        first, count = args[-2:]
+        if first <= 5 < first + count:
+            raise RuntimeError("boom")
+        return real(args)
+
+    monkeypatch.setattr(cli, "_delta_worker", fail_5)
+    for workers in (1, 2):
+        cfg = _small("delta_exactness", workers, n_max=1024, n_grid=[1024], t_grid=[0.5, 1.0],
+                     seeds={"master_seed": SEED, "replicates": 100})
+        art = cli.run_experiment(cfg)
+        assert art.failures == ["delta replicate 5: RuntimeError: boom"]
+        assert art.report["replicates"] == 99
+        head = (*cli._spec_args(cfg), 1024, (0.5, 1.0), SEED)
+        vals = [real((*head, rep, 1))[0] for rep in range(100) if rep != 5]
+        for i, row in enumerate(art.report["rows"]):
+            assert row["mc"] == float((np.abs(np.array([v[i] for v in vals])) ** 2).mean())
+
+
+def test_worker_tables_stay_within_the_per_point_budget():
+    # The memo tables one KS, one il and one Malliavin worker call leave
+    # behind at n = 2^14 fit the store's budget scaled from MAX_N to n.
+    n = 1 << 14
+    cfg = _small("asclt_general_f", 1, n_max=n, n_grid=[1024, 4096, n],
+                 seeds={"master_seed": SEED, "replicates": 2})
+    memo.clear()
+    cli._ks_prefix_worker((*cli._spec_args(cfg), tuple(cfg.n_grid), SEED, 0))
+    cli._il_worker((*cli._spec_args(cfg), tuple(cfg.t_grid), tuple(cfg.n_grid), SEED, 0))
+    cli._malliavin_worker((cfg.model["H"], 2, n, SEED, 0, 1))
+    assert 0 < memo.held_bytes() <= memo.CACHE_BYTES * n / MAX_N
 
 
 def test_criteria_error_is_reported_alike_across_workers(monkeypatch, tmp_path, capsys):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,41 @@ def test_v2_prefix_matches_scalar_calls():
         assert hermite_sum_variance(model, q, k) == pref[k - 1]
     with pytest.raises(ValueError):
         hermite_sum_variance(model, q, 0)
+
+
+SINGLE_READ_MODELS = [fgn(H) for H in (0.3, 0.5, 0.75, 0.9)] + [iid(), TABLE]
+
+
+@pytest.mark.parametrize("model", SINGLE_READ_MODELS,
+                         ids=[f"{m.kind}{m.H or ''}" for m in SINGLE_READ_MODELS])
+def test_single_read_is_bit_equal_to_table_entry(model):
+    # hermite_sum_variance streams the chunks that the table joins, carrying
+    # both compensated prefix sums across chunk boundaries. Its value must be
+    # the bits of the table entry, and of the two prefix sums taken over the
+    # whole of rho^q in one call each.
+    chunk = kernels._POWER_CHUNK
+    ns = (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 5)
+    for q in (1, 2, 3, 4):
+        table_ = v2_prefix.__wrapped__(model, q, ns[-1])
+        p = _powers(model, q, ns[-1])
+        p[1:] *= 2.0
+        whole = math.factorial(q) * _prefix_sums(_prefix_sums(p)[0])[0]
+        assert np.array_equal(table_, whole), q
+        for n in ns:
+            assert hermite_sum_variance(model, q, n) == table_[n - 1], (q, n)
+
+
+def test_single_read_memory_is_per_chunk():
+    # One read at 2^22 holds O(_POWER_CHUNK) temporaries, not a table: at
+    # most 4 bytes per point under tracemalloc.
+    n = 1 << 22
+    tracemalloc.start()
+    try:
+        hermite_sum_variance(fgn(0.75), 2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n, peak / n
 
 
 def test_powers_match_pow():
@@ -274,7 +310,7 @@ def test_running_sum_stays_within_one_rounding_of_fsum():
     # Increments alike in size, as the lag-sum increments are; a plain
     # cumulative sum drifts by several ulp here.
     x = np.random.default_rng(5).uniform(0.9, 1.1, 1 << 14)
-    prefixes = _prefix_sums(x)
+    prefixes = _prefix_sums(x)[0]
     for n in (10, 100, 1000, 4096, 10000, 1 << 14):
         assert prefixes[n - 1] == pytest.approx(math.fsum(x[:n].tolist()), rel=2.3e-16), n
 
@@ -286,7 +322,7 @@ def test_prefix_sums_bit_equal_neumaier_loop():
     rng = np.random.default_rng(11)
     wide = rng.standard_normal(1 << 14) * 10.0 ** rng.integers(-10, 11, 1 << 14)
     for x in (wide, rng.uniform(0.9, 1.1, 1 << 14)):
-        assert np.array_equal(_prefix_sums(x), neumaier_prefix_sums(x))
+        assert np.array_equal(_prefix_sums(x)[0], neumaier_prefix_sums(x))
 
 
 _BLAS_THREADS_SCRIPT = """

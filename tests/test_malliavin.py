@@ -62,32 +62,33 @@ def test_quartic_trace_matches_brute_force():
 
 
 def test_quartic_trace_fft_matches_dense():
-    # n above the dense cutoff exercises the blocked Toeplitz-FFT route
+    # The blocked Toeplitz-FFT route, the one evaluator at every n, against
+    # the dense matmul oracle, within one column block and across several.
     rng = np.random.default_rng(1)
-    n = 600
-    g = rho_many(fgn(0.3), np.arange(n))
-    b = rng.normal(size=n)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    R = g[idx]
-    M = R @ (b[:, None] * R)
-    dense = float(b @ (M * M) @ b)
-    assert _weighted_quartic_trace(g, b, n) == pytest.approx(dense, rel=1e-12)
+    for n in (2, 3, 10, 512, 600):
+        g = rho_many(fgn(0.3), np.arange(n))
+        b = rng.normal(size=n)
+        idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        R = g[idx]
+        M = R @ (b[:, None] * R)
+        dense = float(b @ (M * M) @ b)
+        assert _weighted_quartic_trace(g, b, n) == pytest.approx(dense, rel=1e-12), n
 
 
 def test_dg_path_independent_work_is_cached(monkeypatch):
     """Over 50 paths, N_n^2 builds one E[V_k^2] table, read by every path (the
-    second build is hermite_sum_variance's own, which keeps no table), and
+    second is the chunk stream of hermite_sum_variance, which keeps no table), and
     the Toeplitz spectrum is cached read-only; ||DG||^2 is bit-equal to the
     uncached evaluation. N_n^2 of a GeneralF is entry n of the spec-level
     table that normalizes its series."""
     builds = []
-    real = kernels._lag_weighted_prefix
+    real = kernels._v2_chunks
 
-    def counting(p):
-        builds.append(p.size)
-        return real(p)
+    def counting(model, q, n):
+        builds.append(n)
+        return real(model, q, n)
 
-    monkeypatch.setattr(kernels, "_lag_weighted_prefix", counting)
+    monkeypatch.setattr(kernels, "_v2_chunks", counting)
     spec, n = HermiteVariation(fgn(0.37), 2), 301
     paths = sample_ensemble(spec.model, n, SEED + 13, 50)
     got = [dg_norm_sq(p, spec) for p in paths]
@@ -155,8 +156,7 @@ def test_pairing_fixed_chaos_is_scaled_gradient():
 
 
 def test_d2g_quadratic_hermite_is_deterministic():
-    # f'' = 2 for q = 2, so the contraction reduces to the kernel quartic sum;
-    # n = 1024 lies above the dense trace cutoff.
+    # f'' = 2 for q = 2, so the contraction reduces to the kernel quartic sum.
     model = fgn(0.3)
     spec = HermiteVariation(model, 2)
     for n in (512, 1024):
@@ -169,7 +169,7 @@ def test_d2g_quadratic_hermite_is_deterministic():
 
 def test_d2g_constant_second_derivative_matches_blocked_trace():
     # The constant-f'' route (kernel bordering lag-sum pass) against the
-    # blocked Toeplitz-FFT weighted trace, above the dense trace cutoff.
+    # blocked Toeplitz-FFT weighted trace.
     n = 600
     for model in (fgn(0.3), fgn(0.75)):
         spec = HermiteVariation(model, 2)
@@ -395,7 +395,7 @@ def _oracle_gebelein(paths, f, lags):
 
 @pytest.mark.parametrize("spec,n", [
     (HermiteVariation(fgn(0.3), 2), 1024),
-    (HermiteVariation(fgn(0.3), 3), 128),     # path-dependent f'', dense trace
+    (HermiteVariation(fgn(0.3), 3), 128),     # path-dependent f'', weighted trace
     (FbmScaled(0.3), 256),
 ])
 def test_reducers_match_path_based_oracle(spec, n):

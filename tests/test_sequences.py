@@ -267,13 +267,13 @@ def test_hermite_cross_covariance_computes_each_normalizer_once(monkeypatch):
     value is bit-equal to the formula with the normalizers of
     hermite_sum_variance."""
     builds = []
-    real = kernels._lag_weighted_prefix
+    real = kernels._v2_chunks
 
-    def counting(p):
-        builds.append(p.size)
-        return real(p)
+    def counting(model, q, n):
+        builds.append(n)
+        return real(model, q, n)
 
-    monkeypatch.setattr(kernels, "_lag_weighted_prefix", counting)
+    monkeypatch.setattr(kernels, "_v2_chunks", counting)
     model = fgn(0.61)  # no other test builds this table
     spec = HermiteVariation(model, 2)
     grid = [int(g) for g in geometric_grid(1024) if g >= 2]

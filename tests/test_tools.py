@@ -1,13 +1,23 @@
-"""tools/leaf_moves.py: report leaves and CSV cells that moved between runs."""
+"""tools/leaf_moves.py: report leaves and CSV cells that moved between runs;
+tools/simd_matrix.py: default reports at each SIMD level of this CPU."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "leaf_moves", Path(__file__).resolve().parents[1] / "tools" / "leaf_moves.py")
-leaf_moves = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(leaf_moves)
+import pytest
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+leaf_moves = _tool("leaf_moves")
+simd_matrix = _tool("simd_matrix")
 
 
 def _run(tmp_path, side: str, report: dict, csv: str) -> Path:
@@ -54,3 +64,16 @@ def test_leaf_moves_fails_on_summary_lines_and_one_sided_files(tmp_path, capsys)
     (change / "exp" / "extra.csv").write_text("n,v\n1,0.5\n")
     assert leaf_moves.main(str(parent), str(change)) == 1
     assert f"exp/extra.csv: only in {change}" in capsys.readouterr().out
+
+
+def test_simd_matrix_kernels_decay_stays_put_at_avx2(tmp_path, capsys):
+    # kernels_decay reads none of the float64 loops whose AVX-512 versions
+    # round differently, so at the AVX2 level (X86_V3, AVX-512 off) its
+    # outputs keep every byte of the native run.
+    if "X86_V3" not in dict(simd_matrix.levels()):
+        pytest.skip("no NPY_DISABLE_CPU_FEATURES set on this CPU leaves X86_V3 on top")
+    assert simd_matrix.main([str(tmp_path), "kernels_decay"]) == 0
+    out = capsys.readouterr().out
+    block = out.split("== X86_V3:")[1].split("\n== ")[0]
+    assert "simd_dispatch ['X86_V3']" in block
+    assert "kernels_decay: byte-identical" in block
